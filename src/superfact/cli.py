@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
-import math
 import os
 import sys
 
@@ -37,21 +35,16 @@ from .errors import (
     NoSolution,
     SamplerExhausted,
     StepFailure,
-    SuperfactError,
     UnsupportedError,
 )
-from .factorization import higher_integral_observables
-from .phase import PhaseBatch, PhasePoint, gradient
+from .levels import solve_levels
+from .phase import PhaseBatch, PhasePoint
 from .systems import (
-    DELTA_POS,
     Family,
     SystemSpec,
     characteristic_period,
     default_box,
-    domain_check,
     geodesic_polar,
-    hamiltonian_observable,
-    second_integral_observable,
     to_internal,
 )
 from .verification import (
@@ -64,7 +57,6 @@ from .verification import (
 SEED_ENV_VAR = "SUPERFACT_SEED"
 INDEPENDENCE_FRACTION = 0.99
 INDEPENDENCE_POINTS = 200
-LEVEL_TOLERANCE = 1e-9
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -443,6 +435,7 @@ def _run_integration(
     command: str,
     run_args: dict,
     report_extra: dict | None = None,
+    manifest_extra: dict | None = None,
 ) -> int:
     started = _utc_now()
     out = args.out
@@ -514,7 +507,7 @@ def _run_integration(
             report["closure"] = {"closed": None, "reason": str(exc)}
     _write_json(report_path, report)
 
-    manifest_extra = {"status": report["status"]}
+    manifest_extra = {**(manifest_extra or {}), "status": report["status"]}
     if breach_info:
         manifest_extra["breach"] = breach_info
     _write_manifest(
@@ -600,102 +593,13 @@ def _parse_symmetry(text: str) -> tuple[str, float]:
         raise _ConfigError(f"--symmetry value: {exc}") from exc
 
 
-def _level_observables(spec: SystemSpec, sym_name: str):
-    h = hamiltonian_observable(spec)
-    i2 = second_integral_observable(spec)
-    _, _, x_real, y_real = higher_integral_observables(spec)
-    sym = x_real if sym_name == "X" else y_real
-    return (h, i2, sym)
-
-
-def _levels_residual(spec, observables, targets, z):
-    """Residual vector at state z, or None when z is unusable."""
-    point = PhasePoint(z[0], z[1], z[2], z[3])
-    if not domain_check(spec, point):
-        return None
-    try:
-        i2 = observables[1](point).real
-    except SuperfactError:
-        return None
-    if spec.family is not Family.EUCLIDEAN and i2 <= DELTA_POS:
-        return None
-    try:
-        vals = np.array([obs(point).real for obs in observables])
-    except SuperfactError:
-        return None
-    return vals - targets
-
-
-def _levels_jacobian(spec, observables, z):
-    point = PhasePoint(z[0], z[1], z[2], z[3])
-    rows = [gradient(obs, point).real for obs in observables]
-    return np.stack(rows)
-
-
-def _solve_levels(spec: SystemSpec, sym_name: str, targets: np.ndarray):
-    """Find a phase point on the prescribed (H, I2, X or Y) levels by damped
-    Gauss-Newton from a grid of box-quartile starts."""
-    observables = _level_observables(spec, sym_name)
-    scale = 1.0 + np.abs(targets)
-    box = default_box(spec)
-    grid = [
-        [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)] for (lo, hi) in box.intervals
-    ]
-    best_res = math.inf
-    best_z = None
-    for start in itertools.product(*grid):
-        z = np.array(start, dtype=float)
-        f = _levels_residual(spec, observables, targets, z)
-        if f is None:
-            continue
-        for _ in range(60):
-            err = np.max(np.abs(f) / scale)
-            if err < best_res:
-                best_res, best_z = err, z.copy()
-            if err <= LEVEL_TOLERANCE:
-                return best_z, best_res
-            try:
-                jac = _levels_jacobian(spec, observables, z)
-            except SuperfactError:
-                break
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-            if not np.isfinite(step).all():
-                break
-            lam = 1.0
-            improved = None
-            for _ in range(25):
-                trial = z + lam * step
-                ft = _levels_residual(spec, observables, targets, trial)
-                if ft is not None and np.max(np.abs(ft) / scale) < np.max(
-                    np.abs(f) / scale
-                ):
-                    improved = (trial, ft)
-                    break
-                lam /= 2
-            if improved is None:
-                break
-            z, f = improved
-        # final polish check for this start
-        err = np.max(np.abs(f) / scale)
-        if err < best_res:
-            best_res, best_z = err, z.copy()
-        if best_res <= LEVEL_TOLERANCE:
-            return best_z, best_res
-    if best_z is None or best_res > LEVEL_TOLERANCE:
-        raise NoSolution(
-            f"no phase point matches the requested levels within "
-            f"{LEVEL_TOLERANCE:g} (best residual {best_res:.3e})"
-        )
-    return best_z, best_res
-
-
 def cmd_trace(args) -> int:
     spec = _resolve_spec(args)
     controls = _controls_from_args(args)
     sym_name, sym_value = _parse_symmetry(args.symmetry)
     targets = np.array([args.energy, args.second, sym_value], dtype=float)
     try:
-        z, residual = _solve_levels(spec, sym_name, targets)
+        z, residual, search = solve_levels(spec, sym_name, targets)
     except NoSolution as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
@@ -728,7 +632,8 @@ def cmd_trace(args) -> int:
         f"({z[0]:.6g}, {z[1]:.6g}, {z[2]:.6g}, {z[3]:.6g}), residual {residual:.3e}"
     )
     return _run_integration(
-        spec, initial, t_end, controls, args, "trace", run_args, report_extra
+        spec, initial, t_end, controls, args, "trace", run_args, report_extra,
+        manifest_extra={"level_search": search.to_json_dict()},
     )
 
 

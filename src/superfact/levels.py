@@ -1,0 +1,232 @@
+"""Phase points on prescribed levels of the integrals.
+
+``trace`` starts its trajectory where the Hamiltonian ``H``, the sector
+integral ``I2`` and one higher-order constant (``X`` or ``Y``) take given
+values.  :func:`solve_levels` finds such a point by damped Gauss-Newton from
+the 81 quartile points of the default box.  The starts run as lanes of one
+batch: each iteration takes every lane's Jacobian from one
+:func:`~superfact.phase.gradient_batch` pass per integral (vector forward
+mode) and tries all step halvings of every lane in one evaluation.  Lanes
+never interact, so the answer is the one a start-by-start search gives: the
+lowest-index start, in grid order, that reaches the tolerance.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import time
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from .errors import NoSolution, SuperfactError
+from .factorization import higher_integral_observables
+from .phase import PhaseBatch, eval_batch, gradient_batch
+from .systems import (
+    DELTA_MARGIN,
+    Family,
+    SystemSpec,
+    default_box,
+    hamiltonian_observable,
+    second_integral_observable,
+)
+from .verification import _validity_mask
+
+#: Largest accepted scaled residual ``max_i |f_i - t_i| / (1 + |t_i|)``.
+LEVEL_TOLERANCE = 1e-9
+
+#: Gauss-Newton steps per start.
+MAX_ITERATIONS = 60
+
+#: Step lengths tried per step: ``2**-k`` for ``k < HALVINGS``.
+HALVINGS = 25
+
+_GRID_FRACTIONS = (0.25, 0.5, 0.75)
+_LAMBDAS = 0.5 ** np.arange(HALVINGS)
+
+
+@dataclass(frozen=True)
+class LevelSearch:
+    """How one level search went.  It carries wall time, so it belongs in
+    the manifest and never in a byte-reproducible report.
+
+    ``valid_starts`` counts the grid starts inside the walls with finite
+    levels; ``iterations`` the Gauss-Newton steps the batch took;
+    ``winning_start`` is the grid index of the returned lane;
+    ``lane_retries`` counts points evaluated one at a time because their
+    batch raised.
+    """
+
+    valid_starts: int
+    iterations: int
+    winning_start: int
+    lane_retries: int
+    seconds: float
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
+def _sector_floor(spec: SystemSpec) -> tuple[str, float]:
+    """Name and value of the infimum of the sector integral over the domain:
+    ``0`` (flat), ``omega^2 / (2 gamma^2)`` (sphere) and
+    ``(|alpha| + |beta|)^2``, the minimum over the angle (TTW)."""
+    if spec.family is Family.EUCLIDEAN:
+        return "euclidean sector", 0.0
+    if spec.family is Family.SPHERE:
+        g = spec.gamma.value
+        return "sphere sector", spec.omega * spec.omega / (2 * g * g)
+    return "ttw angular", (abs(spec.alpha) + abs(spec.beta)) ** 2
+
+
+class _Levels:
+    """Residuals and Jacobians of ``(H, I2, X or Y)`` over stacked states."""
+
+    def __init__(self, spec: SystemSpec, sym_name: str, targets: np.ndarray):
+        _, _, x_real, y_real = higher_integral_observables(spec)
+        self.spec = spec
+        self.observables = (
+            hamiltonian_observable(spec),
+            second_integral_observable(spec),
+            x_real if sym_name == "X" else y_real,
+        )
+        self.targets = targets
+        self.scale = 1.0 + np.abs(targets)
+        self.retries = 0
+
+    def _evaluate(self, fn, z: np.ndarray, width: int) -> np.ndarray:
+        """``fn(observable, batch)`` of shape ``(width, n)`` for each level
+        observable, stacked to ``(3, width, n)``.
+
+        The scalar tower raises when any element of a batch is singular, so
+        one bad lane fails the whole batch; only then are the points
+        evaluated one at a time (counted in ``retries``), and a point that
+        still raises comes back as NaN.
+        """
+        try:
+            batch = PhaseBatch.from_arrays(*z.T)
+            return np.stack([fn(obs, batch) for obs in self.observables])
+        except SuperfactError:
+            pass
+        self.retries += len(z)
+        out = np.full((3, width, len(z)), np.nan)
+        for i in range(len(z)):
+            one = PhaseBatch.from_arrays(*z[i : i + 1].T)
+            try:
+                out[:, :, i : i + 1] = [fn(obs, one) for obs in self.observables]
+            except SuperfactError:
+                continue
+        return out
+
+    def error(self, f: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(f) / self.scale, axis=-1)
+
+    def residuals(self, z: np.ndarray):
+        """Level residuals ``(n, 3)`` at states ``(n, 4)`` and the mask of
+        usable states: inside the domain walls, sector integral above the
+        positivity floor, and every value finite."""
+        ok = _validity_mask(self.spec, PhaseBatch.from_arrays(*z.T), DELTA_MARGIN)
+        f = np.full((len(z), 3), np.nan)
+        if ok.any():
+            vals = self._evaluate(
+                lambda obs, b: eval_batch(obs, b).real[None], z[ok], 1
+            )
+            f[ok] = vals[:, 0, :].T - self.targets
+        return f, ok & np.isfinite(f).all(axis=1)
+
+    def steps(self, z: np.ndarray, f: np.ndarray):
+        """Minimum-norm least-squares Gauss-Newton steps ``(n, 4)`` and the
+        mask of lanes whose Jacobian and step are finite."""
+        jac = self._evaluate(lambda obs, b: gradient_batch(obs, b)[1].real, z, 4)
+        jac = jac.transpose(2, 0, 1)
+        ok = np.isfinite(jac).all(axis=(1, 2))
+        step = np.full(z.shape, np.nan)
+        if ok.any():
+            step[ok] = (np.linalg.pinv(jac[ok]) @ -f[ok, :, None])[:, :, 0]
+        return step, ok & np.isfinite(step).all(axis=1)
+
+    def line_search(self, z: np.ndarray, err: np.ndarray, step: np.ndarray):
+        """Every lane's first step length ``2**-k`` that lowers its error.
+
+        All halvings of all lanes are evaluated as one batch.  Returns the
+        new states, residuals and errors, and the mask of lanes that moved.
+        """
+        n = len(z)
+        trials = z[:, None, :] + _LAMBDAS[:, None] * step[:, None, :]
+        f, ok = self.residuals(trials.reshape(-1, 4))
+        f = f.reshape(n, HALVINGS, 3)
+        trial_err = np.where(ok.reshape(n, HALVINGS), self.error(f), np.inf)
+        better = trial_err < err[:, None]
+        k = better.argmax(axis=1)
+        rows = np.arange(n)
+        return trials[rows, k], f[rows, k], trial_err[rows, k], better.any(axis=1)
+
+
+def solve_levels(spec: SystemSpec, sym_name: str, targets):
+    """Find a phase point on the levels ``targets = (H, I2, X or Y)``.
+
+    ``sym_name`` is ``"X"`` or ``"Y"``.  Returns ``(z, residual, search)``:
+    the internal state, its scaled residual (at most
+    :data:`LEVEL_TOLERANCE`) and the :class:`LevelSearch` telemetry.
+    Raises :class:`~superfact.errors.NoSolution` at once when the sector
+    level lies below its family's floor, and after the search when no start
+    reaches the tolerance; that message gives the best residual reached.
+    """
+    started = time.perf_counter()
+    targets = np.asarray(targets, dtype=float)
+    name, floor = _sector_floor(spec)
+    if targets[1] < floor:
+        raise NoSolution(
+            f"no phase point matches the requested levels: sector level "
+            f"{targets[1]:g} is below the {name} floor {floor:g}"
+        )
+    levels = _Levels(spec, sym_name, targets)
+    grid = [
+        [lo + t * (hi - lo) for t in _GRID_FRACTIONS]
+        for (lo, hi) in default_box(spec).intervals
+    ]
+    starts = np.array(list(itertools.product(*grid)), dtype=float)
+    # Non-finite values mark a lane unusable; they are not errors.
+    with np.errstate(all="ignore"):
+        f, ok = levels.residuals(starts)
+        lanes = np.flatnonzero(ok)
+        z, f = starts[ok], f[ok]
+        err = levels.error(f)
+        active = np.ones(len(lanes), dtype=bool)
+        winner = None
+        iterations = 0
+        for it in range(MAX_ITERATIONS + 1):
+            hit = active & (err <= LEVEL_TOLERANCE)
+            active &= ~hit
+            if hit.any() and (winner is None or hit.argmax() < winner):
+                winner = int(hit.argmax())
+            # A lower-index lane that is still running could yet win.
+            if winner is not None and not active[:winner].any():
+                break
+            if it == MAX_ITERATIONS or not active.any():
+                break
+            iterations += 1
+            idx = np.flatnonzero(active)
+            step, ok = levels.steps(z[idx], f[idx])
+            active[idx[~ok]] = False
+            idx, step = idx[ok], step[ok]
+            z_new, f_new, err_new, moved = levels.line_search(z[idx], err[idx], step)
+            active[idx[~moved]] = False
+            idx = idx[moved]
+            z[idx], f[idx], err[idx] = z_new[moved], f_new[moved], err_new[moved]
+    if winner is None:
+        # Each lane's error only falls, so its last error is its best.
+        best = float(err.min()) if len(err) else math.inf
+        raise NoSolution(
+            f"no phase point matches the requested levels within "
+            f"{LEVEL_TOLERANCE:g} (best residual {best:.3e})"
+        )
+    search = LevelSearch(
+        valid_starts=len(lanes),
+        iterations=iterations,
+        winning_start=int(lanes[winner]),
+        lane_retries=levels.retries,
+        seconds=time.perf_counter() - started,
+    )
+    return z[winner].copy(), float(err[winner]), search

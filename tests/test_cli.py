@@ -524,3 +524,61 @@ def test_trace_symmetry_flag_validation(tmp_path, monkeypatch, capsys):
     assert cli.main(base + ["--symmetry", "Z=1"]) == 2
     assert cli.main(base + ["--symmetry", "X:1"]) == 2
     assert "X=<value> or Y=<value>" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec_args, second, floor_text",
+    [
+        (["--system", "sphere", "--gamma", "2"], "0.1", "sphere sector floor 0.125"),
+        (
+            ["--system", "ttw", "--gamma", "2", "--alpha", "1.1", "--beta", "0.7"],
+            "3",
+            "ttw angular floor 3.24",
+        ),
+    ],
+)
+def test_trace_sector_level_below_floor(
+    tmp_path, monkeypatch, capsys, spec_args, second, floor_text
+):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        ["trace", *spec_args, "--energy", "12", "--second", second,
+         "--symmetry", "X=1.5", "--out", "low"]
+    )
+    assert code == 5
+    err = capsys.readouterr().err
+    assert "no phase point matches" in err
+    assert f"sector level {second} is below the {floor_text}" in err
+    assert not (tmp_path / "low.csv").exists()
+
+
+def test_readme_trace_example(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = (
+        "trace --system ttw --gamma 2 --alpha 1.1 --beta 0.7 "
+        "--energy 12 --second 4 --symmetry X=1.5 --plane xy --out level"
+    )
+    assert cli.main(argv.split()) == 0
+
+
+def test_trace_outputs_byte_identical_search_in_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = [
+        "trace", "--system", "sphere", "--gamma", "3/2",
+        "--energy", "0.4739364112484795", "--second", "0.3869453568468833",
+        "--symmetry", "X=-0.0054487168913519395", "--t-end", "2", "--plane", "xy",
+    ]
+    assert cli.main(base + ["--out", "ta"]) == 0
+    assert cli.main(base + ["--out", "tb"]) == 0
+    for suffix in (".report.json", ".csv"):
+        assert (tmp_path / f"ta{suffix}").read_bytes() == (
+            tmp_path / f"tb{suffix}"
+        ).read_bytes()
+    assert "level_search" not in json.loads((tmp_path / "ta.report.json").read_text())
+    search = json.loads((tmp_path / "ta.manifest.json").read_text())["level_search"]
+    assert set(search) == {
+        "valid_starts", "iterations", "winning_start", "lane_retries", "seconds"
+    }
+    assert search["valid_starts"] == 81
+    assert search["winning_start"] == 0
+    assert search["lane_retries"] == 0
