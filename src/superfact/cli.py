@@ -507,7 +507,13 @@ def _run_integration(
             report["closure"] = {"closed": None, "reason": str(exc)}
     _write_json(report_path, report)
 
-    manifest_extra = {**(manifest_extra or {}), "status": report["status"]}
+    manifest_extra = {
+        **(manifest_extra or {}),
+        "status": report["status"],
+        "integrator": {
+            "rhs_evaluations": traj.rhs_evaluations if traj is not None else 0
+        },
+    }
     if breach_info:
         manifest_extra["breach"] = breach_info
     _write_manifest(
@@ -594,16 +600,10 @@ def _parse_symmetry(text: str) -> tuple[str, float]:
 
 
 def cmd_trace(args) -> int:
+    started = _utc_now()
     spec = _resolve_spec(args)
     controls = _controls_from_args(args)
     sym_name, sym_value = _parse_symmetry(args.symmetry)
-    targets = np.array([args.energy, args.second, sym_value], dtype=float)
-    try:
-        z, residual, search = solve_levels(spec, sym_name, targets)
-    except NoSolution as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
-    initial = PhasePoint(z[0], z[1], z[2], z[3])
     t_end = args.t_end if args.t_end is not None else 10 * characteristic_period(spec)
     if not t_end > 0:
         raise _ConfigError("--t-end must be positive")
@@ -618,8 +618,19 @@ def cmd_trace(args) -> int:
         "sample_dt": controls.sample_dt,
         "method": controls.method,
         "closure_eps": args.closure_eps,
-        "solution_point": [float(v) for v in z],
     }
+    targets = np.array([args.energy, args.second, sym_value], dtype=float)
+    try:
+        z, residual, search = solve_levels(spec, sym_name, targets)
+    except NoSolution as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _write_manifest(
+            args.out, "trace", spec, run_args, None, [], started,
+            extra={"status": "no_solution", "level_search": exc.search.to_json_dict()},
+        )
+        return EXIT_NO_SOLUTION
+    initial = PhasePoint(z[0], z[1], z[2], z[3])
+    run_args["solution_point"] = [float(v) for v in z]
     report_extra = {
         "levels": {"H": args.energy, "I2": args.second, sym_name: sym_value},
         "solution": {

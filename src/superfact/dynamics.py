@@ -8,12 +8,18 @@ spherical and TTW families and stop with a
 :class:`~superfact.errors.DomainBreach` carrying the partial trajectory when
 the state reaches the safety margin.
 
-Every sampled state gets the energy, the sector integral, and the real
-constants ``X``/``Y`` attached so drift can be audited after the fact.
+Both drive the same vector field: the Hamiltonian's gradient compiled once
+per system into straight-line float code
+(:func:`~superfact.phase.compiled_gradient`), so one evaluation is a few
+microseconds of plain float arithmetic.  Every sampled state gets the
+energy, the sector integral, and the real constants ``X``/``Y`` attached so
+drift can be audited after the fact, and the trajectory records how many
+vector-field evaluations it took.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +28,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainBreach, DomainError, InsufficientSpan, StepFailure
 from .factorization import higher_integral_observables
-from .phase import PhaseBatch, PhasePoint, _partials_scalar, eval_batch
+from .phase import PhaseBatch, PhasePoint, compiled_gradient, eval_batch
 from .systems import (
     DELTA_MARGIN,
     Family,
@@ -79,6 +85,7 @@ class Trajectory:
     ``states`` has shape ``(n, 4)`` in internal coordinates; ``energy``,
     ``second``, ``sym_x`` and ``sym_y`` are the matching series of ``H``,
     the sector integral, and the real constants of motion.
+    ``rhs_evaluations`` counts the vector-field calls the integrator made.
     """
 
     t: np.ndarray
@@ -90,6 +97,7 @@ class Trajectory:
     spec: SystemSpec
     initial: PhasePoint
     controls: IntegratorControls
+    rhs_evaluations: int = 0
 
     def __len__(self) -> int:
         return len(self.t)
@@ -147,20 +155,23 @@ class ClosureResult:
 # ---------- vector field ----------
 
 
+@functools.lru_cache(maxsize=64)
 def _rhs_function(spec: SystemSpec):
-    """Hamiltonian vector field as ``f(t, y) -> ndarray(4)``; returns NaNs
-    instead of raising when the state has wandered somewhere unevaluable so
-    the adaptive stepper can shrink and recover."""
-    fn = hamiltonian_observable(spec).fn
+    """Hamiltonian vector field as ``f(t, y) -> ndarray(4)``.
+
+    Compiling costs about half a millisecond, so the field is cached per
+    spec.  A state where ``H`` cannot be evaluated (a singular denominator,
+    a non-positive square root, a non-finite angle) gives the all-NaN row
+    instead of raising, so the adaptive stepper can shrink and recover.
+    """
+    grad = compiled_gradient(hamiltonian_observable(spec))
 
     def rhs(t, y):
-        coords = (complex(y[0]), complex(y[1]), complex(y[2]), complex(y[3]))
         try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                g = _partials_scalar(fn, coords)
-        except (DomainError, FloatingPointError, ZeroDivisionError, OverflowError):
+            h_q1, h_q2, h_p1, h_p2 = grad(*y.tolist())
+        except (ZeroDivisionError, OverflowError, ValueError, DomainError):
             return np.full(4, np.nan)
-        return np.array([g[2].real, g[3].real, -g[0].real, -g[1].real])
+        return np.array([h_p1, h_p2, -h_q1, -h_q2])
 
     return rhs
 
@@ -220,7 +231,7 @@ def _sample_times(t_end: float, sample_dt: float) -> np.ndarray:
     return ts
 
 
-def _build_trajectory(spec, initial, controls, t, states) -> Trajectory:
+def _build_trajectory(spec, initial, controls, t, states, rhs_evaluations) -> Trajectory:
     t = np.asarray(t, dtype=float)
     states = np.asarray(states, dtype=float).reshape(len(t), 4)
     batch = PhaseBatch.from_arrays(states[:, 0], states[:, 1], states[:, 2], states[:, 3])
@@ -242,6 +253,7 @@ def _build_trajectory(spec, initial, controls, t, states) -> Trajectory:
         spec=spec,
         initial=initial,
         controls=controls,
+        rhs_evaluations=rhs_evaluations,
     )
 
 
@@ -274,18 +286,20 @@ def _integrate_adaptive(spec, y0, t_end, ts, controls, max_step, margin):
         if not t_out or t_best > t_out[-1] + 1e-15:
             t_out.append(t_best)
             y_out.append(np.asarray(y_best, dtype=float))
-        return t_out, y_out, (t_best, y_best, labels[k_best])
-    return t_out, y_out, None
+        return t_out, y_out, (t_best, y_best, labels[k_best]), sol.nfev
+    return t_out, y_out, None, sol.nfev
 
 
 def _midpoint_step(rhs, t, y, h):
-    """One implicit midpoint step solved by fixed-point iteration."""
+    """One implicit midpoint step solved by fixed-point iteration.
+
+    Returns the new state and the number of vector-field evaluations."""
     t_mid = t + h / 2
     f = rhs(t, y)
     if not np.isfinite(f).all():
         raise StepFailure(f"vector field not evaluable at t={t:.6g}")
     z = y + (h / 2) * f
-    for _ in range(_FIXED_POINT_MAX_ITER):
+    for sweep in range(_FIXED_POINT_MAX_ITER):
         f = rhs(t_mid, z)
         if not np.isfinite(f).all():
             raise StepFailure(f"vector field not evaluable near t={t_mid:.6g}")
@@ -293,7 +307,7 @@ def _midpoint_step(rhs, t, y, h):
         delta = np.max(np.abs(z_new - z))
         z = z_new
         if delta <= _FIXED_POINT_TOL * (1.0 + np.max(np.abs(z))):
-            return 2.0 * z - y
+            return 2.0 * z - y, sweep + 2
     raise StepFailure(
         f"midpoint iteration did not converge within {_FIXED_POINT_MAX_ITER} "
         f"sweeps at t={t:.6g}"
@@ -303,6 +317,7 @@ def _midpoint_step(rhs, t, y, h):
 def _integrate_midpoint(spec, y0, ts, controls, fixed_dt, margin):
     rhs = _rhs_function(spec)
     guard = spec.family is not Family.EUCLIDEAN
+    nfev = 0
     t_out = [0.0]
     y_out = [np.asarray(y0, dtype=float)]
     y = np.asarray(y0, dtype=float)
@@ -312,19 +327,20 @@ def _integrate_midpoint(spec, y0, ts, controls, fixed_dt, margin):
         h = span / n_sub
         t = ts[i]
         for _ in range(n_sub):
-            y = _midpoint_step(rhs, t, y, h)
+            y, calls = _midpoint_step(rhs, t, y, h)
+            nfev += calls
             t += h
             if guard:
                 verdict = domain_check(spec, PhasePoint(*y), margin=margin)
                 if not verdict:
                     t_out.append(t)
                     y_out.append(y)
-                    return t_out, y_out, (t, y, verdict.reason)
+                    return t_out, y_out, (t, y, verdict.reason), nfev
         # Land exactly on the sample time to keep the grid drift-free.
         t = ts[i + 1]
         t_out.append(t)
         y_out.append(y)
-    return t_out, y_out, None
+    return t_out, y_out, None, nfev
 
 
 def integrate(
@@ -364,15 +380,15 @@ def integrate(
     ts = _sample_times(t_end, sample_dt)
     y0 = initial.as_array()
     if controls.method == "dop853":
-        t_out, y_out, breach = _integrate_adaptive(
+        t_out, y_out, breach, nfev = _integrate_adaptive(
             spec, y0, t_end, ts, controls, max_step, margin
         )
     else:
-        t_out, y_out, breach = _integrate_midpoint(
+        t_out, y_out, breach, nfev = _integrate_midpoint(
             spec, y0, ts, controls, fixed_dt, margin
         )
 
-    traj = _build_trajectory(spec, initial, controls, t_out, y_out)
+    traj = _build_trajectory(spec, initial, controls, t_out, y_out, nfev)
     if breach is not None:
         t_b, y_b, why = breach
         raise DomainBreach(

@@ -46,4 +46,12 @@ class InsufficientSpan(SuperfactError):
 
 
 class NoSolution(SuperfactError):
-    """No phase point matches the prescribed integral levels."""
+    """No phase point matches the prescribed integral levels.
+
+    ``search`` carries the telemetry of the level search that gave up (a
+    :class:`~superfact.levels.LevelSearch`), when one ran or was skipped.
+    """
+
+    def __init__(self, message, search=None):
+        super().__init__(message)
+        self.search = search

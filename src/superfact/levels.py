@@ -53,14 +53,14 @@ class LevelSearch:
 
     ``valid_starts`` counts the grid starts inside the walls with finite
     levels; ``iterations`` the Gauss-Newton steps the batch took;
-    ``winning_start`` is the grid index of the returned lane;
-    ``lane_retries`` counts points evaluated one at a time because their
-    batch raised.
+    ``winning_start`` is the grid index of the returned lane, ``None``
+    when no lane reached the tolerance; ``lane_retries`` counts points
+    evaluated one at a time because their batch raised.
     """
 
     valid_starts: int
     iterations: int
-    winning_start: int
+    winning_start: int | None
     lane_retries: int
     seconds: float
 
@@ -172,6 +172,8 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
     Raises :class:`~superfact.errors.NoSolution` at once when the sector
     level lies below its family's floor, and after the search when no start
     reaches the tolerance; that message gives the best residual reached.
+    Either way the exception's ``search`` holds the telemetry (no starts
+    and no iterations for the floor case).
     """
     started = time.perf_counter()
     targets = np.asarray(targets, dtype=float)
@@ -179,7 +181,14 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
     if targets[1] < floor:
         raise NoSolution(
             f"no phase point matches the requested levels: sector level "
-            f"{targets[1]:g} is below the {name} floor {floor:g}"
+            f"{targets[1]:g} is below the {name} floor {floor:g}",
+            search=LevelSearch(
+                valid_starts=0,
+                iterations=0,
+                winning_start=None,
+                lane_retries=0,
+                seconds=time.perf_counter() - started,
+            ),
         )
     levels = _Levels(spec, sym_name, targets)
     grid = [
@@ -215,18 +224,19 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
             active[idx[~moved]] = False
             idx = idx[moved]
             z[idx], f[idx], err[idx] = z_new[moved], f_new[moved], err_new[moved]
+    search = LevelSearch(
+        valid_starts=len(lanes),
+        iterations=iterations,
+        winning_start=None if winner is None else int(lanes[winner]),
+        lane_retries=levels.retries,
+        seconds=time.perf_counter() - started,
+    )
     if winner is None:
         # Each lane's error only falls, so its last error is its best.
         best = float(err.min()) if len(err) else math.inf
         raise NoSolution(
             f"no phase point matches the requested levels within "
-            f"{LEVEL_TOLERANCE:g} (best residual {best:.3e})"
+            f"{LEVEL_TOLERANCE:g} (best residual {best:.3e})",
+            search=search,
         )
-    search = LevelSearch(
-        valid_starts=len(lanes),
-        iterations=iterations,
-        winning_start=int(lanes[winner]),
-        lane_retries=levels.retries,
-        seconds=time.perf_counter() - started,
-    )
     return z[winner].copy(), float(err[winner]), search

@@ -6,10 +6,12 @@ the four coordinates written against :mod:`superfact.scalars`, so the same
 definition is evaluated at floats (values), dual numbers (derivatives), or
 numpy arrays (batches of points at once).
 
-All derivatives here are forward-mode dual-number derivatives: seed one
-coordinate with a unit dual part and read the derivative off the output.
-They are exact to machine rounding; no finite-difference step enters any
-bracket.
+Brackets, batches and pointwise gradients use forward-mode dual numbers:
+seed one coordinate with a unit dual part and read the derivative off the
+output.  :func:`compiled_gradient` serves hot pointwise loops instead: it
+traces an observable once and emits straight-line float code that returns
+the four partials from one reverse sweep.  Both are exact to machine
+rounding; no finite-difference step enters any derivative.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .scalars import DualComplex
+from .scalars import DualComplex, Tape, _require_positive
 
 COORDS = ("q1", "q2", "p1", "p2")
 
@@ -221,6 +223,101 @@ def gradient(f: Observable, point: PhasePoint) -> np.ndarray:
     coords = _point_scalars(point)
     grads = _wrap_domain(_partials_scalar, f.fn, coords)
     return np.array([complex(g) for g in grads], dtype=complex)
+
+
+# ---------- compiled gradients ----------
+
+_FORWARD = {
+    "add": "{0} + {1}",
+    "sub": "{0} - {1}",
+    "mul": "{0} * {1}",
+    "div": "{0} / {1}",
+    "neg": "-{0}",
+    "sin": "sin({0})",
+    "cos": "cos({0})",
+    "tan": "tan({0})",
+    "sqrt": "sqrt({0})",
+}
+
+# Contribution of each op to the adjoints of its operands, one
+# ``(sign, expression)`` per operand: ``{d}`` is the result's adjoint,
+# ``{v}`` its value, and ``{0}``, ``{1}`` name the operands.
+_ADJOINT = {
+    "add": (("+", "{d}"), ("+", "{d}")),
+    "sub": (("+", "{d}"), ("-", "{d}")),
+    "mul": (("+", "{d} * {1}"), ("+", "{d} * {0}")),
+    "div": (("+", "{d} / {1}"), ("-", "{d} * {v} / {1}")),
+    "neg": (("-", "{d}"),),
+    "sin": (("+", "{d} * cos({0})"),),
+    "cos": (("-", "{d} * sin({0})"),),
+    "tan": (("+", "{d} * (1.0 + {v} * {v})"),),
+    "sqrt": (("+", "{d} / ({v} + {v})"),),
+}
+
+
+def _sqrt(x):
+    _require_positive(x)
+    return math.sqrt(x)
+
+
+def compiled_gradient(f: Observable) -> Callable:
+    """The four partials of a real observable as straight-line float code.
+
+    ``f.fn`` runs once on :class:`~superfact.scalars.Traced` inputs.  The
+    recorded operations become one Python function of four floats that
+    evaluates ``f`` and returns ``(df/dq1, df/dq2, df/dp1, df/dp2)`` from
+    one reverse sweep (Griewank-Walther, *Evaluating Derivatives*,
+    ch. 3-4); operations that do not reach the value are dropped.
+    Constants are bound by name in the function's namespace, so the
+    generated text, kept as the function's ``source``, never depends on
+    how a constant prints.
+
+    The function raises ``ZeroDivisionError`` at a singular denominator,
+    :class:`~superfact.errors.DomainError` at a non-positive square-root
+    argument and ``ValueError`` where :mod:`math` has no value (a sine at
+    infinity, say).  Compiling raises ``TypeError`` naming the observable
+    when it has a non-real constant or branches on a coordinate.
+    """
+    tape = Tape(4)
+    try:
+        result = tape.operand(f.fn(*tape.inputs))
+    except TypeError as exc:
+        raise TypeError(f"cannot compile {f.label or 'observable'}: {exc}") from exc
+
+    # Reverse sweep.  A name is live once its adjoint is assigned; the
+    # reverse order reaches every consumer of a value before the value.
+    live: set[str] = set()
+    adjoint: list[str] = []
+
+    def accumulate(name, sign, expr):
+        if name.startswith("c"):
+            return
+        if name in live:
+            adjoint.append(f"d{name} {sign}= {expr}")
+        else:
+            live.add(name)
+            adjoint.append(f"d{name} = {expr}" if sign == "+" else f"d{name} = -({expr})")
+
+    accumulate(result, "+", "1.0")
+    for name, op, args in reversed(tape.ops):
+        if name in live:
+            for arg, (sign, expr) in zip(args, _ADJOINT[op]):
+                accumulate(arg, sign, expr.format(*args, d=f"d{name}", v=name))
+    forward = [
+        f"{name} = {_FORWARD[op].format(*args)}"
+        for name, op, args in tape.ops
+        if name in live
+    ]
+    partials = [f"d{x.name}" if x.name in live else "0.0" for x in tape.inputs]
+    body = forward + adjoint + [f"return ({', '.join(partials)})"]
+    source = "def gradient(x0, x1, x2, x3):\n" + "".join(f"    {line}\n" for line in body)
+
+    namespace = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "sqrt": _sqrt}
+    namespace.update((f"c{i}", c) for i, c in enumerate(tape.constants))
+    exec(compile(source, f"<gradient of {f.label or 'observable'}>", "exec"), namespace)
+    fn = namespace["gradient"]
+    fn.source = source
+    return fn
 
 
 # ---------- batched evaluation ----------

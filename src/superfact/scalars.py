@@ -7,17 +7,23 @@ dual part produces derivatives exact to machine rounding, which is what the
 bracket engine relies on.  Duals nest (a ``DualComplex`` may hold
 ``DualComplex`` components), so bracket expressions can themselves be
 differentiated; the Jacobi-identity checks use that.
+
+A function of real inputs can also be run once on :class:`Traced` values,
+which compute nothing and instead record each operation on a
+:class:`Tape`; :func:`superfact.phase.compiled_gradient` turns that record
+into straight-line float code.
 """
 
 from __future__ import annotations
 
 import cmath
+import numbers
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["DualComplex", "sin", "cos", "tan", "sqrt", "ipow"]
+__all__ = ["DualComplex", "Tape", "Traced", "sin", "cos", "tan", "sqrt", "ipow"]
 
 
 def _check_divisor(v):
@@ -123,6 +129,100 @@ class DualComplex:
         return ipow(self, n)
 
 
+# ---------- tracing ----------
+
+
+class Tape:
+    """Operations applied to :class:`Traced` values, in execution order.
+
+    ``inputs`` are the traced arguments, named ``x0, x1, ...``.  Each entry
+    of ``ops`` is ``(result, op, operands)``: the result is named ``v<i>``,
+    ``op`` is one of ``add sub mul div neg sin cos tan sqrt`` and each
+    operand names a traced value or a constant.  Constants are real and
+    named ``c<i>`` after their index in ``constants``.
+    """
+
+    def __init__(self, n_inputs: int):
+        self.inputs = [Traced(self, f"x{k}") for k in range(n_inputs)]
+        self.ops: list[tuple[str, str, tuple[str, ...]]] = []
+        self.constants: list[float] = []
+
+    def operand(self, x) -> str:
+        if isinstance(x, Traced):
+            return x.name
+        if not isinstance(x, numbers.Real):
+            raise TypeError(f"non-real constant {x!r}")
+        self.constants.append(float(x))
+        return f"c{len(self.constants) - 1}"
+
+    def record(self, op: str, *operands) -> "Traced":
+        out = Traced(self, f"v{len(self.ops)}")
+        self.ops.append((out.name, op, tuple(self.operand(x) for x in operands)))
+        return out
+
+
+def _no_control_flow(*_):
+    raise TypeError(
+        "value-dependent control flow (a comparison or truth test) cannot be "
+        "traced into straight-line code"
+    )
+
+
+class Traced:
+    """A real value that records the operations applied to it on a
+    :class:`Tape` instead of computing them.
+
+    It has no comparisons and no truth value, so an observable that
+    branches on a coordinate raises ``TypeError`` while being traced rather
+    than recording one branch.
+    """
+
+    __slots__ = ("tape", "name")
+
+    # Numpy scalars defer to the reflected operators, as for DualComplex.
+    __array_ufunc__ = None
+
+    def __init__(self, tape: Tape, name: str):
+        self.tape = tape
+        self.name = name
+
+    def __add__(self, other):
+        return self.tape.record("add", self, other)
+
+    def __radd__(self, other):
+        return self.tape.record("add", other, self)
+
+    def __sub__(self, other):
+        return self.tape.record("sub", self, other)
+
+    def __rsub__(self, other):
+        return self.tape.record("sub", other, self)
+
+    def __mul__(self, other):
+        return self.tape.record("mul", self, other)
+
+    def __rmul__(self, other):
+        return self.tape.record("mul", other, self)
+
+    def __truediv__(self, other):
+        return self.tape.record("div", self, other)
+
+    def __rtruediv__(self, other):
+        return self.tape.record("div", other, self)
+
+    def __neg__(self):
+        return self.tape.record("neg", self)
+
+    def __pos__(self):
+        return self
+
+    def __pow__(self, n):
+        return ipow(self, n)
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _no_control_flow
+    __hash__ = None
+
+
 # ---------- elementary functions ----------
 
 
@@ -134,6 +234,8 @@ def sin(x):
         return DualComplex(cmath.sin(v), cmath.cos(v) * x.eps)
     if isinstance(x, np.ndarray):
         return np.sin(x)
+    if isinstance(x, Traced):
+        return x.tape.record("sin", x)
     return cmath.sin(x)
 
 
@@ -145,6 +247,8 @@ def cos(x):
         return DualComplex(cmath.cos(v), -(cmath.sin(v)) * x.eps)
     if isinstance(x, np.ndarray):
         return np.cos(x)
+    if isinstance(x, Traced):
+        return x.tape.record("cos", x)
     return cmath.cos(x)
 
 
@@ -155,6 +259,8 @@ def tan(x):
         return DualComplex(t, (1 + t * t) * x.eps)
     if isinstance(x, np.ndarray):
         return np.tan(x)
+    if isinstance(x, Traced):
+        return x.tape.record("tan", x)
     return cmath.tan(x)
 
 
@@ -180,6 +286,9 @@ def sqrt(x):
     if isinstance(x, np.ndarray):
         _require_positive(x)
         return np.sqrt(x)
+    if isinstance(x, Traced):
+        # The positivity contract is checked when the compiled code runs.
+        return x.tape.record("sqrt", x)
     _require_positive(x)
     return cmath.sqrt(x)
 

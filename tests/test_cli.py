@@ -9,13 +9,17 @@ import pytest
 
 from superfact import (
     IdentitySpec,
+    IntegratorControls,
     PhasePoint,
     TOL_POLY,
     cli,
     hamiltonian,
     higher_integral,
+    integrate,
     second_integral,
 )
+
+from _oracles import spec_for
 
 TWO_PI = 2 * math.pi
 
@@ -457,6 +461,34 @@ def test_integrate_csv_byte_identical_across_runs(tmp_path, monkeypatch):
     assert ra == rb
 
 
+@pytest.mark.parametrize("method", ["dop853", "midpoint"])
+def test_integrate_rhs_evaluations_in_manifest_only(tmp_path, monkeypatch, method):
+    monkeypatch.chdir(tmp_path)
+    base = [
+        "integrate", "--system", "sphere", "--gamma", "3/2",
+        "--q0", "0.4,-0.3", "--p0", "0.2,0.5", "--t-end", "2.0",
+        "--method", method, "--fixed-dt", "0.01",
+    ]
+    assert cli.main(base + ["--out", "runa"]) == 0
+    assert cli.main(base + ["--out", "runb"]) == 0
+    for suffix in (".report.json", ".csv"):
+        assert (tmp_path / f"runa{suffix}").read_bytes() == (
+            tmp_path / f"runb{suffix}"
+        ).read_bytes()
+    report = (tmp_path / "runa.report.json").read_text()
+    assert "integrator" not in report and "rhs_evaluations" not in report
+    spec = spec_for("sphere", "3/2")
+    traj = integrate(
+        spec,
+        PhasePoint(0.4, -0.3, 0.2, 0.5),
+        2.0,
+        IntegratorControls(method=method, fixed_dt=0.01),
+    )
+    manifest = json.loads((tmp_path / "runa.manifest.json").read_text())
+    assert manifest["integrator"] == {"rhs_evaluations": traj.rhs_evaluations}
+    assert traj.rhs_evaluations > 0
+
+
 # ---------- trace ----------
 
 
@@ -515,6 +547,15 @@ def test_trace_infeasible_levels(tmp_path, monkeypatch, capsys):
     assert code == 5
     assert "no phase point matches" in capsys.readouterr().err
     assert not (tmp_path / "no.csv").exists()
+    assert not (tmp_path / "no.report.json").exists()
+    manifest = json.loads((tmp_path / "no.manifest.json").read_text())
+    assert manifest["status"] == "no_solution"
+    assert manifest["outputs"] == []
+    search = manifest["level_search"]
+    assert search["valid_starts"] == 81
+    assert search["iterations"] > 0
+    assert search["winning_start"] is None
+    assert search["seconds"] > 0
 
 
 def test_trace_symmetry_flag_validation(tmp_path, monkeypatch, capsys):
@@ -550,6 +591,14 @@ def test_trace_sector_level_below_floor(
     assert "no phase point matches" in err
     assert f"sector level {second} is below the {floor_text}" in err
     assert not (tmp_path / "low.csv").exists()
+    assert not (tmp_path / "low.report.json").exists()
+    manifest = json.loads((tmp_path / "low.manifest.json").read_text())
+    assert manifest["status"] == "no_solution"
+    assert manifest["command"] == "trace"
+    search = manifest["level_search"]
+    assert (search["valid_starts"], search["iterations"], search["winning_start"]) == (
+        0, 0, None
+    )
 
 
 def test_readme_trace_example(tmp_path, monkeypatch):

@@ -1,10 +1,16 @@
 """Flow integration, drift auditing, and closed-orbit detection."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superfact
+from superfact import dynamics
 from superfact import (
     DomainBreach,
     DomainError,
@@ -76,6 +82,63 @@ def test_rhs_rejects_outside_domain():
         hamilton_rhs(spec_for("sphere", "1"), PhasePoint(1.6, 0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         hamilton_rhs(spec_for("ttw", "1"), PhasePoint(-0.5, 0.7, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_rhs_at_non_finite_states_returns_a_row(family):
+    rhs = dynamics._rhs_function(spec_for(family, "3/2"))
+    for k in range(4):
+        for bad in (math.inf, -math.inf, math.nan):
+            y = np.array([1.2, 0.6, 0.3, -0.4])
+            y[k] = bad
+            assert rhs(0.0, y).shape == (4,)
+    # math.cos has no value at infinity: the unevaluable state is the NaN row.
+    row = dynamics._rhs_function(spec_for("sphere", "1"))(
+        0.0, np.array([math.inf, 0.6, 0.3, -0.4])
+    )
+    assert np.isnan(row).all()
+
+
+def test_rhs_at_ttw_origin_is_the_nan_row():
+    rhs = dynamics._rhs_function(spec_for("ttw", "3/2"))
+    assert np.isnan(rhs(0.0, np.array([0.0, 0.7, 0.1, 0.2]))).all()
+
+
+def test_rhs_function_is_compiled_once_per_spec():
+    first = dynamics._rhs_function(spec_for("ttw", "2/3"))
+    assert dynamics._rhs_function(spec_for("ttw", "2/3")) is first
+    assert dynamics._rhs_function(spec_for("ttw", "3/2")) is not first
+
+
+_SOURCE_SCRIPT = """
+import re
+from superfact import Family, RationalGamma, SystemSpec
+from superfact.phase import compiled_gradient
+from superfact.systems import hamiltonian_observable
+
+for spec in (
+    SystemSpec(Family.EUCLIDEAN, 1.0, RationalGamma(3, 2)),
+    SystemSpec(Family.SPHERE, 1.0, RationalGamma(2, 3)),
+    SystemSpec(Family.TTW, 1.0, RationalGamma(7, 5), alpha=1.1, beta=0.7),
+):
+    grad = compiled_gradient(hamiltonian_observable(spec))
+    print(grad.source)
+    print([(k, repr(v)) for k, v in grad.__globals__.items() if re.fullmatch("c[0-9]+", k)])
+"""
+
+
+def test_rhs_compiled_source_is_deterministic():
+    src = str(Path(superfact.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _SOURCE_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("def gradient") == 3
 
 
 # ---------- flows with known solutions ----------
@@ -240,6 +303,27 @@ def test_midrun_breach_midpoint():
     assert breach.time > 0.0
     assert breach.trajectory is not None
     assert breach.state.q1 >= math.pi / 2 - 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("method", ["dop853", "midpoint"])
+def test_trajectory_counts_rhs_evaluations(monkeypatch, method):
+    calls = []
+    compiled = dynamics._rhs_function
+
+    def counting(spec):
+        rhs = compiled(spec)
+
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_rhs_function", counting)
+    spec = spec_for("ttw", "3/2")
+    controls = IntegratorControls(method=method, fixed_dt=0.01)
+    traj = integrate(spec, PhasePoint(1.2, 0.8, -0.4, 0.6), 2.0, controls)
+    assert traj.rhs_evaluations == len(calls) > 0
 
 
 def test_step_failure_midpoint_giant_step():

@@ -22,8 +22,14 @@ from superfact import (
 )
 from superfact import scalars as sc
 from superfact.factorization import higher_integral_observables, ladder_observables
-from superfact.phase import bracket_batch_with_scale, poisson_bracket_with_scale
+from superfact.phase import (
+    bracket_batch_with_scale,
+    compiled_gradient,
+    poisson_bracket_with_scale,
+)
 from superfact.systems import (
+    default_box,
+    epsilon_observable,
     euclid_y_sector_observable,
     hamiltonian_observable,
     second_integral_observable,
@@ -253,3 +259,73 @@ def test_observable_singularity_raises():
         inv(PhasePoint(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         poisson_bracket(inv, P1, PhasePoint(0.0, 0.0, 0.0, 0.0))
+
+
+# ---------- compiled gradients ----------
+
+
+@pytest.mark.parametrize("gamma", ["1", "2", "1/2", "3/2", "2/3", "7/5"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_compiled_gradient_matches_dual_gradient(family, gamma):
+    spec = spec_for(family, gamma)
+    observables = [hamiltonian_observable(spec), second_integral_observable(spec)]
+    if family != "euclidean":
+        observables.append(epsilon_observable(spec))
+    batch = sample_points(spec, default_box(spec), 200, seed=11)
+    for obs in observables:
+        grad = compiled_gradient(obs)
+        for i in range(len(batch)):
+            point = batch.point(i)
+            want = gradient(obs, point).real
+            got = np.array(grad(point.q1, point.q2, point.p1, point.p2))
+            scale = np.max(np.abs(want))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_compiled_gradient_rejects_branching_on_a_coordinate():
+    def kinked(q1, q2, p1, p2):
+        if q1 > 0:
+            return q1 * p1
+        return -q1 * p1
+
+    with pytest.raises(TypeError, match="cannot compile kinked.*control flow"):
+        compiled_gradient(Observable(kinked, "kinked"))
+    truthy = Observable(lambda q1, q2, p1, p2: q2 if q1 else p2, "truthy")
+    with pytest.raises(TypeError, match="cannot compile truthy"):
+        compiled_gradient(truthy)
+
+
+def test_compiled_gradient_rejects_non_real_constants():
+    xp, _, _, _ = higher_integral_observables(spec_for("ttw", "3/2"))
+    with pytest.raises(TypeError, match="cannot compile X\\+: non-real constant"):
+        compiled_gradient(xp)
+
+
+def test_compiled_gradient_edge_shapes():
+    const = compiled_gradient(Observable(lambda q1, q2, p1, p2: 2.5, "const"))
+    assert const(1.0, 2.0, 3.0, 4.0) == (0.0, 0.0, 0.0, 0.0)
+    ident = compiled_gradient(P2)
+    assert ident(1.0, 2.0, 3.0, 4.0) == (0.0, 0.0, 0.0, 1.0)
+
+    def f(q1, q2, p1, p2):
+        unused = sc.sin(q2) * p1  # never reaches the value: no code for it
+        # q1 * 0 + 1 reaches the value with a zero weight.
+        return sc.ipow(q1, 0) + sc.tan(p1) * p2
+
+    grad = compiled_gradient(Observable(f, "f"))
+    d = grad(0.3, 0.7, 0.2, 1.5)
+    assert d[:2] == (0.0, 0.0)
+    assert d[2] == pytest.approx(1.5 * (1 + math.tan(0.2) ** 2), rel=1e-15)
+    assert d[3] == pytest.approx(math.tan(0.2), rel=1e-15)
+    assert "sin" not in grad.source and "dx1" not in grad.source
+
+
+def test_compiled_gradient_keeps_the_domain_contracts():
+    root = compiled_gradient(Observable(lambda q1, q2, p1, p2: sc.sqrt(q1), "root"))
+    assert root(4.0, 0.0, 0.0, 0.0)[0] == 0.25
+    for bad in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            root(bad, 0.0, 0.0, 0.0)
+    inv = compiled_gradient(Observable(lambda q1, q2, p1, p2: 1.0 / q1, "1/q1"))
+    with pytest.raises(ZeroDivisionError):
+        inv(0.0, 0.0, 0.0, 0.0)
