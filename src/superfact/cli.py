@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedError,
 )
 from .levels import solve_levels
-from .phase import PhaseBatch, PhasePoint
+from .phase import PhasePoint
 from .systems import (
     Family,
     SystemSpec,
@@ -250,10 +250,6 @@ def _write_manifest(
     return path
 
 
-def _head(batch: PhaseBatch, k: int) -> PhaseBatch:
-    return PhaseBatch.from_arrays(batch.q1[:k], batch.q2[:k], batch.p1[:k], batch.p2[:k])
-
-
 # ---------- verify ----------
 
 
@@ -272,7 +268,7 @@ def cmd_verify(args) -> int:
     suite = build_suite(spec)
     report = run_suite(spec, suite, points, seed=seed, box=box)
 
-    indep_points = _head(points, min(INDEPENDENCE_POINTS, len(points)))
+    indep_points = points[:INDEPENDENCE_POINTS]
     independence = {
         "with_X": independence_report(spec, indep_points, "with_X"),
         "with_Y": independence_report(spec, indep_points, "with_Y"),
@@ -436,8 +432,9 @@ def _run_integration(
     run_args: dict,
     report_extra: dict | None = None,
     manifest_extra: dict | None = None,
+    started: str | None = None,
 ) -> int:
-    started = _utc_now()
+    started = started or _utc_now()
     out = args.out
     csv_path = f"{out}.csv"
     report_path = f"{out}.report.json"
@@ -459,6 +456,10 @@ def _run_integration(
         traj = exc.trajectory
     except StepFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _write_manifest(
+            out, command, spec, run_args, None, [], started,
+            extra={**(manifest_extra or {}), "status": "step_failure", "message": str(exc)},
+        )
         return EXIT_STEP_FAILURE
 
     extra_cols = None
@@ -645,6 +646,7 @@ def cmd_trace(args) -> int:
     return _run_integration(
         spec, initial, t_end, controls, args, "trace", run_args, report_extra,
         manifest_extra={"level_search": search.to_json_dict()},
+        started=started,
     )
 
 

@@ -3,10 +3,10 @@
 Integration happens in internal coordinates.  Two integrators are offered:
 scipy's adaptive 8th-order Dormand-Prince pair (DOP853) for production
 accuracy and a hand-rolled fixed-step implicit midpoint rule as a
-structure-preserving cross-check.  Both watch the open domain of the
-spherical and TTW families and stop with a
+structure-preserving cross-check.  Both watch the walls of the family's
+chart (:data:`~superfact.systems.WALLS`) and stop with a
 :class:`~superfact.errors.DomainBreach` carrying the partial trajectory when
-the state reaches the safety margin.
+the state reaches a wall's safety margin; the message names the wall.
 
 Both drive the same vector field: the Hamiltonian's gradient compiled once
 per system into straight-line float code
@@ -31,7 +31,7 @@ from .factorization import higher_integral_observables
 from .phase import PhaseBatch, PhasePoint, compiled_gradient, eval_batch
 from .systems import (
     DELTA_MARGIN,
-    Family,
+    WALLS,
     SystemSpec,
     characteristic_period,
     domain_check,
@@ -191,31 +191,18 @@ def hamilton_rhs(spec: SystemSpec, point: PhasePoint) -> np.ndarray:
 
 
 def _breach_events(spec: SystemSpec, margin: float):
-    """Terminal event functions, positive strictly inside the safe region."""
-    half_pi = math.pi / 2
-    if spec.family is Family.SPHERE:
-        walls = [
-            ("q1 at +margin wall", lambda t, y: (half_pi - margin) - y[0]),
-            ("q1 at -margin wall", lambda t, y: y[0] + (half_pi - margin)),
-            ("q2 at +margin wall", lambda t, y: (half_pi - margin) - y[1]),
-            ("q2 at -margin wall", lambda t, y: y[1] + (half_pi - margin)),
-        ]
-    elif spec.family is Family.TTW:
-        walls = [
-            ("q1 at the inner radial wall", lambda t, y: y[0] - margin),
-            ("q2 at the lower margin wall", lambda t, y: y[1] - margin),
-            ("q2 at the upper margin wall", lambda t, y: (half_pi - margin) - y[1]),
-        ]
-    else:
-        return [], []
-    labels = []
+    """Terminal event functions, one per wall, positive strictly inside the
+    safe region."""
     events = []
-    for label, fn in walls:
-        fn.terminal = True
-        fn.direction = -1.0
-        labels.append(label)
-        events.append(fn)
-    return labels, events
+    for wall in WALLS[spec.family]:
+
+        def event(t, y, wall=wall):
+            return wall.clearance(y[wall.index], margin)
+
+        event.terminal = True
+        event.direction = -1.0
+        events.append(event)
+    return events
 
 
 # ---------- sampling helpers ----------
@@ -261,7 +248,7 @@ def _build_trajectory(spec, initial, controls, t, states, rhs_evaluations) -> Tr
 
 
 def _integrate_adaptive(spec, y0, t_end, ts, controls, max_step, margin):
-    labels, events = _breach_events(spec, margin)
+    events = _breach_events(spec, margin)
     sol = solve_ivp(
         _rhs_function(spec),
         (0.0, t_end),
@@ -278,15 +265,13 @@ def _integrate_adaptive(spec, y0, t_end, ts, controls, max_step, margin):
     t_out = list(sol.t)
     y_out = list(sol.y.T)
     if sol.status == 1:
-        k_best, t_best = -1, math.inf
-        for k, tev in enumerate(sol.t_events):
-            if len(tev) and tev[0] < t_best:
-                k_best, t_best = k, float(tev[0])
-        y_best = sol.y_events[k_best][0]
+        fired = [k for k, tev in enumerate(sol.t_events) if len(tev)]
+        k = min(fired, key=lambda k: sol.t_events[k][0])
+        t_best, y_best = float(sol.t_events[k][0]), sol.y_events[k][0]
         if not t_out or t_best > t_out[-1] + 1e-15:
             t_out.append(t_best)
             y_out.append(np.asarray(y_best, dtype=float))
-        return t_out, y_out, (t_best, y_best, labels[k_best]), sol.nfev
+        return t_out, y_out, (t_best, y_best, WALLS[spec.family][k]), sol.nfev
     return t_out, y_out, None, sol.nfev
 
 
@@ -316,7 +301,7 @@ def _midpoint_step(rhs, t, y, h):
 
 def _integrate_midpoint(spec, y0, ts, controls, fixed_dt, margin):
     rhs = _rhs_function(spec)
-    guard = spec.family is not Family.EUCLIDEAN
+    events = _breach_events(spec, margin)
     nfev = 0
     t_out = [0.0]
     y_out = [np.asarray(y0, dtype=float)]
@@ -330,12 +315,11 @@ def _integrate_midpoint(spec, y0, ts, controls, fixed_dt, margin):
             y, calls = _midpoint_step(rhs, t, y, h)
             nfev += calls
             t += h
-            if guard:
-                verdict = domain_check(spec, PhasePoint(*y), margin=margin)
-                if not verdict:
+            for k, event in enumerate(events):
+                if not event(t, y) > 0:
                     t_out.append(t)
                     y_out.append(y)
-                    return t_out, y_out, (t, y, verdict.reason), nfev
+                    return t_out, y_out, (t, y, WALLS[spec.family][k]), nfev
         # Land exactly on the sample time to keep the grid drift-free.
         t = ts[i + 1]
         t_out.append(t)
@@ -390,9 +374,9 @@ def integrate(
 
     traj = _build_trajectory(spec, initial, controls, t_out, y_out, nfev)
     if breach is not None:
-        t_b, y_b, why = breach
+        t_b, y_b, wall = breach
         raise DomainBreach(
-            f"trajectory reached the safety margin at t={t_b:.6g}: {why}",
+            f"trajectory reached the safety margin at t={t_b:.6g}: wall {wall.label}",
             time=float(t_b),
             state=PhasePoint(*y_b),
             trajectory=traj,

@@ -28,10 +28,10 @@ from .systems import (
     Family,
     SystemSpec,
     default_box,
+    domain_mask,
     hamiltonian_observable,
     second_integral_observable,
 )
-from .verification import _validity_mask
 
 #: Largest accepted scaled residual ``max_i |f_i - t_i| / (1 + |t_i|)``.
 LEVEL_TOLERANCE = 1e-9
@@ -126,7 +126,7 @@ class _Levels:
         """Level residuals ``(n, 3)`` at states ``(n, 4)`` and the mask of
         usable states: inside the domain walls, sector integral above the
         positivity floor, and every value finite."""
-        ok = _validity_mask(self.spec, PhaseBatch.from_arrays(*z.T), DELTA_MARGIN)
+        ok = domain_mask(self.spec, PhaseBatch.from_arrays(*z.T), DELTA_MARGIN)
         f = np.full((len(z), 3), np.nan)
         if ok.any():
             vals = self._evaluate(

@@ -170,18 +170,14 @@ def _wrap_domain(callable_, *args):
             raise DomainError(f"singular evaluation: {exc}") from exc
 
 
+def _batch_of_one(point: PhasePoint) -> "PhaseBatch":
+    return PhaseBatch.from_arrays(*([c] for c in _point_scalars(point)))
+
+
 def partial_derivative(f: Observable, point: PhasePoint, which) -> complex:
     """Exact partial derivative of ``f`` with respect to one coordinate."""
     k = _coord_index(which)
-    coords = _point_scalars(point)
-
-    def run():
-        args = list(coords)
-        args[k] = DualComplex(coords[k], 1.0)
-        out = f.fn(*args)
-        return out.eps if isinstance(out, DualComplex) else 0.0
-
-    return complex(_wrap_domain(run))
+    return complex(gradient(f, point)[k])
 
 
 def poisson_bracket(f: Observable, g: Observable, point: PhasePoint) -> complex:
@@ -196,17 +192,8 @@ def poisson_bracket_with_scale(f: Observable, g: Observable, point: PhasePoint):
     The scale is the natural yardstick for residuals of brackets that should
     cancel to zero: it measures how large the cancelling terms were.
     """
-    coords = _point_scalars(point)
-
-    def run():
-        fq1, fq2, fp1, fp2 = _partials_scalar(f.fn, coords)
-        gq1, gq2, gp1, gp2 = _partials_scalar(g.fn, coords)
-        t = (fq1 * gp1, fp1 * gq1, fq2 * gp2, fp2 * gq2)
-        val = t[0] - t[1] + t[2] - t[3]
-        scale = sum(abs(complex(x)) for x in t)
-        return complex(val), float(scale)
-
-    return _wrap_domain(run)
+    val, scale = _wrap_domain(bracket_batch_with_scale, f, g, _batch_of_one(point))
+    return complex(val[0]), float(scale[0])
 
 
 def bracket_observable(f: Observable, g: Observable) -> Observable:
@@ -220,9 +207,8 @@ def bracket_observable(f: Observable, g: Observable) -> Observable:
 
 def gradient(f: Observable, point: PhasePoint) -> np.ndarray:
     """Gradient (four partials) of ``f`` at ``point`` as a complex vector."""
-    coords = _point_scalars(point)
-    grads = _wrap_domain(_partials_scalar, f.fn, coords)
-    return np.array([complex(g) for g in grads], dtype=complex)
+    _, grads = _wrap_domain(gradient_batch, f, _batch_of_one(point))
+    return grads[:, 0].copy()
 
 
 # ---------- compiled gradients ----------
@@ -353,6 +339,10 @@ class PhaseBatch:
     def __len__(self):
         return self.q1.shape[0]
 
+    def __getitem__(self, index) -> "PhaseBatch":
+        """The points picked by a slice or a boolean mask, as a batch."""
+        return PhaseBatch(*(c[index] for c in self.arrays()))
+
     def point(self, i: int) -> PhasePoint:
         return PhasePoint(
             self.q1[i].real, self.q2[i].real, self.p1[i].real, self.p2[i].real
@@ -409,27 +399,32 @@ def bracket_batch(f: Observable, g: Observable, batch: PhaseBatch) -> np.ndarray
 # ---------- functional independence ----------
 
 
-def jacobian_rank(fs, point: PhasePoint, tol: float = RANK_TOL) -> int:
-    """Numerical rank of the Jacobian of real-valued observables at a point.
+def gradient_ranks(grads: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Numerical ranks of real gradient matrices stacked as ``(n, k, 4)``.
 
     Each gradient row is scaled to unit norm before the SVD: functional
     independence is a statement about gradient directions, and without the
     scaling an observable of large magnitude (a high-order product, say)
     would numerically swamp an O(1) one.  Rank is then the number of
-    singular values above ``tol`` relative to the largest one.  Raises
-    ``ValueError`` if any observable has a non-negligible imaginary part at
-    ``point``.
+    singular values above ``tol`` relative to the largest one; an all-zero
+    matrix has rank 0.
+    """
+    norms = np.linalg.norm(grads, axis=-1, keepdims=True)
+    unit = np.divide(grads, norms, out=grads.copy(), where=norms > 0.0)
+    svals = np.linalg.svd(unit, compute_uv=False)  # (n, k)
+    lead = svals[:, :1]
+    return np.where(lead[:, 0] > 0.0, np.sum(svals > tol * lead, axis=1), 0)
+
+
+def jacobian_rank(fs, point: PhasePoint, tol: float = RANK_TOL) -> int:
+    """Numerical rank of the Jacobian of real-valued observables at a point
+    (see :func:`gradient_ranks`).  Raises ``ValueError`` if any observable
+    has a non-negligible imaginary part at ``point``.
     """
     rows = []
     for f in fs:
         v = f(point)
         if abs(v.imag) > tol * (1.0 + abs(v.real)):
             raise ValueError(f"observable {f.label!r} is not real-valued at {point}")
-        row = gradient(f, point).real
-        norm = np.linalg.norm(row)
-        rows.append(row / norm if norm > 0.0 else row)
-    mat = np.array(rows, dtype=float)
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int((s > tol * s[0]).sum())
+        rows.append(gradient(f, point).real)
+    return int(gradient_ranks(np.array(rows)[None], tol)[0])

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import scalars as sc
 from .errors import DomainError, UnsupportedError
-from .phase import Observable, PhasePoint
+from .phase import Observable, PhaseBatch, PhasePoint, eval_batch
 
 #: Default distance kept from coordinate singularities when sampling (rad).
 DELTA_MARGIN = 0.05
@@ -190,28 +190,74 @@ class DomainVerdict:
         return self.valid
 
 
-# ---------- domain handling ----------
+# ---------- domain walls ----------
+
+
+@dataclass(frozen=True)
+class Wall:
+    """One finite end of a chart interval: ``q[index]`` stays above
+    ``bound``, or below it when ``upper``; ``label`` names the wall."""
+
+    index: int
+    bound: float
+    label: str
+    upper: bool = False
+
+    def clearance(self, q, margin: float):
+        """How far ``q`` (a float or an array) lies inside the wall beyond
+        ``margin``: positive strictly inside, else zero, negative or NaN."""
+        if self.upper:
+            return (self.bound - margin) - q
+        return q - (self.bound + margin)
+
+
+#: The walls of each family's chart, in the order they are checked.
+WALLS = {
+    Family.EUCLIDEAN: (),
+    Family.SPHERE: (
+        Wall(0, _HALF_PI, "xi = pi/2", upper=True),
+        Wall(0, -_HALF_PI, "xi = -pi/2"),
+        Wall(1, _HALF_PI, "y = pi/2", upper=True),
+        Wall(1, -_HALF_PI, "y = -pi/2"),
+    ),
+    Family.TTW: (
+        Wall(0, 0.0, "r = 0"),
+        Wall(1, 0.0, "theta = 0"),
+        Wall(1, _HALF_PI, "theta = pi/2", upper=True),
+    ),
+}
+
+
+def wall_mask(family: Family, q, margin: float) -> np.ndarray:
+    """Elementwise over arrays ``q = (q1, q2)``: every wall of ``family``
+    is cleared by more than ``margin``."""
+    mask = np.ones(np.shape(q[0]), dtype=bool)
+    for wall in WALLS[family]:
+        mask &= wall.clearance(q[wall.index], margin) > 0
+    return mask
 
 
 def domain_check(spec: SystemSpec, point: PhasePoint, margin: float | None = None) -> DomainVerdict:
-    """Total validity check; the verdict names the violated constraint."""
+    """Total validity check; the verdict names the wall that is breached."""
     m = DELTA_MARGIN if margin is None else float(margin)
-    fam = spec.family
-    if fam is Family.EUCLIDEAN:
-        return DomainVerdict(True)
-    if fam is Family.SPHERE:
-        lim = _HALF_PI - m
-        if not abs(point.q1) < lim:
-            return DomainVerdict(False, f"|xi|={abs(point.q1):.6g} not < pi/2 - {m:g}")
-        if not abs(point.q2) < lim:
-            return DomainVerdict(False, f"|y|={abs(point.q2):.6g} not < pi/2 - {m:g}")
-        return DomainVerdict(True)
-    # TTW
-    if not point.q1 > m:
-        return DomainVerdict(False, f"r={point.q1:.6g} not > {m:g}")
-    if not (m < point.q2 < _HALF_PI - m):
-        return DomainVerdict(False, f"theta={point.q2:.6g} not in ({m:g}, pi/2 - {m:g})")
+    q = (point.q1, point.q2)
+    for wall in WALLS[spec.family]:
+        k = wall.index
+        if not wall.clearance(q[k], m) > 0:
+            reason = f"q{k + 1}={q[k]:.6g} not more than {m:g} inside the wall {wall.label}"
+            return DomainVerdict(False, reason)
     return DomainVerdict(True)
+
+
+def domain_mask(spec: SystemSpec, batch: PhaseBatch, margin: float) -> np.ndarray:
+    """Batch validity: :func:`domain_check` at every point and, for the
+    families with square roots, a sector integral above :data:`DELTA_POS`."""
+    mask = wall_mask(spec.family, (batch.q1.real, batch.q2.real), margin)
+    if spec.family is not Family.EUCLIDEAN and mask.any():
+        i2 = np.full(len(batch), -1.0)
+        i2[mask] = eval_batch(second_integral_observable(spec), batch[mask]).real
+        mask &= i2 > DELTA_POS
+    return mask
 
 
 def _require_in_domain(spec: SystemSpec, point: PhasePoint):
@@ -385,23 +431,20 @@ def epsilon(spec: SystemSpec, point: PhasePoint) -> float:
     return math.sqrt(i2)
 
 
-def higgs_potential_identity(x: float, y: float):
-    """Both sides of the geodesic-polar rewriting of the central potential.
+def higgs_potential_identity(x, y):
+    """Both sides of the geodesic-polar rewriting of the central potential,
+    at floats or arrays.
 
     ``lhs`` is the parallel-coordinate form ``tan^2 x / cos^2 y + tan^2 y``;
     ``rhs`` is ``tan^2 r`` expressed through ``cos r = cos x * cos y``.
-    They agree identically on the open square ``|x|, |y| < pi/2``.
+    They agree identically on the open square ``|x|, |y| < pi/2``, the
+    sphere's chart; any point off it raises :class:`DomainError`.
     """
-    cx = math.cos(x)
-    cy = math.cos(y)
-    if not (abs(x) < _HALF_PI and abs(y) < _HALF_PI):
-        raise DomainError(f"({x:.6g}, {y:.6g}) outside the open coordinate square")
-    tx = math.tan(x)
-    ty = math.tan(y)
-    lhs = tx * tx / (cy * cy) + ty * ty
-    c2 = cx * cx * cy * cy
-    rhs = (1.0 - c2) / c2
-    return lhs, rhs
+    if not wall_mask(Family.SPHERE, (np.real(x), np.real(y)), 0.0).all():
+        raise DomainError("point outside the open coordinate square |x|, |y| < pi/2")
+    lhs = np.tan(x) ** 2 / np.cos(y) ** 2 + np.tan(y) ** 2
+    cc = (np.cos(x) * np.cos(y)) ** 2
+    return lhs, (1.0 - cc) / cc
 
 
 def characteristic_period(spec: SystemSpec) -> float:
@@ -412,13 +455,19 @@ def characteristic_period(spec: SystemSpec) -> float:
     return 2 * math.pi / spec.omega
 
 
+#: Sampling range of a chart coordinate not walled on both sides.
+_OPEN_RANGE = {Family.EUCLIDEAN: (-1.5, 1.5), Family.TTW: (0.3, 2.2)}
+
+
 def default_box(spec: SystemSpec, margin: float | None = None) -> DomainBox:
-    """A generic sampling box respecting the family's guards."""
+    """A generic sampling box inside the family's walls: a coordinate walled
+    on both sides spans its chart less the margin, any other one a fixed
+    range; momenta span ``(-1.5, 1.5)``."""
     m = DELTA_MARGIN if margin is None else float(margin)
+    qs = []
+    for k in (0, 1):
+        ends = {w.upper: w.bound for w in WALLS[spec.family] if w.index == k}
+        walled = len(ends) == 2
+        qs.append((ends[False] + m, ends[True] - m) if walled else _OPEN_RANGE[spec.family])
     mom = (-1.5, 1.5)
-    if spec.family is Family.EUCLIDEAN:
-        return DomainBox(((-1.5, 1.5), (-1.5, 1.5), mom, mom), margin=m)
-    if spec.family is Family.SPHERE:
-        ang = (-_HALF_PI + m, _HALF_PI - m)
-        return DomainBox((ang, ang, mom, mom), margin=m)
-    return DomainBox(((0.3, 2.2), (m, _HALF_PI - m), mom, mom), margin=m)
+    return DomainBox((*qs, mom, mom), margin=m)

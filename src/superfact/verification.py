@@ -19,7 +19,6 @@ through a composite bracket, and high-order products of many factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +34,7 @@ from .phase import (
     bracket_batch_with_scale,
     eval_batch,
     gradient_batch,
+    gradient_ranks,
 )
 from .factorization import (
     higher_integral_observables,
@@ -44,13 +44,14 @@ from .factorization import (
     ttw_shift_observables,
 )
 from .systems import (
-    DELTA_POS,
     DomainBox,
     Family,
     SystemSpec,
     default_box,
+    domain_mask,
     euclid_y_sector_observable,
     hamiltonian_observable,
+    higgs_potential_identity,
     second_integral_observable,
     epsilon_observable,
 )
@@ -204,27 +205,6 @@ REPORT_SCHEMA = {
 # ---------- sampling ----------
 
 
-def _validity_mask(spec: SystemSpec, batch: PhaseBatch, margin: float) -> np.ndarray:
-    q1 = batch.q1.real
-    q2 = batch.q2.real
-    half_pi = math.pi / 2
-    if spec.family is Family.EUCLIDEAN:
-        mask = np.ones(len(batch), dtype=bool)
-    elif spec.family is Family.SPHERE:
-        mask = (np.abs(q1) < half_pi - margin) & (np.abs(q2) < half_pi - margin)
-    else:
-        mask = (q1 > margin) & (q2 > margin) & (q2 < half_pi - margin)
-    if spec.family is not Family.EUCLIDEAN and mask.any():
-        i2 = np.full(len(batch), -1.0)
-        obs = second_integral_observable(spec)
-        sub = PhaseBatch.from_arrays(
-            batch.q1[mask], batch.q2[mask], batch.p1[mask], batch.p2[mask]
-        )
-        i2[mask] = eval_batch(obs, sub).real
-        mask = mask & (i2 > DELTA_POS)
-    return mask
-
-
 def sample_points(
     spec: SystemSpec,
     box: DomainBox | None,
@@ -257,7 +237,7 @@ def sample_points(
         cols = [rng.uniform(lo, hi, size=count) for (lo, hi) in box.intervals]
         drawn += count
         batch = PhaseBatch.from_arrays(*cols)
-        mask = _validity_mask(spec, batch, box.margin)
+        mask = domain_mask(spec, batch, box.margin)
         if mask.any():
             kept.append(np.stack([c[mask] for c in cols]))
             accepted += int(mask.sum())
@@ -416,14 +396,8 @@ def _sphere_suite(spec: SystemSpec) -> list[IdentitySpec]:
         lam = (2 * g * g * eval_batch(i2, batch) - w * w) / 2
         return eval_batch(ap, batch) * eval_batch(am, batch) + lam
 
-    def higgs_lhs(batch):
-        x = batch.q1
-        y = batch.q2
-        return np.tan(x) ** 2 / np.cos(y) ** 2 + np.tan(y) ** 2
-
-    def higgs_rhs(batch):
-        cc = (np.cos(batch.q1) * np.cos(batch.q2)) ** 2
-        return (1.0 - cc) / cc
+    def higgs_side(k):
+        return lambda batch: higgs_potential_identity(batch.q1, batch.q2)[k]
 
     def h_from_sectors(batch):
         c2 = np.cos(batch.q2) ** 2
@@ -488,7 +462,7 @@ def _sphere_suite(spec: SystemSpec) -> list[IdentitySpec]:
         _conservation("comm.H_I2", h, i2, TOL_POLY),
         IdentitySpec("conj.B", _vals(bm), _conj_vals(bp), TOL_ROOT),
         IdentitySpec("conj.A", _vals(am), _conj_vals(ap), TOL_ROOT),
-        IdentitySpec("higgs.potential", higgs_lhs, higgs_rhs, TOL_POLY),
+        IdentitySpec("higgs.potential", higgs_side(0), higgs_side(1), TOL_POLY),
     ]
     ident.extend(_symmetry_identities(spec))
     ident.extend(_conjugacy_and_reality(spec))
@@ -634,11 +608,6 @@ def build_suite(spec: SystemSpec) -> tuple[IdentitySpec, ...]:
 # ---------- suite execution ----------
 
 
-def _sub_batch(batch: PhaseBatch, i: int) -> PhaseBatch:
-    s = slice(i, i + 1)
-    return PhaseBatch.from_arrays(batch.q1[s], batch.q2[s], batch.p1[s], batch.p2[s])
-
-
 def _residuals(lhs, rhs, scale) -> np.ndarray:
     lhs = np.asarray(lhs, dtype=np.complex128)
     rhs = np.asarray(rhs, dtype=np.complex128)
@@ -676,7 +645,7 @@ def run_identity(ident: IdentitySpec, batch: PhaseBatch) -> IdentityResult:
     evaluated = 0
     for i in range(n):
         try:
-            res = _eval_identity(ident, _sub_batch(batch, i))
+            res = _eval_identity(ident, batch[i : i + 1])
             max_res = max(max_res, float(np.max(res)))
             evaluated += 1
         except (SuperfactError, FloatingPointError, ZeroDivisionError) as exc:
@@ -758,19 +727,9 @@ def independence_report(
             "fraction_full": 0.0,
             "tolerance": tol,
         }
-    rows = []
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        for f in fs:
-            _, grads = gradient_batch(f, points)
-            row = grads.real.T  # (n, 4)
-            # Unit-normalize per point: independence concerns directions.
-            norms = np.linalg.norm(row, axis=1, keepdims=True)
-            rows.append(np.divide(row, norms, out=row.copy(), where=norms > 0.0))
-    mats = np.stack(rows, axis=1)  # (n, k, 4)
-    svals = np.linalg.svd(mats, compute_uv=False)  # (n, k)
-    lead = svals[:, 0]
-    ranks = np.sum(svals > tol * lead[:, None], axis=1)
-    ranks[lead == 0.0] = 0
+        grads = [gradient_batch(f, points)[1].real.T for f in fs]
+        ranks = gradient_ranks(np.stack(grads, axis=1), tol)
     for r in ranks:
         key = str(int(r))
         ranks_count[key] = ranks_count.get(key, 0) + 1

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
+import datetime
 import json
 import math
 import os
@@ -377,6 +378,24 @@ def test_integrate_step_failure_writes_nothing(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "giant.report.json").exists()
 
 
+def test_integrate_step_failure_writes_a_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        [
+            "integrate", "--system", "sphere", "--gamma", "1",
+            "--q0", "0.3,0.2", "--p0", "1.5,-0.8", "--t-end", "10",
+            "--method", "midpoint", "--sample-dt", "10", "--fixed-dt", "10",
+            "--out", "giant",
+        ]
+    )
+    assert code == 4
+    assert [p.name for p in tmp_path.iterdir()] == ["giant.manifest.json"]
+    manifest = json.loads((tmp_path / "giant.manifest.json").read_text())
+    assert manifest["status"] == "step_failure"
+    assert "did not converge" in manifest["message"]
+    assert manifest["outputs"] == []
+
+
 def test_integrate_midpoint_completes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = cli.main(
@@ -608,6 +627,23 @@ def test_readme_trace_example(tmp_path, monkeypatch):
         "--energy 12 --second 4 --symmetry X=1.5 --plane xy --out level"
     )
     assert cli.main(argv.split()) == 0
+
+
+def test_trace_manifest_span_covers_the_level_search(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        [
+            "trace", "--system", "sphere", "--gamma", "3/2",
+            "--energy", "0.4739364112484795", "--second", "0.3869453568468833",
+            "--symmetry", "X=-0.0054487168913519395", "--t-end", "0.01",
+            "--out", "t",
+        ]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "t.manifest.json").read_text())
+    started = datetime.datetime.fromisoformat(manifest["started"])
+    finished = datetime.datetime.fromisoformat(manifest["finished"])
+    assert (finished - started).total_seconds() >= manifest["level_search"]["seconds"]
 
 
 def test_trace_outputs_byte_identical_search_in_manifest(tmp_path, monkeypatch):

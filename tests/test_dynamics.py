@@ -305,6 +305,19 @@ def test_midrun_breach_midpoint():
     assert breach.state.q1 >= math.pi / 2 - 0.5 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "family,start,wall",
+    [("sphere", (0.0, 0.0, 2.0, 0.0), "xi = pi/2"), ("ttw", (1.0, 0.7, -4.0, 0.0), "r = 0")],
+)
+def test_both_integrators_name_the_same_wall(family, start, wall):
+    spec = spec_for(family, "1")
+    for method in dynamics.METHODS:
+        controls = IntegratorControls(method=method, breach_margin=0.5, fixed_dt=0.002)
+        with pytest.raises(DomainBreach) as exc_info:
+            integrate(spec, PhasePoint(*start), 3.0, controls)
+        assert str(exc_info.value).endswith(f": wall {wall}"), method
+
+
 @pytest.mark.parametrize("method", ["dop853", "midpoint"])
 def test_trajectory_counts_rhs_evaluations(monkeypatch, method):
     calls = []

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from superfact import (
     DomainError,
     Family,
     Observable,
+    PhaseBatch,
     PhasePoint,
     RationalGamma,
     SystemSpec,
@@ -19,6 +21,7 @@ from superfact import (
     characteristic_period,
     default_box,
     domain_check,
+    domain_mask,
     epsilon,
     epsilon_observable,
     euclid_y_sector_observable,
@@ -33,7 +36,9 @@ from superfact import (
     to_external,
     to_internal,
 )
+from superfact import dynamics
 from superfact.phase import poisson_bracket_with_scale
+from superfact.systems import WALLS, wall_mask
 
 from _oracles import spec_for
 
@@ -267,6 +272,66 @@ def test_domain_check_ttw():
     assert domain_check(spec, PhasePoint(0.03, 0.7, 0.0, 0.0), margin=0.0)
 
 
+def _wall_probe_points(spec, margin):
+    """Rows ``(q1, q2)``: every wall and its margin edge, one ulp either
+    side of each, NaN in each slot, and a seeded spread."""
+    rng = np.random.default_rng(17)
+    rows = list(rng.uniform(-2.0, 2.5, size=(300, 2)))
+    for wall in WALLS[spec.family]:
+        edge = wall.bound - margin if wall.upper else wall.bound + margin
+        for v in (wall.bound, edge):
+            for x in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)):
+                row = rng.uniform(0.2, 1.2, size=2)
+                row[wall.index] = x
+                rows.append(row)
+    rows += [np.array([np.nan, 0.7]), np.array([0.7, np.nan])]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+@pytest.mark.parametrize("margin", [0.0, DELTA_MARGIN, 0.5])
+def test_wall_guards_agree_point_by_point(family, margin):
+    spec = spec_for(family, "3/2")
+    q = _wall_probe_points(spec, margin)
+    mask = wall_mask(spec.family, (q[:, 0], q[:, 1]), margin)
+    events = dynamics._breach_events(spec, margin)
+    assert len(events) == len(WALLS[spec.family])
+    for i, (q1, q2) in enumerate(q):
+        # PhasePoint refuses NaN; domain_check only reads the positions.
+        check = domain_check(spec, SimpleNamespace(q1=q1, q2=q2), margin)
+        y = np.array([q1, q2, 0.3, -0.2])
+        inside_events = all(event(0.0, y) > 0 for event in events)
+        assert bool(check) == bool(mask[i]) == inside_events, (q1, q2)
+    # The same booleans as the closed forms the walls stand for.
+    lim = HALF_PI - margin
+    expected = {
+        "euclidean": np.ones(len(q), dtype=bool),
+        "sphere": (np.abs(q[:, 0]) < lim) & (np.abs(q[:, 1]) < lim),
+        "ttw": (q[:, 0] > margin) & (q[:, 1] > margin) & (q[:, 1] < lim),
+    }[family]
+    np.testing.assert_array_equal(mask, expected)
+    # The batch mask adds the positivity floor to the walls, nothing more;
+    # one ulp off a bare wall the sector integral may overflow.
+    p = np.full(len(q), 0.3)
+    with np.errstate(all="ignore"):
+        full = domain_mask(spec, PhaseBatch.from_arrays(q[:, 0], q[:, 1], p, -p), margin)
+    assert not (full & ~mask).any()
+
+
+def test_default_box_spans_the_walls_less_the_margin():
+    m = DELTA_MARGIN
+    sphere = default_box(spec_for("sphere", "1")).intervals
+    assert sphere[:2] == ((-(HALF_PI - m), HALF_PI - m),) * 2
+    ttw = default_box(spec_for("ttw", "1")).intervals
+    assert ttw[:2] == ((0.3, 2.2), (m, HALF_PI - m))
+    assert default_box(spec_for("euclidean", "1")).intervals[:2] == ((-1.5, 1.5),) * 2
+
+
+def test_domain_check_names_the_wall():
+    bad = domain_check(spec_for("ttw", "1"), PhasePoint(1.0, 1.58, 0.0, 0.0))
+    assert bad.reason == "q2=1.58 not more than 0.05 inside the wall theta = pi/2"
+
+
 def test_out_of_domain_evaluation_raises():
     spec = spec_for("sphere", "1")
     outside = PhasePoint(1.7, 0.0, 0.0, 0.0)
@@ -301,6 +366,14 @@ def test_higgs_potential_identity():
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
     with pytest.raises(DomainError):
         higgs_potential_identity(1.6, 0.0)
+
+
+def test_higgs_potential_identity_over_arrays():
+    x = np.linspace(-1.4, 1.4, 9)
+    lhs, rhs = higgs_potential_identity(x, 0.9 * x[::-1])
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+    with pytest.raises(DomainError):
+        higgs_potential_identity(np.array([0.1, HALF_PI]), np.zeros(2))
 
 
 def test_higgs_potential_equals_hamiltonian_potential():
