@@ -44,6 +44,7 @@ from .systems import (
     SystemSpec,
     characteristic_period,
     default_box,
+    domain_description,
     geodesic_polar,
     to_internal,
 )
@@ -83,7 +84,7 @@ def _catalog_entries() -> list[dict]:
             "second_integral": "Hxi = p_xi^2/2 + omega^2 xi^2/(2 gamma^2)",
             "parameters": {"omega": "> 0", "gamma": "m/n, integers m, n >= 1"},
             "gamma_bound": "gamma > 0",
-            "domain": "all of R^4",
+            "domain": domain_description(Family.EUCLIDEAN),
             "characteristic_period": "2 pi / omega",
             "special_cases": [
                 "gamma = 1: isotropic 1:1 oscillator (circular/elliptic orbits)",
@@ -98,7 +99,7 @@ def _catalog_entries() -> list[dict]:
             "second_integral": "Hxi = p_xi^2/2 + omega^2/(2 gamma^2 cos^2 xi)",
             "parameters": {"omega": "> 0", "gamma": "m/n >= 1/2"},
             "gamma_bound": "gamma >= 1/2",
-            "domain": "|xi| < pi/2 and |y| < pi/2  (|gamma x| < pi/2 externally)",
+            "domain": domain_description(Family.SPHERE),
             "characteristic_period": "2 pi / omega",
             "special_cases": [
                 "gamma = 1: Higgs oscillator on the sphere",
@@ -119,7 +120,7 @@ def _catalog_entries() -> list[dict]:
                 "beta": "real (angular barrier strength)",
             },
             "gamma_bound": "gamma >= 1/4",
-            "domain": "r > 0 and 0 < theta < pi/2",
+            "domain": domain_description(Family.TTW),
             "characteristic_period": "pi / omega",
             "special_cases": [
                 "rational gamma = m/n: all bounded orbits close",
@@ -310,7 +311,15 @@ def cmd_verify(args) -> int:
             )
     for name, block in independence.items():
         if block["fraction_full"] < INDEPENDENCE_FRACTION:
-            print(f"  FAIL independence {name}: fraction {block['fraction_full']:.3f}")
+            cause = ""
+            if block["non_finite"]:
+                cause = (
+                    f" (gradients not finite at {block['non_finite']} of "
+                    f"{block['points']} points: overflow)"
+                )
+            print(
+                f"  FAIL independence {name}: fraction {block['fraction_full']:.3f}{cause}"
+            )
     print(f"report: {report_path}")
     print(f"manifest: {manifest_path}")
     return EXIT_OK if overall else EXIT_IDENTITY_FAILURE

@@ -27,8 +27,10 @@ a frozen number, so its derivatives chain through every bracket.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import scalars as sc
 from .errors import PositivityError, UnsupportedError
@@ -75,8 +77,13 @@ class IntegralPair:
 
 
 # ---------- observable builders ----------
+#
+# Each builder is cached per spec, so one spec always yields the same
+# observables and their compiled gradient code (phase.gradient_batch) is
+# built once.
 
 
+@functools.lru_cache(maxsize=64)
 def ladder_observables(spec: SystemSpec):
     """``(B+, B-)`` as observables over the first separated sector."""
     w = spec.omega
@@ -117,6 +124,7 @@ def ladder_observables(spec: SystemSpec):
     return Observable(plus, "B+"), Observable(minus, "B-")
 
 
+@functools.lru_cache(maxsize=64)
 def sphere_ladder_target_observable(spec: SystemSpec) -> Observable:
     """The sphere quantity the ladder pair factorizes:
     ``cos^2(xi) * (p_xi^2 / 2 - Hxi)``, identically ``-omega^2/(2 gamma^2)``."""
@@ -131,6 +139,7 @@ def sphere_ladder_target_observable(spec: SystemSpec) -> Observable:
     return Observable(fn, "hxi")
 
 
+@functools.lru_cache(maxsize=64)
 def shift_observables(spec: SystemSpec):
     """``(A+, A-)`` for the flat and spherical families."""
     w = spec.omega
@@ -160,8 +169,10 @@ def shift_observables(spec: SystemSpec):
     return Observable(plus, "A+"), Observable(minus, "A-")
 
 
-def ttw_shift_observables(spec: SystemSpec) -> dict:
-    """All TTW shift observables keyed ``a1+ a1- a2+ a2- A+ A-``.
+@functools.lru_cache(maxsize=64)
+def ttw_shift_observables(spec: SystemSpec) -> MappingProxyType:
+    """All TTW shift observables keyed ``a1+ a1- a2+ a2- A+ A-``, as a
+    read-only mapping (one spec's mapping is shared by every caller).
 
     ``a1``/``a2`` are the mixed radial pairs; the pure pair combines them as
     ``A+ = a1+ * a2-``, ``A- = a1- * a2+``.
@@ -190,9 +201,12 @@ def ttw_shift_observables(spec: SystemSpec) -> dict:
     pure_m = Observable(
         lambda q1, q2, p1, p2: a1m.fn(q1, q2, p1, p2) * a2p.fn(q1, q2, p1, p2), "A-"
     )
-    return {"a1+": a1p, "a1-": a1m, "a2+": a2p, "a2-": a2m, "A+": pure_p, "A-": pure_m}
+    return MappingProxyType(
+        {"a1+": a1p, "a1-": a1m, "a2+": a2p, "a2-": a2m, "A+": pure_p, "A-": pure_m}
+    )
 
 
+@functools.lru_cache(maxsize=64)
 def higher_integral_observables(spec: SystemSpec):
     """``(X+, X-, X, Y)`` as observables; ``X`` and ``Y`` are real at real
     points (their tiny imaginary residue is an arithmetic identity, not an

@@ -5,8 +5,8 @@ integral ``I2`` and one higher-order constant (``X`` or ``Y``) take given
 values.  :func:`solve_levels` finds such a point by damped Gauss-Newton from
 the 81 quartile points of the default box.  The starts run as lanes of one
 batch: each iteration takes every lane's Jacobian from one
-:func:`~superfact.phase.gradient_batch` pass per integral (vector forward
-mode) and tries all step halvings of every lane in one evaluation.  Lanes
+:func:`~superfact.phase.gradient_batch` pass per integral (compiled
+reverse sweep) and tries all step halvings of every lane in one evaluation.  Lanes
 never interact, so the answer is the one a start-by-start search gives: the
 lowest-index start, in grid order, that reaches the tolerance.
 """
@@ -99,7 +99,7 @@ class _Levels:
         """``fn(observable, batch)`` of shape ``(width, n)`` for each level
         observable, stacked to ``(3, width, n)``.
 
-        The scalar tower raises when any element of a batch is singular, so
+        The compiled code raises when any element of a batch is singular, so
         one bad lane fails the whole batch; only then are the points
         evaluated one at a time (counted in ``retries``), and a point that
         still raises comes back as NaN.

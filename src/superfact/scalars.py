@@ -3,15 +3,15 @@
 Phase-space functions are written once against these helpers and then
 evaluate unchanged over floats, complex numbers, numpy arrays (batches of
 points), and first-order dual numbers.  Seeding a coordinate with a unit
-dual part produces derivatives exact to machine rounding, which is what the
-bracket engine relies on.  Duals nest (a ``DualComplex`` may hold
-``DualComplex`` components), so bracket expressions can themselves be
-differentiated; the Jacobi-identity checks use that.
+dual part produces derivatives exact to machine rounding.  Duals nest (a
+``DualComplex`` may hold ``DualComplex`` components), so bracket
+expressions can themselves be differentiated; nested brackets and the
+Jacobi-identity checks use that.
 
-A function of real inputs can also be run once on :class:`Traced` values,
-which compute nothing and instead record each operation on a
-:class:`Tape`; :func:`superfact.phase.compiled_gradient` turns that record
-into straight-line float code.
+A function can also be run once on :class:`Traced` values, which compute
+nothing and instead record each operation on a :class:`Tape`;
+:mod:`superfact.phase` turns that record into straight-line code over
+floats (the vector field) or over numpy arrays (every batch gradient).
 """
 
 from __future__ import annotations
@@ -138,27 +138,42 @@ class Tape:
     ``inputs`` are the traced arguments, named ``x0, x1, ...``.  Each entry
     of ``ops`` is ``(result, op, operands)``: the result is named ``v<i>``,
     ``op`` is one of ``add sub mul div neg sin cos tan sqrt`` and each
-    operand names a traced value or a constant.  Constants are real and
-    named ``c<i>`` after their index in ``constants``.
+    operand names a traced value or a constant.  Constants are real or
+    complex numbers, named ``c<i>`` after their index in ``constants``.
+
+    Each distinct constant and each distinct ``(op, operands)`` is recorded
+    once; repeating it returns the earlier name.  Every op is a pure
+    function of its operands, so this common-subexpression elimination
+    changes no value: a sector integral that several factors compute is
+    computed once.
     """
 
     def __init__(self, n_inputs: int):
         self.inputs = [Traced(self, f"x{k}") for k in range(n_inputs)]
         self.ops: list[tuple[str, str, tuple[str, ...]]] = []
-        self.constants: list[float] = []
+        self.constants: list[float | complex] = []
+        # Name of each recorded (op, operands) and, keyed by repr so that
+        # 0.0 and -0.0 stay apart, of each constant.
+        self._names: dict[tuple, str] = {}
 
     def operand(self, x) -> str:
         if isinstance(x, Traced):
             return x.name
-        if not isinstance(x, numbers.Real):
-            raise TypeError(f"non-real constant {x!r}")
-        self.constants.append(float(x))
-        return f"c{len(self.constants) - 1}"
+        if not isinstance(x, numbers.Complex):
+            raise TypeError(f"non-numeric constant {x!r}")
+        c = float(x) if isinstance(x, numbers.Real) else complex(x)
+        key = ("constant", repr(c))
+        if key not in self._names:
+            self._names[key] = f"c{len(self.constants)}"
+            self.constants.append(c)
+        return self._names[key]
 
     def record(self, op: str, *operands) -> "Traced":
-        out = Traced(self, f"v{len(self.ops)}")
-        self.ops.append((out.name, op, tuple(self.operand(x) for x in operands)))
-        return out
+        key = (op, tuple(self.operand(x) for x in operands))
+        if key not in self._names:
+            self._names[key] = f"v{len(self.ops)}"
+            self.ops.append((self._names[key], *key))
+        return Traced(self, self._names[key])
 
 
 def _no_control_flow(*_):
@@ -169,7 +184,7 @@ def _no_control_flow(*_):
 
 
 class Traced:
-    """A real value that records the operations applied to it on a
+    """A value that records the operations applied to it on a
     :class:`Tape` instead of computing them.
 
     It has no comparisons and no truth value, so an observable that
@@ -294,14 +309,20 @@ def sqrt(x):
 
 
 def ipow(x, n):
-    """Integer power by repeated multiplication (no complex log/exp)."""
+    """Integer power by square-and-multiply: ``2 * floor(log2 n)``
+    multiplications at most (no complex log/exp)."""
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"integer exponent required, got {n!r}")
     if n < 0:
         raise ValueError("negative exponents are not used here")
+    n = int(n)
     if n == 0:
         return x * 0 + 1.0
-    out = x
-    for _ in range(n - 1):
-        out = out * x
-    return out
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x

@@ -16,6 +16,7 @@ from, so it is never collapsed to a float anywhere that matters.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -228,6 +229,22 @@ WALLS = {
 }
 
 
+def domain_description(family: Family) -> str:
+    """The chart's domain as text, read off the wall labels ``name = value``:
+    ``|xi| < pi/2 and |y| < pi/2`` on the sphere, ``r > 0 and 0 < theta <
+    pi/2`` for TTW."""
+    parts = []
+    for k in (0, 1):
+        ends = {w.upper: w.label.split(" = ") for w in WALLS[family] if w.index == k}
+        if len(ends) == 2:
+            (name, lo), (_, hi) = ends[False], ends[True]
+            parts.append(f"|{name}| < {hi}" if lo == f"-{hi}" else f"{lo} < {name} < {hi}")
+        elif ends:
+            [(upper, (name, bound))] = ends.items()
+            parts.append(f"{name} {'<' if upper else '>'} {bound}")
+    return " and ".join(parts) or "all of R^4"
+
+
 def wall_mask(family: Family, q, margin: float) -> np.ndarray:
     """Elementwise over arrays ``q = (q1, q2)``: every wall of ``family``
     is cleared by more than ``margin``."""
@@ -251,12 +268,15 @@ def domain_check(spec: SystemSpec, point: PhasePoint, margin: float | None = Non
 
 def domain_mask(spec: SystemSpec, batch: PhaseBatch, margin: float) -> np.ndarray:
     """Batch validity: :func:`domain_check` at every point and, for the
-    families with square roots, a sector integral above :data:`DELTA_POS`."""
+    families with square roots, a finite sector integral above
+    :data:`DELTA_POS`.  Next to a wall at margin 0 the sector integral can
+    overflow; such a point is rejected, whatever the caller's ``errstate``."""
     mask = wall_mask(spec.family, (batch.q1.real, batch.q2.real), margin)
     if spec.family is not Family.EUCLIDEAN and mask.any():
         i2 = np.full(len(batch), -1.0)
-        i2[mask] = eval_batch(second_integral_observable(spec), batch[mask]).real
-        mask &= i2 > DELTA_POS
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            i2[mask] = eval_batch(second_integral_observable(spec), batch[mask]).real
+        mask &= np.isfinite(i2) & (i2 > DELTA_POS)
     return mask
 
 
@@ -314,8 +334,13 @@ def geodesic_polar(spec: SystemSpec, internal: PhasePoint):
 
 
 # ---------- observables ----------
+#
+# Each builder is cached per spec, so one spec always yields the same
+# observables and their compiled gradient code (phase.gradient_batch) is
+# built once.
 
 
+@functools.lru_cache(maxsize=64)
 def second_integral_observable(spec: SystemSpec) -> Observable:
     """The separated sector integral: oscillator sector energy for the flat
     and spherical families, the angular integral for TTW."""
@@ -348,6 +373,7 @@ def second_integral_observable(spec: SystemSpec) -> Observable:
     return Observable(fn, "Htheta")
 
 
+@functools.lru_cache(maxsize=64)
 def hamiltonian_observable(spec: SystemSpec) -> Observable:
     w = spec.omega
     g = spec.gamma.value
@@ -373,6 +399,7 @@ def hamiltonian_observable(spec: SystemSpec) -> Observable:
     return Observable(fn, f"H[{fam.value}]")
 
 
+@functools.lru_cache(maxsize=64)
 def euclid_y_sector_observable(spec: SystemSpec) -> Observable:
     """The y-sector oscillator energy of the Euclidean family."""
     if spec.family is not Family.EUCLIDEAN:
@@ -385,6 +412,7 @@ def euclid_y_sector_observable(spec: SystemSpec) -> Observable:
     return Observable(fn, "Hy")
 
 
+@functools.lru_cache(maxsize=64)
 def epsilon_observable(spec: SystemSpec) -> Observable:
     """The frequency-like function: sqrt(2 * sector) on the sphere,
     sqrt(sector) for TTW.  Full phase-space dependence, so its derivatives

@@ -189,6 +189,7 @@ REPORT_SCHEMA = {
                     "functions": {"type": "array", "items": {"type": "string"}},
                     "ranks": {"type": "object"},
                     "fraction_full": {"type": "number"},
+                    "non_finite": {"type": "integer", "minimum": 0},
                     "tolerance": {"type": "number"},
                 },
             },
@@ -714,30 +715,29 @@ def independence_report(
 
     ``which`` selects ``(H, I2, X)``, ``(H, I2, Y)`` or, for the flat family,
     the dependent sector triple ``(H, I2, Hy)``.  Returns the distribution of
-    ranks over the points and the fraction attaining full rank.
+    ranks over the points and the fraction attaining full rank.  A point
+    where some gradient is not finite (a high-order product overflows, say)
+    has no rank: it is counted in ``non_finite`` and not as full rank.
     """
     names, fs = _independence_functions(spec, which)
     n = len(points)
     ranks_count: dict[str, int] = {}
-    if n == 0:
-        return {
-            "points": 0,
-            "functions": list(names),
-            "ranks": ranks_count,
-            "fraction_full": 0.0,
-            "tolerance": tol,
-        }
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        grads = [gradient_batch(f, points)[1].real.T for f in fs]
-        ranks = gradient_ranks(np.stack(grads, axis=1), tol)
-    for r in ranks:
-        key = str(int(r))
-        ranks_count[key] = ranks_count.get(key, 0) + 1
-    full = int(np.sum(ranks == len(fs)))
+    full = non_finite = 0
+    if n:
+        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+            grads = np.stack([gradient_batch(f, points)[1].real.T for f in fs], axis=1)
+        finite = np.isfinite(grads).all(axis=(1, 2))
+        non_finite = n - int(finite.sum())
+        ranks = gradient_ranks(grads[finite], tol)
+        for r in ranks:
+            key = str(int(r))
+            ranks_count[key] = ranks_count.get(key, 0) + 1
+        full = int(np.sum(ranks == len(fs)))
     return {
         "points": n,
         "functions": list(names),
         "ranks": dict(sorted(ranks_count.items())),
-        "fraction_full": full / n,
+        "fraction_full": full / n if n else 0.0,
+        "non_finite": non_finite,
         "tolerance": tol,
     }

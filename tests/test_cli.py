@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from superfact import (
+    Family,
     IdentitySpec,
     IntegratorControls,
     PhasePoint,
@@ -19,6 +20,8 @@ from superfact import (
     integrate,
     second_integral,
 )
+
+from superfact.systems import WALLS, Wall
 
 from _oracles import spec_for
 
@@ -61,6 +64,21 @@ def test_catalog_json(capsys):
     assert [e["family"] for e in data["families"]] == ["euclidean", "sphere", "ttw"]
     ttw = data["families"][2]
     assert ttw["gamma_bound"] == "gamma >= 1/4"
+
+
+def test_catalog_domains_come_from_the_walls(capsys, monkeypatch):
+    assert cli.main(["catalog", "--json"]) == 0
+    domains = [e["domain"] for e in json.loads(capsys.readouterr().out)["families"]]
+    assert domains == [
+        "all of R^4",
+        "|xi| < pi/2 and |y| < pi/2",
+        "r > 0 and 0 < theta < pi/2",
+    ]
+    moved = (*WALLS[Family.TTW][:2], Wall(1, 1.2, "theta = 6pi/16", upper=True))
+    monkeypatch.setitem(WALLS, Family.TTW, moved)
+    assert cli.main(["catalog", "--family", "ttw", "--json"]) == 0
+    [ttw] = json.loads(capsys.readouterr().out)["families"]
+    assert ttw["domain"] == "r > 0 and 0 < theta < 6pi/16"
 
 
 def test_catalog_unknown_family(capsys):
@@ -208,6 +226,32 @@ def test_verify_reports_are_byte_identical(tmp_path, monkeypatch):
     assert (tmp_path / "r1.report.json").read_bytes() == (
         tmp_path / "r2.report.json"
     ).read_bytes()
+
+
+def test_verify_names_an_overflow_in_the_independence_survey(tmp_path, monkeypatch, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    from superfact import REPORT_SCHEMA
+
+    # X = (B+)^100 (A-)^141 overflows at some default-box points.
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        ["verify", "--system", "ttw", "--alpha", "1.1", "--beta", "0.7",
+         "--gamma", "141/100", "--samples", "30", "--seed", "0", "--out", "big"]
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    payload = json.loads((tmp_path / "big.report.json").read_text())
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["summary"]["pass"] is False
+    for name, block in payload["independence"].items():
+        assert 0 < block["non_finite"] < block["points"] == 30
+        assert block["fraction_full"] <= 1 - block["non_finite"] / 30
+        assert sum(block["ranks"].values()) == 30 - block["non_finite"]
+        assert (
+            f"FAIL independence {name}: fraction {block['fraction_full']:.3f} "
+            f"(gradients not finite at {block['non_finite']} of 30 points: overflow)"
+        ) in out
+    assert (tmp_path / "big.manifest.json").exists()
 
 
 # ---------- integrate ----------

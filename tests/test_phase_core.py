@@ -7,6 +7,7 @@ import pytest
 
 from superfact import (
     DomainError,
+    Family,
     Observable,
     PhaseBatch,
     PhasePoint,
@@ -21,8 +22,14 @@ from superfact import (
     sample_points,
 )
 from superfact import scalars as sc
-from superfact.factorization import higher_integral_observables, ladder_observables
+from superfact.factorization import (
+    higher_integral_observables,
+    ladder_observables,
+    shift_observables,
+    ttw_shift_observables,
+)
 from superfact.phase import (
+    _partials_scalar,
     bracket_batch_with_scale,
     compiled_gradient,
     poisson_bracket_with_scale,
@@ -176,6 +183,82 @@ def test_eval_batch_constant_observable():
     vals, grads = gradient_batch(const, batch)
     assert np.all(vals == 2.5)
     assert np.all(grads == 0.0)
+
+
+def _suite_observables(spec):
+    """Every observable the identity suite brackets or the independence
+    survey differentiates, plus E."""
+    obs = [
+        hamiltonian_observable(spec),
+        second_integral_observable(spec),
+        *ladder_observables(spec),
+        *higher_integral_observables(spec),
+    ]
+    if spec.family is Family.EUCLIDEAN:
+        return obs + [euclid_y_sector_observable(spec), *shift_observables(spec)]
+    if spec.family is Family.SPHERE:
+        return obs + [epsilon_observable(spec), *shift_observables(spec)]
+    return obs + [epsilon_observable(spec), *ttw_shift_observables(spec).values()]
+
+
+@pytest.mark.parametrize("gamma", ["1", "3/2", "7/5", "17/12"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_gradient_batch_matches_pointwise_duals(family, gamma):
+    spec = spec_for(family, gamma)
+    batch = sample_points(spec, default_box(spec), 200, seed=5)
+    for obs in _suite_observables(spec):
+        vals, grads = gradient_batch(obs, batch)
+        for i in range(len(batch)):
+            coords = [c[i] for c in batch.arrays()]
+            want = np.array([obs.fn(*coords), *_partials_scalar(obs.fn, coords)])
+            got = np.array([vals[i], *grads[:, i]])
+            gap = np.max(np.abs(got - want))
+            assert gap <= 1e-12 * np.linalg.norm(want), (obs.label, i)
+
+
+def test_gradient_batch_keeps_the_domain_contracts():
+    ones = np.ones(3)
+    batch = PhaseBatch.from_arrays([1.0, 0.0, 2.0], ones, ones, ones)
+    inv = Observable(lambda q1, q2, p1, p2: p1 / q1, "p1/q1")
+    root = Observable(lambda q1, q2, p1, p2: sc.sqrt(q1), "sqrt(q1)")
+    for errstate in ("ignore", "raise"):
+        with np.errstate(all=errstate):
+            for obs in (inv, root):
+                with pytest.raises(DomainError):
+                    gradient_batch(obs, batch)
+                vals, grads = gradient_batch(obs, batch[::2])
+                assert np.isfinite(vals).all() and np.isfinite(grads).all()
+    negative = PhaseBatch.from_arrays([4.0, -1.0], [0.0] * 2, [0.0] * 2, [0.0] * 2)
+    with pytest.raises(DomainError):
+        gradient_batch(root, negative)
+
+
+def test_gradient_batch_complex_constants_and_unused_coordinates():
+    f = Observable(lambda q1, q2, p1, p2: 2j * q1 * p2 + 3.0, "2i q1 p2 + 3")
+    batch = PhaseBatch.from_arrays([0.5, -1.0], [7.0, 8.0], [9.0, 1.0], [2.0, 4.0])
+    vals, grads = gradient_batch(f, batch)
+    np.testing.assert_array_equal(vals, [3.0 + 2j, 3.0 - 8j])
+    np.testing.assert_array_equal(grads, [[4j, 8j], [0, 0], [0, 0], [1j, -2j]])
+    const = Observable(lambda q1, q2, p1, p2: 1.5 - 2j, "const")
+    vals, grads = gradient_batch(const, batch)
+    assert np.all(vals == 1.5 - 2j) and np.all(grads == 0.0)
+
+
+def test_gradient_batch_is_kept_on_the_batch_and_its_slices():
+    spec = spec_for("sphere", "3/2")
+    batch = sample_points(spec, None, 50, seed=2)
+    h = hamiltonian_observable(spec)
+    vals, grads = gradient_batch(h, batch)
+    assert gradient_batch(h, batch)[1] is grads
+    with pytest.raises(ValueError):
+        grads[0, 0] = 0.0
+    head_vals, head_grads = gradient_batch(h, batch[:20])
+    np.testing.assert_array_equal(head_grads, grads[:, :20])
+    assert np.shares_memory(head_grads, grads)
+    mask = np.arange(50) % 3 == 0
+    np.testing.assert_array_equal(gradient_batch(h, batch[mask])[0], vals[mask])
+    fresh = PhaseBatch.from_arrays(*batch.arrays())
+    np.testing.assert_array_equal(gradient_batch(h, fresh)[1], grads)
 
 
 def test_bracket_batch_matches_pointwise():

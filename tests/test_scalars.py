@@ -113,6 +113,54 @@ def test_ipow_basics():
         sc.ipow(d, -1)
 
 
+def _repeated_product(x, n):
+    out = x * 0 + 1.0
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        1.013,
+        complex(0.97, 0.11),
+        np.array([0.9, -1.02, 1.005 + 0.03j]),
+        DualComplex(complex(1.01, -0.04), complex(0.3, 0.2)),
+    ],
+    ids=["float", "complex", "array", "dual"],
+)
+def test_ipow_agrees_with_repeated_multiplication(x):
+    for n in range(101):
+        got, want = sc.ipow(x, n), _repeated_product(x, n)
+        parts = [(got.val, want.val), (got.eps, want.eps)] if isinstance(x, DualComplex) else [(got, want)]
+        for g, w in parts:
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=0, err_msg=f"n={n}")
+
+
+def test_ipow_multiplies_logarithmically_often():
+    for n in range(1, 101):
+        tape = sc.Tape(1)
+        sc.ipow(tape.inputs[0], n)
+        muls = sum(op == "mul" for _, op, _ in tape.ops)
+        assert muls <= 2 * math.ceil(math.log2(n)), n
+
+
+def test_tape_records_each_subexpression_and_constant_once():
+    tape = sc.Tape(2)
+    x0, x1 = tape.inputs
+    a = sc.sin(x0) * x1
+    b = sc.sin(x0) * x1
+    assert a.name == b.name
+    c = 2j * x1 + 2j * x0
+    assert tape.constants == [2j]
+    d = (x0 * 0.0, x0 * -0.0)
+    assert d[0].name != d[1].name and len(tape.constants) == 3
+    ops = [op for _, op, _ in tape.ops]
+    assert ops == ["sin", "mul", "mul", "mul", "add", "mul", "mul"]
+    assert c.name == tape.ops[4][0]
+
+
 def test_array_components():
     d = DualComplex(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
     sq = d * d

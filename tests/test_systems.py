@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,6 +317,18 @@ def test_wall_guards_agree_point_by_point(family, margin):
     with np.errstate(all="ignore"):
         full = domain_mask(spec, PhaseBatch.from_arrays(q[:, 0], q[:, 1], p, -p), margin)
     assert not (full & ~mask).any()
+
+
+def test_domain_mask_rejects_an_infinite_sector_integral():
+    # One ulp above theta = 0, sin(theta)**2 underflows and I2 is infinite.
+    spec = spec_for("ttw", "3/2")
+    theta = np.array([np.nextafter(0.0, 1.0), 0.3])
+    batch = PhaseBatch.from_arrays(np.ones(2), theta, np.full(2, 0.3), np.full(2, -0.2))
+    assert wall_mask(spec.family, (batch.q1.real, batch.q2.real), 0.0).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = domain_mask(spec, batch, 0.0)
+    np.testing.assert_array_equal(mask, [False, True])
 
 
 def test_default_box_spans_the_walls_less_the_margin():

@@ -1,11 +1,18 @@
 """Random-point certification: sampler, identity suites, independence ranks."""
 
+import collections
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superfact
+from superfact import phase
 from superfact import (
     DELTA_POS,
     DomainBox,
@@ -20,6 +27,7 @@ from superfact import (
     bracket_batch,
     build_suite,
     domain_check,
+    hamiltonian_observable,
     independence_report,
     ladder_observables,
     run_identity,
@@ -169,6 +177,57 @@ def test_report_json_is_deterministic_and_valid():
     jsonschema.validate(d1, REPORT_SCHEMA)
     assert d1["summary"]["pass"] is True
     assert d1["spec"]["gamma"] == {"m": 3, "n": 2}
+
+
+@pytest.mark.parametrize("family,gamma", [("euclidean", "3/2"), ("sphere", "7/5"), ("ttw", "17/12")])
+def test_verify_takes_each_gradient_once_per_batch(family, gamma, monkeypatch):
+    calls = collections.Counter()
+    compile_once = phase._batch_code
+
+    def counted(f):
+        code = compile_once(f)
+
+        def run(*columns):
+            calls[f] += 1
+            return code(*columns)
+
+        return run
+
+    monkeypatch.setattr(phase, "_batch_code", counted)
+    spec = spec_for(family, gamma)
+    points = sample_points(spec, None, 300, seed=4)
+    report = run_suite(spec, None, points)
+    assert report.passed
+    suite_calls = dict(calls)
+    for which in ("with_X", "with_Y"):
+        assert independence_report(spec, points[:200], which)["fraction_full"] >= 0.99
+    assert calls == suite_calls
+    assert max(calls.values()) == 1
+    assert hamiltonian_observable(spec) in calls
+
+
+_VERIFY_SCRIPT = """
+import sys
+from superfact import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_verify_reports_are_byte_identical_across_interpreters(tmp_path):
+    src = str(Path(superfact.__file__).resolve().parents[1])
+    reports = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"run{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _VERIFY_SCRIPT, "verify", "--system", "ttw",
+             "--alpha", "1.1", "--beta", "0.7", "--gamma", "17/12",
+             "--samples", "300", "--seed", "8", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        reports.append((tmp_path / f"run{hash_seed}.report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 # ---------- functional independence ----------
