@@ -12,6 +12,8 @@ A function can also be run once on :class:`Traced` values, which compute
 nothing and instead record each operation on a :class:`Tape`;
 :mod:`superfact.phase` turns that record into straight-line code over
 floats (the vector field) or over numpy arrays (every batch gradient).
+A dual number may hold traced values, so a bracket written with duals is
+traced like any other function.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ def _check_divisor(v):
     # exact zero denominator is a contract violation rather than bad luck.
     if isinstance(v, DualComplex):
         _check_divisor(v.val)
+    elif isinstance(v, Traced):
+        return  # checked when the compiled code runs
     elif isinstance(v, np.ndarray):
         if (v == 0).any():
             raise DomainError("singular denominator in observable evaluation")
@@ -183,6 +187,17 @@ def _no_control_flow(*_):
     )
 
 
+def _forward(op):
+    def method(self, other):
+        # A dual number over traced values (a nested bracket) lifts this
+        # value through its own reflected operator.
+        if isinstance(other, DualComplex):
+            return NotImplemented
+        return self.tape.record(op, self, other)
+
+    return method
+
+
 class Traced:
     """A value that records the operations applied to it on a
     :class:`Tape` instead of computing them.
@@ -201,26 +216,22 @@ class Traced:
         self.tape = tape
         self.name = name
 
-    def __add__(self, other):
-        return self.tape.record("add", self, other)
+    __add__ = _forward("add")
 
     def __radd__(self, other):
         return self.tape.record("add", other, self)
 
-    def __sub__(self, other):
-        return self.tape.record("sub", self, other)
+    __sub__ = _forward("sub")
 
     def __rsub__(self, other):
         return self.tape.record("sub", other, self)
 
-    def __mul__(self, other):
-        return self.tape.record("mul", self, other)
+    __mul__ = _forward("mul")
 
     def __rmul__(self, other):
         return self.tape.record("mul", other, self)
 
-    def __truediv__(self, other):
-        return self.tape.record("div", self, other)
+    __truediv__ = _forward("div")
 
     def __rtruediv__(self, other):
         return self.tape.record("div", other, self)
@@ -244,7 +255,7 @@ class Traced:
 def sin(x):
     if isinstance(x, DualComplex):
         v = x.val
-        if isinstance(v, (DualComplex, np.ndarray)):
+        if isinstance(v, (DualComplex, np.ndarray, Traced)):
             return DualComplex(sin(v), cos(v) * x.eps)
         return DualComplex(cmath.sin(v), cmath.cos(v) * x.eps)
     if isinstance(x, np.ndarray):
@@ -257,7 +268,7 @@ def sin(x):
 def cos(x):
     if isinstance(x, DualComplex):
         v = x.val
-        if isinstance(v, (DualComplex, np.ndarray)):
+        if isinstance(v, (DualComplex, np.ndarray, Traced)):
             return DualComplex(cos(v), -(sin(v)) * x.eps)
         return DualComplex(cmath.cos(v), -(cmath.sin(v)) * x.eps)
     if isinstance(x, np.ndarray):
@@ -270,7 +281,7 @@ def cos(x):
 def tan(x):
     if isinstance(x, DualComplex):
         v = x.val
-        t = tan(v) if isinstance(v, (DualComplex, np.ndarray)) else cmath.tan(v)
+        t = tan(v) if isinstance(v, (DualComplex, np.ndarray, Traced)) else cmath.tan(v)
         return DualComplex(t, (1 + t * t) * x.eps)
     if isinstance(x, np.ndarray):
         return np.tan(x)
@@ -292,7 +303,7 @@ def _require_positive(v):
 def sqrt(x):
     if isinstance(x, DualComplex):
         v = x.val
-        if isinstance(v, (DualComplex, np.ndarray)):
+        if isinstance(v, (DualComplex, np.ndarray, Traced)):
             s = sqrt(v)
         else:
             _require_positive(v)

@@ -337,7 +337,8 @@ def geodesic_polar(spec: SystemSpec, internal: PhasePoint):
 #
 # Each builder is cached per spec, so one spec always yields the same
 # observables and their compiled gradient code (phase.gradient_batch) is
-# built once.
+# built once.  The bound keeps every spec of a benchmark workload (at
+# most 23).
 
 
 @functools.lru_cache(maxsize=64)

@@ -121,6 +121,34 @@ def test_jacobi_identity():
         assert abs(t1 + t2 + t3) <= 1e-9 * scale
 
 
+def _nested_triples():
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        yield tuple(random_polynomial(rng, degree=2) for _ in range(3)), random_point(rng)
+    # sin, cos, tan, sqrt and division under a nested dual level.
+    for family in ("sphere", "ttw"):
+        spec = spec_for(family, "3/2")
+        triple = (epsilon_observable(spec), Q1 + Q2, hamiltonian_observable(spec))
+        batch = sample_points(spec, default_box(spec), 3, seed=4)
+        for i in range(len(batch)):
+            yield triple, batch.point(i)
+
+
+def test_nested_brackets_are_differentiable():
+    for (f, g, h), point in _nested_triples():
+        coords = [complex(point.q1), complex(point.q2), complex(point.p1), complex(point.p2)]
+        inner = bracket_observable(f, g)
+        want = np.array(_partials_scalar(inner.fn, coords))
+        got = gradient(inner, point)
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.linalg.norm(want))
+        assert partial_derivative(inner, point, "p2") == got[3]
+        assert jacobian_rank([inner], point) == 1
+
+        outer = bracket_observable(g, h)
+        val, scale = poisson_bracket_with_scale(f, outer, point)
+        assert abs(val - poisson_bracket(f, outer, point)) <= 1e-12 * (1.0 + scale)
+
+
 def test_bracket_matches_finite_difference():
     rng = np.random.default_rng(17)
     for _ in range(20):

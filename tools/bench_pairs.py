@@ -11,8 +11,8 @@ on each side, alternating which side runs first, one run at a time.  It then
 writes ``BENCH_<date>.json`` at the repository root with, per workload and
 end-to-end metric of ``BENCHMARK.json``: each side's runs, median, quartiles
 and IQR/median, the pairs the change won, and whether the change's median is
-within the metric's regression bound.  Run length is the benchmark's
-``run_seconds`` unless ``--seconds`` is given.
+within the metric's regression bound.  Every run lasts the benchmark's
+``run_seconds``.
 """
 
 from __future__ import annotations
@@ -113,12 +113,11 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 1,4,7")
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
     parser.add_argument("--workdir", type=Path, required=True, help="where the trees go")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     commits, trees = {}, {}
     for side in SIDES:
         commits[side], trees[side] = export(getattr(args, side), args.workdir, side)
