@@ -169,7 +169,8 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
     ``sym_name`` is ``"X"`` or ``"Y"``.  Returns ``(z, residual, search)``:
     the internal state, its scaled residual (at most
     :data:`LEVEL_TOLERANCE`) and the :class:`LevelSearch` telemetry.
-    Raises :class:`~superfact.errors.NoSolution` at once when the sector
+    Raises ``ValueError`` naming a non-finite level, and
+    :class:`~superfact.errors.NoSolution` at once when the sector
     level lies below its family's floor, and after the search when no start
     reaches the tolerance; that message gives the best residual reached.
     Either way the exception's ``search`` holds the telemetry (no starts
@@ -177,6 +178,9 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
     """
     started = time.perf_counter()
     targets = np.asarray(targets, dtype=float)
+    for level, value in zip(("H", "I2", sym_name), targets):
+        if not math.isfinite(value):
+            raise ValueError(f"the {level} level must be finite, got {value:g}")
     name, floor = _sector_floor(spec)
     if targets[1] < floor:
         raise NoSolution(

@@ -4,8 +4,7 @@ A phase point is the 4-tuple ``(q1, q2, p1, p2)``; the coordinate meaning is
 fixed by the system that interprets it.  Observables are plain callables of
 the four coordinates written against :mod:`superfact.scalars`, so the same
 definition is evaluated at floats (values), numpy arrays (batches of points
-at once), traced values (compiled derivatives) or dual numbers (nested
-brackets).
+at once) or traced values (compiled derivatives).
 
 Derivatives come from one code generator.  It traces an observable once,
 drops repeated subexpressions, and emits straight-line code that returns
@@ -17,10 +16,10 @@ spec, and a batch keeps each gradient taken on it.  Over 1000 default-box
 points the gradient of ``X`` costs 0.14 ms (euclidean 3/2) to 1.5 ms
 (TTW 17/12), against 0.4 ms to 9.6 ms for the forward-mode dual tower it
 replaced (2-core Xeon, numpy 2.4).  On floats, :func:`compiled_gradient`
-gives the single-trajectory vector field.  Only nested brackets
-(:func:`bracket_value`, :func:`bracket_observable`) still seed dual
-numbers; traced, those duals hold traced values, so a bracket observable
-compiles like any other.  Every derivative is exact to machine rounding; no
+gives the single-trajectory vector field.  A bracket observable
+(:func:`bracket_observable`) runs the array code of its two arguments; that
+code also runs on traced values, so a bracket of brackets compiles like any
+other observable.  Every derivative is exact to machine rounding; no
 finite-difference step enters any of them.
 """
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from . import scalars as sc
-from .scalars import DualComplex, Tape, _check_divisor, _require_positive
+from .scalars import Tape, _check_divisor, _require_positive
 
 COORDS = ("q1", "q2", "p1", "p2")
 
@@ -84,7 +83,8 @@ class Observable:
     """A labelled phase-space function.
 
     ``fn(q1, q2, p1, p2)`` must be written against the scalar tower so that
-    it accepts real, complex, array, traced and dual-number inputs alike.
+    it accepts real, complex, array and traced inputs alike (and dual
+    numbers, which the tests use as an independent reference).
     Evaluation is pure: identical inputs give bit-identical outputs.
     """
 
@@ -135,45 +135,6 @@ class Observable:
 # ---------- pointwise derivatives ----------
 
 
-def _point_scalars(point: PhasePoint):
-    return [complex(point.q1), complex(point.q2), complex(point.p1), complex(point.p2)]
-
-
-def _partials_scalar(fn, coords):
-    """All four partial derivatives of ``fn`` at ``coords``.
-
-    ``coords`` entries may themselves be dual numbers (outer seeding), in
-    which case the returned partials track the outer seed: that nesting is
-    what makes brackets of brackets differentiable.  Every coordinate is
-    then lifted to the freshly introduced dual level (unseeded ones with a
-    zero dual part) so an outer epsilon can never be mistaken for the inner
-    one; flat representations without this lift confuse the two
-    perturbations.  When no coordinate carries a dual part there is nothing
-    to confuse, so only the seeded coordinate is lifted; unseeded scalars
-    stay plain, which keeps their arithmetic out of the dual dispatch.
-    """
-    nested = any(isinstance(c, DualComplex) for c in coords)
-    grads = []
-    for k in range(4):
-        if nested:
-            args = [
-                DualComplex(c, 1.0 if j == k else 0.0) for j, c in enumerate(coords)
-            ]
-        else:
-            args = list(coords)
-            args[k] = DualComplex(args[k], 1.0)
-        out = fn(*args)
-        grads.append(out.eps if isinstance(out, DualComplex) else 0.0)
-    return grads
-
-
-def bracket_value(ffn, gfn, coords):
-    """Canonical bracket of two raw observable callables at ``coords``."""
-    fq1, fq2, fp1, fp2 = _partials_scalar(ffn, coords)
-    gq1, gq2, gp1, gp2 = _partials_scalar(gfn, coords)
-    return fq1 * gp1 - fp1 * gq1 + fq2 * gp2 - fp2 * gq2
-
-
 def _wrap_domain(callable_, *args):
     with np.errstate(divide="raise", invalid="raise"):
         try:
@@ -183,7 +144,7 @@ def _wrap_domain(callable_, *args):
 
 
 def _batch_of_one(point: PhasePoint) -> "PhaseBatch":
-    return PhaseBatch.from_arrays(*([c] for c in _point_scalars(point)))
+    return PhaseBatch.from_arrays([point.q1], [point.q2], [point.p1], [point.p2])
 
 
 def partial_derivative(f: Observable, point: PhasePoint, which) -> complex:
@@ -194,8 +155,7 @@ def partial_derivative(f: Observable, point: PhasePoint, which) -> complex:
 
 def poisson_bracket(f: Observable, g: Observable, point: PhasePoint) -> complex:
     """Canonical Poisson bracket {f, g} evaluated at ``point``."""
-    coords = _point_scalars(point)
-    return complex(_wrap_domain(bracket_value, f.fn, g.fn, coords))
+    return complex(_wrap_domain(bracket_batch, f, g, _batch_of_one(point))[0])
 
 
 def poisson_bracket_with_scale(f: Observable, g: Observable, point: PhasePoint):
@@ -208,13 +168,21 @@ def poisson_bracket_with_scale(f: Observable, g: Observable, point: PhasePoint):
     return complex(val[0]), float(scale[0])
 
 
+@functools.lru_cache(maxsize=64)
 def bracket_observable(f: Observable, g: Observable) -> Observable:
-    """The bracket {f, g} packaged as an observable (nesting-capable)."""
-    ffn, gfn = f.fn, g.fn
-    return Observable(
-        lambda q1, q2, p1, p2: bracket_value(ffn, gfn, (q1, q2, p1, p2)),
-        f"{{{f.label},{g.label}}}",
-    )
+    """The bracket {f, g} packaged as an observable, one per pair.
+
+    Its function runs the array code of ``f`` and ``g``, which takes
+    floats, arrays and traced values alike, so a bracket of brackets is
+    traced and compiled like any other observable.
+    """
+
+    def fn(q1, q2, p1, p2):
+        _, (fq1, fq2, fp1, fp2) = _batch_code(f)(q1, q2, p1, p2)
+        _, (gq1, gq2, gp1, gp2) = _batch_code(g)(q1, q2, p1, p2)
+        return fq1 * gp1 - fp1 * gq1 + fq2 * gp2 - fp2 * gq2
+
+    return Observable(fn, f"{{{f.label},{g.label}}}")
 
 
 def gradient(f: Observable, point: PhasePoint) -> np.ndarray:
@@ -285,9 +253,11 @@ _FLOATS = _Target(
 )
 
 # Complex128 arrays for batches: the contracts of the scalar tower, a
-# DomainError at an exact-zero divisor or a non-positive square root.
+# DomainError at an exact-zero divisor or a non-positive square root.  The
+# scalar tower's functions dispatch on their argument, so the same code also
+# runs on complex scalars and on traced values (brackets of brackets).
 _ARRAYS = _Target(
-    {"sin": np.sin, "cos": np.cos, "tan": np.tan, "sqrt": sc.sqrt, "nonzero": _nonzero},
+    {"sin": sc.sin, "cos": sc.cos, "tan": sc.tan, "sqrt": sc.sqrt, "nonzero": _nonzero},
     "{0} / nonzero({1})",
     "return {value}, ({partials})",
     real=False,

@@ -1,19 +1,18 @@
 """Scalar tower shared by every observable.
 
 Phase-space functions are written once against these helpers and then
-evaluate unchanged over floats, complex numbers, numpy arrays (batches of
-points), and first-order dual numbers.  Seeding a coordinate with a unit
-dual part produces derivatives exact to machine rounding.  Duals nest (a
-``DualComplex`` may hold ``DualComplex`` components), so bracket
-expressions can themselves be differentiated; nested brackets and the
-Jacobi-identity checks use that.
+evaluate unchanged over floats, complex numbers and numpy arrays (batches
+of points).
 
 A function can also be run once on :class:`Traced` values, which compute
 nothing and instead record each operation on a :class:`Tape`;
 :mod:`superfact.phase` turns that record into straight-line code over
 floats (the vector field) or over numpy arrays (every batch gradient).
-A dual number may hold traced values, so a bracket written with duals is
-traced like any other function.
+
+:class:`DualComplex` is a plain forward-mode number: seeding a coordinate
+with a unit dual part gives its derivative exact to machine rounding, and
+duals nest for higher derivatives.  No library path evaluates with it; it
+is the independent reference that the tests hold the compiled code to.
 """
 
 from __future__ import annotations
@@ -188,14 +187,7 @@ def _no_control_flow(*_):
 
 
 def _forward(op):
-    def method(self, other):
-        # A dual number over traced values (a nested bracket) lifts this
-        # value through its own reflected operator.
-        if isinstance(other, DualComplex):
-            return NotImplemented
-        return self.tape.record(op, self, other)
-
-    return method
+    return lambda self, other: self.tape.record(op, self, other)
 
 
 class Traced:
@@ -253,38 +245,31 @@ class Traced:
 
 
 def sin(x):
-    if isinstance(x, DualComplex):
-        v = x.val
-        if isinstance(v, (DualComplex, np.ndarray, Traced)):
-            return DualComplex(sin(v), cos(v) * x.eps)
-        return DualComplex(cmath.sin(v), cmath.cos(v) * x.eps)
     if isinstance(x, np.ndarray):
         return np.sin(x)
+    if isinstance(x, DualComplex):
+        return DualComplex(sin(x.val), cos(x.val) * x.eps)
     if isinstance(x, Traced):
         return x.tape.record("sin", x)
     return cmath.sin(x)
 
 
 def cos(x):
-    if isinstance(x, DualComplex):
-        v = x.val
-        if isinstance(v, (DualComplex, np.ndarray, Traced)):
-            return DualComplex(cos(v), -(sin(v)) * x.eps)
-        return DualComplex(cmath.cos(v), -(cmath.sin(v)) * x.eps)
     if isinstance(x, np.ndarray):
         return np.cos(x)
+    if isinstance(x, DualComplex):
+        return DualComplex(cos(x.val), -(sin(x.val)) * x.eps)
     if isinstance(x, Traced):
         return x.tape.record("cos", x)
     return cmath.cos(x)
 
 
 def tan(x):
-    if isinstance(x, DualComplex):
-        v = x.val
-        t = tan(v) if isinstance(v, (DualComplex, np.ndarray, Traced)) else cmath.tan(v)
-        return DualComplex(t, (1 + t * t) * x.eps)
     if isinstance(x, np.ndarray):
         return np.tan(x)
+    if isinstance(x, DualComplex):
+        t = tan(x.val)
+        return DualComplex(t, (1 + t * t) * x.eps)
     if isinstance(x, Traced):
         return x.tape.record("tan", x)
     return cmath.tan(x)
@@ -301,17 +286,12 @@ def _require_positive(v):
 
 
 def sqrt(x):
-    if isinstance(x, DualComplex):
-        v = x.val
-        if isinstance(v, (DualComplex, np.ndarray, Traced)):
-            s = sqrt(v)
-        else:
-            _require_positive(v)
-            s = cmath.sqrt(v)
-        return DualComplex(s, x.eps / (2 * s))
     if isinstance(x, np.ndarray):
         _require_positive(x)
         return np.sqrt(x)
+    if isinstance(x, DualComplex):
+        s = sqrt(x.val)
+        return DualComplex(s, x.eps / (2 * s))
     if isinstance(x, Traced):
         # The positivity contract is checked when the compiled code runs.
         return x.tape.record("sqrt", x)

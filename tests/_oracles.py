@@ -1,15 +1,18 @@
 """Independent oracles shared by the test battery.
 
-The library computes every derivative with dual numbers; these helpers give
-a second, slower opinion (central finite differences) plus random polynomial
-observables whose bracket algebra is known exactly.  Nothing here imports
-from the modules under test beyond the public containers.
+The library computes every derivative with compiled reverse-sweep code;
+these helpers give second, slower opinions (forward-mode dual numbers,
+nested for brackets of brackets, and central finite differences) plus
+random polynomial observables whose bracket algebra is known exactly.
+Nothing here imports from the modules under test beyond the public
+containers and the dual number type.
 """
 
 import numpy as np
 
 from superfact import (
     DomainBox,
+    DualComplex,
     Family,
     Observable,
     PhasePoint,
@@ -41,6 +44,41 @@ def narrow_box(family):
     if fam is Family.SPHERE:
         return DomainBox(((-0.8, 0.8), (-0.8, 0.8), (-1.0, 1.0), (-1.0, 1.0)))
     return DomainBox(((1.0, 1.3), (0.55, 1.0), (-0.8, 0.8), (-0.8, 0.8)))
+
+
+def _partials_scalar(fn, coords):
+    """All four partial derivatives of ``fn`` at ``coords``.
+
+    ``coords`` entries may themselves be dual numbers (outer seeding), in
+    which case the returned partials track the outer seed: that nesting is
+    what makes brackets of brackets differentiable.  Every coordinate is
+    then lifted to the freshly introduced dual level (unseeded ones with a
+    zero dual part) so an outer epsilon can never be mistaken for the inner
+    one; flat representations without this lift confuse the two
+    perturbations.  When no coordinate carries a dual part there is nothing
+    to confuse, so only the seeded coordinate is lifted; unseeded scalars
+    stay plain, which keeps their arithmetic out of the dual dispatch.
+    """
+    nested = any(isinstance(c, DualComplex) for c in coords)
+    grads = []
+    for k in range(4):
+        if nested:
+            args = [
+                DualComplex(c, 1.0 if j == k else 0.0) for j, c in enumerate(coords)
+            ]
+        else:
+            args = list(coords)
+            args[k] = DualComplex(args[k], 1.0)
+        out = fn(*args)
+        grads.append(out.eps if isinstance(out, DualComplex) else 0.0)
+    return grads
+
+
+def bracket_value(ffn, gfn, coords):
+    """Canonical bracket of two raw observable callables at ``coords``."""
+    fq1, fq2, fp1, fp2 = _partials_scalar(ffn, coords)
+    gq1, gq2, gp1, gp2 = _partials_scalar(gfn, coords)
+    return fq1 * gp1 - fp1 * gq1 + fq2 * gp2 - fp2 * gq2
 
 
 def fd_partial(fn, coords, k, h=FD_STEP):

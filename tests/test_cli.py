@@ -631,6 +631,28 @@ def test_trace_symmetry_flag_validation(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "energy, second, symmetry, message",
+    [
+        ("nan", "1", "X=1", "the H level must be finite, got nan"),
+        ("1", "nan", "X=1", "the I2 level must be finite, got nan"),
+        ("1", "1", "Y=-inf", "the Y level must be finite, got -inf"),
+        ("inf", "1", "X=1", "the H level must be finite, got inf"),
+    ],
+)
+def test_trace_non_finite_level_is_config_error(
+    tmp_path, monkeypatch, capsys, energy, second, symmetry, message
+):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        ["trace", "--system", "euclidean", "--gamma", "1", "--energy", energy,
+         "--second", second, "--symmetry", symmetry, "--out", "bad"]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "spec_args, second, floor_text",
     [
         (["--system", "sphere", "--gamma", "2"], "0.1", "sphere sector floor 0.125"),

@@ -29,7 +29,7 @@ from superfact.factorization import (
     ttw_shift_observables,
 )
 from superfact.phase import (
-    _partials_scalar,
+    _batch_code,
     bracket_batch_with_scale,
     compiled_gradient,
     poisson_bracket_with_scale,
@@ -42,7 +42,14 @@ from superfact.systems import (
     second_integral_observable,
 )
 
-from _oracles import fd_gradient, random_point, random_polynomial, spec_for
+from _oracles import (
+    _partials_scalar,
+    bracket_value,
+    fd_gradient,
+    random_point,
+    random_polynomial,
+    spec_for,
+)
 
 Q1 = Observable(lambda q1, q2, p1, p2: q1, "q1")
 Q2 = Observable(lambda q1, q2, p1, p2: q2, "q2")
@@ -134,11 +141,16 @@ def _nested_triples():
             yield triple, batch.point(i)
 
 
+def _dual_bracket_fn(f, g):
+    """The bracket {f, g} from nested duals on the raw functions."""
+    return lambda *coords: bracket_value(f.fn, g.fn, coords)
+
+
 def test_nested_brackets_are_differentiable():
     for (f, g, h), point in _nested_triples():
         coords = [complex(point.q1), complex(point.q2), complex(point.p1), complex(point.p2)]
         inner = bracket_observable(f, g)
-        want = np.array(_partials_scalar(inner.fn, coords))
+        want = np.array(_partials_scalar(_dual_bracket_fn(f, g), coords))
         got = gradient(inner, point)
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.linalg.norm(want))
         assert partial_derivative(inner, point, "p2") == got[3]
@@ -146,7 +158,19 @@ def test_nested_brackets_are_differentiable():
 
         outer = bracket_observable(g, h)
         val, scale = poisson_bracket_with_scale(f, outer, point)
-        assert abs(val - poisson_bracket(f, outer, point)) <= 1e-12 * (1.0 + scale)
+        want = bracket_value(f.fn, _dual_bracket_fn(g, h), coords)
+        assert abs(val - want) <= 1e-12 * (1.0 + scale)
+
+
+def test_each_bracket_observable_compiles_once():
+    rng = np.random.default_rng(29)
+    f, g = random_polynomial(rng, label="f"), random_polynomial(rng, label="g")
+    point = random_point(rng)
+    assert bracket_observable(f, g) is bracket_observable(f, g)
+    first = gradient(bracket_observable(f, g), point)
+    misses = _batch_code.cache_info().misses
+    np.testing.assert_array_equal(gradient(bracket_observable(f, g), point), first)
+    assert _batch_code.cache_info().misses == misses
 
 
 def test_bracket_matches_finite_difference():

@@ -8,7 +8,9 @@ Both sides are git revisions of this repository, each exported with
 ``git archive`` into a fresh directory under ``--workdir``.  For every
 workload and seed the script runs ``python3 perfbench/run.py --trace 0`` once
 on each side, alternating which side runs first, one run at a time.  It then
-writes ``BENCH_<date>.json`` at the repository root with, per workload and
+writes ``BENCH_<date>_<change commit, 12 hex digits>.json`` at the repository
+root, and refuses to start if that file exists, so a checked-in record is
+never overwritten.  The file holds, per workload and
 end-to-end metric of ``BENCHMARK.json``: each side's runs, median, quartiles
 and IQR/median, the pairs the change won, and whether the change's median is
 within the metric's regression bound.  Every run lasts the benchmark's
@@ -121,6 +123,10 @@ def main(argv=None) -> int:
     commits, trees = {}, {}
     for side in SIDES:
         commits[side], trees[side] = export(getattr(args, side), args.workdir, side)
+    today = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
+    out = ROOT / f"BENCH_{today}_{commits['change'][:12]}.json"
+    if out.exists():
+        parser.error(f"{out.name} exists; a BENCH file is never overwritten")
 
     workloads = {}
     for workload in args.workloads:
@@ -139,8 +145,6 @@ def main(argv=None) -> int:
         }
         host = runs["parent"][0]["record"]
 
-    today = datetime.datetime.now(datetime.timezone.utc).date().isoformat()
-    out = ROOT / f"BENCH_{today}.json"
     payload = {
         "command": "python3 tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
         "date": today,
@@ -152,7 +156,8 @@ def main(argv=None) -> int:
         "cpu": cpu_model(),
         "workloads": workloads,
     }
-    out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    with out.open("x", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 0
 
