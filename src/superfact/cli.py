@@ -49,6 +49,7 @@ from .systems import (
     to_internal,
 )
 from .verification import (
+    IdentityResult,
     build_suite,
     independence_report,
     run_suite,
@@ -254,6 +255,20 @@ def _write_manifest(
 # ---------- verify ----------
 
 
+def _failure_cause(result: IdentityResult) -> str:
+    """Why an identity failed: its points that were not finite, an error of
+    the whole batch, or a residual above the tolerance."""
+    flagged = sum(e.startswith("point ") for e in result.errors)
+    causes = [e for e in result.errors if not e.startswith("point ")]
+    if flagged:
+        causes.insert(0, f"{flagged} of {result.samples} points not finite")
+    if result.max_residual > result.tolerance:
+        causes.append(
+            f"max residual {result.max_residual:.3e} > tol {result.tolerance:.1e}"
+        )
+    return "; ".join(causes)
+
+
 def cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     seed = _resolve_seed(args)
@@ -305,10 +320,7 @@ def cmd_verify(args) -> int:
     )
     for r in report.identities:
         if not r.passed:
-            print(
-                f"  FAIL {r.label}: max residual {r.max_residual:.3e} "
-                f"> tol {r.tolerance:.1e}"
-            )
+            print(f"  FAIL {r.label}: {_failure_cause(r)}")
     for name, block in independence.items():
         if block["fraction_full"] < INDEPENDENCE_FRACTION:
             cause = ""
@@ -338,9 +350,33 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         raise _ConfigError(f"{flag}: {exc}") from exc
 
 
-def _controls_from_args(args) -> IntegratorControls:
+def _add_integration_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--t-end", type=float, default=None, dest="t_end")
+    parser.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
+    parser.add_argument("--abs-tol", type=float, default=1e-12, dest="abs_tol")
+    parser.add_argument("--max-step", type=float, default=None, dest="max_step")
+    parser.add_argument("--sample-dt", type=float, default=None, dest="sample_dt")
+    parser.add_argument(
+        "--method",
+        choices=METHODS,
+        default=IntegratorControls.method,
+        help="integrator (default: %(default)s)",
+    )
+    parser.add_argument("--fixed-dt", type=float, default=None, dest="fixed_dt")
+    parser.add_argument(
+        "--closure-eps",
+        type=float,
+        default=None,
+        dest="closure_eps",
+        help="also run closure detection at this tolerance",
+    )
+
+
+def _integration_settings(spec: SystemSpec, args):
+    """The controls, end time and manifest ``args`` of the integration
+    options, checked before any work starts."""
     try:
-        return IntegratorControls(
+        controls = IntegratorControls(
             rel_tol=args.rel_tol,
             abs_tol=args.abs_tol,
             max_step=args.max_step,
@@ -350,6 +386,22 @@ def _controls_from_args(args) -> IntegratorControls:
         )
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
+    t_end = args.t_end if args.t_end is not None else 10 * characteristic_period(spec)
+    if not t_end > 0:
+        raise _ConfigError("--t-end must be positive")
+    if args.closure_eps is not None and not args.closure_eps > 0:
+        raise _ConfigError("--closure-eps must be positive")
+    run_args = {
+        "t_end": t_end,
+        "rel_tol": controls.rel_tol,
+        "abs_tol": controls.abs_tol,
+        "max_step": controls.max_step,
+        "sample_dt": controls.sample_dt,
+        "fixed_dt": controls.fixed_dt,
+        "method": controls.method,
+        "closure_eps": args.closure_eps,
+    }
+    return controls, t_end, run_args
 
 
 def _initial_point(spec: SystemSpec, args) -> PhasePoint:
@@ -509,10 +561,9 @@ def _run_integration(
         report["drift"] = drift_report(traj).to_json_dict()
     if breach_info:
         report["breach"] = breach_info
-    closure_eps = getattr(args, "closure_eps", None)
-    if closure_eps is not None and breach_info is None and traj is not None:
+    if args.closure_eps is not None and breach_info is None and traj is not None:
         try:
-            report["closure"] = detect_closure(traj, closure_eps).to_json_dict()
+            report["closure"] = detect_closure(traj, args.closure_eps).to_json_dict()
         except InsufficientSpan as exc:
             report["closure"] = {"closed": None, "reason": str(exc)}
     _write_json(report_path, report)
@@ -569,25 +620,14 @@ def _run_integration(
 
 def cmd_integrate(args) -> int:
     spec = _resolve_spec(args)
-    controls = _controls_from_args(args)
+    controls, t_end, run_args = _integration_settings(spec, args)
     initial = _initial_point(spec, args)
-    t_end = args.t_end if args.t_end is not None else 10 * characteristic_period(spec)
-    if not t_end > 0:
-        raise _ConfigError("--t-end must be positive")
-    run_args = {
-        "q0": list(_parse_pair(args.q0, "--q0")),
-        "p0": list(_parse_pair(args.p0, "--p0")),
-        "frame": "external" if args.external else "internal",
-        "t_end": t_end,
-        "rel_tol": controls.rel_tol,
-        "abs_tol": controls.abs_tol,
-        "max_step": controls.max_step,
-        "sample_dt": controls.sample_dt,
-        "fixed_dt": controls.fixed_dt,
-        "method": controls.method,
-        "external_angle": bool(args.external_angle),
-        "closure_eps": args.closure_eps,
-    }
+    run_args.update(
+        q0=list(_parse_pair(args.q0, "--q0")),
+        p0=list(_parse_pair(args.p0, "--p0")),
+        frame="external" if args.external else "internal",
+        external_angle=bool(args.external_angle),
+    )
     return _run_integration(
         spec, initial, t_end, controls, args, "integrate", run_args
     )
@@ -612,23 +652,14 @@ def _parse_symmetry(text: str) -> tuple[str, float]:
 def cmd_trace(args) -> int:
     started = _utc_now()
     spec = _resolve_spec(args)
-    controls = _controls_from_args(args)
+    controls, t_end, run_args = _integration_settings(spec, args)
     sym_name, sym_value = _parse_symmetry(args.symmetry)
-    t_end = args.t_end if args.t_end is not None else 10 * characteristic_period(spec)
-    if not t_end > 0:
-        raise _ConfigError("--t-end must be positive")
-    run_args = {
-        "energy": args.energy,
-        "second": args.second,
-        "symmetry": f"{sym_name}={sym_value!r}",
-        "plane": args.plane,
-        "t_end": t_end,
-        "rel_tol": controls.rel_tol,
-        "abs_tol": controls.abs_tol,
-        "sample_dt": controls.sample_dt,
-        "method": controls.method,
-        "closure_eps": args.closure_eps,
-    }
+    run_args.update(
+        energy=args.energy,
+        second=args.second,
+        symmetry=f"{sym_name}={sym_value!r}",
+        plane=args.plane,
+    )
     targets = np.array([args.energy, args.second, sym_value], dtype=float)
     try:
         z, residual, search = solve_levels(spec, sym_name, targets)
@@ -694,30 +725,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="interpret --q0/--p0 in external coordinates",
     )
-    p_int.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p_int.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
-    p_int.add_argument("--abs-tol", type=float, default=1e-12, dest="abs_tol")
-    p_int.add_argument("--max-step", type=float, default=None, dest="max_step")
-    p_int.add_argument("--sample-dt", type=float, default=None, dest="sample_dt")
-    p_int.add_argument(
-        "--method",
-        choices=METHODS,
-        default=IntegratorControls.method,
-        help="integrator (default: %(default)s)",
-    )
-    p_int.add_argument("--fixed-dt", type=float, default=None, dest="fixed_dt")
+    _add_integration_arguments(p_int)
     p_int.add_argument(
         "--external-angle",
         action="store_true",
         dest="external_angle",
         help="add a phi = theta/gamma column (ttw only)",
-    )
-    p_int.add_argument(
-        "--closure-eps",
-        type=float,
-        default=None,
-        dest="closure_eps",
-        help="also run closure detection at this tolerance",
     )
     p_int.add_argument("--out", default="trajectory", help="output path prefix")
     p_int.set_defaults(func=cmd_integrate)
@@ -737,22 +750,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="append 2D projection columns for plotting",
     )
-    p_tr.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p_tr.add_argument("--rel-tol", type=float, default=1e-10, dest="rel_tol")
-    p_tr.add_argument("--abs-tol", type=float, default=1e-12, dest="abs_tol")
-    p_tr.add_argument("--max-step", type=float, default=None, dest="max_step")
-    p_tr.add_argument("--sample-dt", type=float, default=None, dest="sample_dt")
-    p_tr.add_argument(
-        "--method",
-        choices=METHODS,
-        default=IntegratorControls.method,
-        help="integrator (default: %(default)s)",
-    )
-    p_tr.add_argument("--fixed-dt", type=float, default=None, dest="fixed_dt")
-    p_tr.add_argument(
-        "--closure-eps", type=float, default=None, dest="closure_eps",
-        help="also run closure detection at this tolerance",
-    )
+    _add_integration_arguments(p_tr)
     p_tr.add_argument("--out", default="trace", help="output path prefix")
     p_tr.set_defaults(func=cmd_trace)
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NoSolution, SuperfactError
+from .errors import NoSolution
 from .factorization import higher_integral_observables
 from .phase import PhaseBatch, eval_batch, gradient_batch
 from .systems import (
@@ -54,14 +54,12 @@ class LevelSearch:
     ``valid_starts`` counts the grid starts inside the walls with finite
     levels; ``iterations`` the Gauss-Newton steps the batch took;
     ``winning_start`` is the grid index of the returned lane, ``None``
-    when no lane reached the tolerance; ``lane_retries`` counts points
-    evaluated one at a time because their batch raised.
+    when no lane reached the tolerance.
     """
 
     valid_starts: int
     iterations: int
     winning_start: int | None
-    lane_retries: int
     seconds: float
 
     def to_json_dict(self) -> dict:
@@ -93,31 +91,12 @@ class _Levels:
         )
         self.targets = targets
         self.scale = 1.0 + np.abs(targets)
-        self.retries = 0
 
-    def _evaluate(self, fn, z: np.ndarray, width: int) -> np.ndarray:
-        """``fn(observable, batch)`` of shape ``(width, n)`` for each level
-        observable, stacked to ``(3, width, n)``.
-
-        The compiled code raises when any element of a batch is singular, so
-        one bad lane fails the whole batch; only then are the points
-        evaluated one at a time (counted in ``retries``), and a point that
-        still raises comes back as NaN.
-        """
-        try:
-            batch = PhaseBatch.from_arrays(*z.T)
-            return np.stack([fn(obs, batch) for obs in self.observables])
-        except SuperfactError:
-            pass
-        self.retries += len(z)
-        out = np.full((3, width, len(z)), np.nan)
-        for i in range(len(z)):
-            one = PhaseBatch.from_arrays(*z[i : i + 1].T)
-            try:
-                out[:, :, i : i + 1] = [fn(obs, one) for obs in self.observables]
-            except SuperfactError:
-                continue
-        return out
+    def _evaluate(self, fn, z: np.ndarray) -> np.ndarray:
+        """``fn(observable, batch)`` for each level observable at states
+        ``z``, stacked along a new first axis."""
+        batch = PhaseBatch.from_arrays(*z.T)
+        return np.stack([fn(obs, batch) for obs in self.observables])
 
     def error(self, f: np.ndarray) -> np.ndarray:
         return np.max(np.abs(f) / self.scale, axis=-1)
@@ -129,16 +108,14 @@ class _Levels:
         ok = domain_mask(self.spec, PhaseBatch.from_arrays(*z.T), DELTA_MARGIN)
         f = np.full((len(z), 3), np.nan)
         if ok.any():
-            vals = self._evaluate(
-                lambda obs, b: eval_batch(obs, b).real[None], z[ok], 1
-            )
-            f[ok] = vals[:, 0, :].T - self.targets
+            vals = self._evaluate(lambda obs, b: eval_batch(obs, b).real, z[ok])
+            f[ok] = vals.T - self.targets
         return f, ok & np.isfinite(f).all(axis=1)
 
     def steps(self, z: np.ndarray, f: np.ndarray):
         """Minimum-norm least-squares Gauss-Newton steps ``(n, 4)`` and the
         mask of lanes whose Jacobian and step are finite."""
-        jac = self._evaluate(lambda obs, b: gradient_batch(obs, b)[1].real, z, 4)
+        jac = self._evaluate(lambda obs, b: gradient_batch(obs, b)[1].real, z)
         jac = jac.transpose(2, 0, 1)
         ok = np.isfinite(jac).all(axis=(1, 2))
         step = np.full(z.shape, np.nan)
@@ -175,6 +152,13 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
     reaches the tolerance; that message gives the best residual reached.
     Either way the exception's ``search`` holds the telemetry (no starts
     and no iterations for the floor case).
+
+    Values are taken only at states that pass
+    ``domain_mask(spec, ., DELTA_MARGIN)``, and Jacobians only at states
+    whose values were taken, so a
+    :class:`~superfact.errors.DomainError` (a singular denominator or a
+    non-positive square root) cannot reach the search; a value that is not
+    finite marks its lane unusable.
     """
     started = time.perf_counter()
     targets = np.asarray(targets, dtype=float)
@@ -190,7 +174,6 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
                 valid_starts=0,
                 iterations=0,
                 winning_start=None,
-                lane_retries=0,
                 seconds=time.perf_counter() - started,
             ),
         )
@@ -232,7 +215,6 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
         valid_starts=len(lanes),
         iterations=iterations,
         winning_start=None if winner is None else int(lanes[winner]),
-        lane_retries=levels.retries,
         seconds=time.perf_counter() - started,
     )
     if winner is None:

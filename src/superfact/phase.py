@@ -418,10 +418,8 @@ def gradient_batch(f: Observable, batch: PhaseBatch):
     """Values and all four partials of ``f`` over a batch.
 
     Runs the array code of :func:`_batch_code` once per observable and
-    batch: the result is kept on the batch, read-only, and later calls
-    (and slices of the batch) reuse it.  A result with a non-finite entry
-    is not kept, so the next caller meets the overflow under its own
-    ``errstate``.  Raises :class:`~superfact.errors.DomainError` at an
+    batch: the result is kept on the batch, read-only, finite or not, and
+    later calls (and slices of the batch) reuse it.  Raises :class:`~superfact.errors.DomainError` at an
     exact-zero divisor or a non-positive square-root argument anywhere in
     the batch.  Returns ``(values (n,), grads (4, n))``.
     """
@@ -434,9 +432,7 @@ def gradient_batch(f: Observable, batch: PhaseBatch):
     grads = np.empty((4, n), dtype=np.complex128)
     for k, partial in enumerate(partials):
         grads[k] = partial
-    _read_only(grads)
-    if np.isfinite(values).all() and np.isfinite(grads).all():
-        batch._gradients[f] = (values, grads)
+    batch._gradients[f] = (values, _read_only(grads))
     return values, grads
 
 

@@ -609,49 +609,47 @@ def build_suite(spec: SystemSpec) -> tuple[IdentitySpec, ...]:
 # ---------- suite execution ----------
 
 
-def _residuals(lhs, rhs, scale) -> np.ndarray:
-    lhs = np.asarray(lhs, dtype=np.complex128)
-    rhs = np.asarray(rhs, dtype=np.complex128)
+def _residuals(lhs: np.ndarray, rhs: np.ndarray, scale) -> np.ndarray:
     mag = np.maximum(np.abs(lhs), np.abs(rhs))
     if scale is not None:
-        mag = np.maximum(mag, np.abs(np.asarray(scale)))
+        mag = np.maximum(mag, np.abs(scale))
     return np.abs(lhs - rhs) / (1.0 + mag)
 
 
-def _eval_identity(ident: IdentitySpec, batch: PhaseBatch):
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        lhs = ident.lhs(batch)
-        rhs = ident.rhs(batch)
-        scale = ident.scale(batch) if ident.scale is not None else None
-    return _residuals(lhs, rhs, scale)
-
-
 def run_identity(ident: IdentitySpec, batch: PhaseBatch) -> IdentityResult:
-    """Evaluate one identity over a batch, falling back to pointwise
-    evaluation (and recording the offenders) if the vectorized pass hits a
-    numerical error anywhere."""
+    """Evaluate one identity over a batch in one pass.
+
+    A point whose residual or scale is not finite (a high-order product
+    overflows, say) is flagged: it fails the identity with one
+    ``point <i>: ...`` error naming what was not finite, and
+    ``max_residual`` is taken over the other points.  A
+    :class:`~superfact.errors.SuperfactError` raised by the batch fails the
+    identity with one error naming it.
+    """
     n = len(batch)
     if n == 0:
         return IdentityResult(ident.label, 0, 0.0, ident.tolerance, True)
     try:
-        res = _eval_identity(ident, batch)
-        max_res = float(np.max(res))
-        return IdentityResult(
-            ident.label, n, max_res, ident.tolerance, max_res <= ident.tolerance
-        )
-    except (SuperfactError, FloatingPointError, ZeroDivisionError):
-        pass
-    errors: list[str] = []
-    max_res = 0.0
-    evaluated = 0
-    for i in range(n):
-        try:
-            res = _eval_identity(ident, batch[i : i + 1])
-            max_res = max(max_res, float(np.max(res)))
-            evaluated += 1
-        except (SuperfactError, FloatingPointError, ZeroDivisionError) as exc:
-            errors.append(f"point {i}: {type(exc).__name__}: {exc}")
-    passed = evaluated == n and not errors and max_res <= ident.tolerance
+        with np.errstate(all="ignore"):
+            lhs = np.asarray(ident.lhs(batch), dtype=np.complex128)
+            rhs = np.asarray(ident.rhs(batch), dtype=np.complex128)
+            scale = ident.scale(batch) if ident.scale is not None else None
+            res = _residuals(lhs, rhs, scale)
+    except SuperfactError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return IdentityResult(ident.label, n, 0.0, ident.tolerance, False, (error,))
+    flagged = ~np.isfinite(res)
+    if scale is not None:
+        flagged |= ~np.isfinite(scale)
+    max_res = float(np.max(res, initial=0.0, where=~flagged))
+    errors = []
+    if flagged.any():
+        sides = {"lhs": lhs, "rhs": rhs, "scale": scale}
+        bad = {k: ~np.isfinite(v) for k, v in sides.items() if v is not None}
+        for i in np.flatnonzero(flagged):
+            names = [k for k, b in bad.items() if b[i]] or ["residual"]
+            errors.append(f"point {i}: {', '.join(names)} not finite")
+    passed = not errors and max_res <= ident.tolerance
     return IdentityResult(
         ident.label, n, max_res, ident.tolerance, passed, tuple(errors)
     )
@@ -724,7 +722,7 @@ def independence_report(
     ranks_count: dict[str, int] = {}
     full = non_finite = 0
     if n:
-        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             grads = np.stack([gradient_batch(f, points)[1].real.T for f in fs], axis=1)
         finite = np.isfinite(grads).all(axis=(1, 2))
         non_finite = n - int(finite.sum())

@@ -2,10 +2,11 @@
 
 The library computes every derivative with compiled reverse-sweep code;
 these helpers give second, slower opinions (forward-mode dual numbers,
-nested for brackets of brackets, and central finite differences) plus
-random polynomial observables whose bracket algebra is known exactly.
-Nothing here imports from the modules under test beyond the public
-containers and the dual number type.
+nested for brackets of brackets, and central finite differences),
+random polynomial observables whose bracket algebra is known exactly, and
+a point-by-point identity runner.  Nothing here imports from the modules
+under test beyond the public containers, the error types and the dual
+number type.
 """
 
 import numpy as np
@@ -14,9 +15,11 @@ from superfact import (
     DomainBox,
     DualComplex,
     Family,
+    IdentityResult,
     Observable,
     PhasePoint,
     RationalGamma,
+    SuperfactError,
     SystemSpec,
 )
 
@@ -125,3 +128,57 @@ def random_polynomial(rng, degree=3, terms=5, label="poly"):
 
 def random_point(rng, lo=-1.5, hi=1.5):
     return PhasePoint(*rng.uniform(lo, hi, size=4))
+
+
+def _residuals(lhs, rhs, scale) -> np.ndarray:
+    lhs = np.asarray(lhs, dtype=np.complex128)
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    mag = np.maximum(np.abs(lhs), np.abs(rhs))
+    if scale is not None:
+        mag = np.maximum(mag, np.abs(np.asarray(scale)))
+    return np.abs(lhs - rhs) / (1.0 + mag)
+
+
+def _eval_identity(ident, batch):
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        lhs = ident.lhs(batch)
+        rhs = ident.rhs(batch)
+        scale = ident.scale(batch) if ident.scale is not None else None
+    return _residuals(lhs, rhs, scale)
+
+
+def run_identity_pointwise(ident, batch) -> IdentityResult:
+    """Evaluate one identity over a batch, falling back to pointwise
+    evaluation (and recording the offenders) if the vectorized pass hits a
+    numerical error anywhere.
+
+    The library's former runner, kept as the reference for the one masked
+    pass.  Every floating-point error raises, so a point is flagged when any
+    step of its evaluation overflows.  Give it a batch on which no gradient
+    has been taken: a gradient kept on the batch is not evaluated again.
+    """
+    n = len(batch)
+    if n == 0:
+        return IdentityResult(ident.label, 0, 0.0, ident.tolerance, True)
+    try:
+        res = _eval_identity(ident, batch)
+        max_res = float(np.max(res))
+        return IdentityResult(
+            ident.label, n, max_res, ident.tolerance, max_res <= ident.tolerance
+        )
+    except (SuperfactError, FloatingPointError, ZeroDivisionError):
+        pass
+    errors: list[str] = []
+    max_res = 0.0
+    evaluated = 0
+    for i in range(n):
+        try:
+            res = _eval_identity(ident, batch[i : i + 1])
+            max_res = max(max_res, float(np.max(res)))
+            evaluated += 1
+        except (SuperfactError, FloatingPointError, ZeroDivisionError) as exc:
+            errors.append(f"point {i}: {type(exc).__name__}: {exc}")
+    passed = evaluated == n and not errors and max_res <= ident.tolerance
+    return IdentityResult(
+        ident.label, n, max_res, ident.tolerance, passed, tuple(errors)
+    )

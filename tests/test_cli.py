@@ -185,6 +185,22 @@ def test_verify_identity_failure_exit(tmp_path, monkeypatch, capsys):
     assert payload["summary"]["pass"] is False
 
 
+def test_verify_names_the_points_that_are_not_finite(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        ["verify", "--system", "sphere", "--gamma", "141/100", "--seed", "7",
+         "--out", "high"]
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "  FAIL conj.X: 7 of 1000 points not finite\n" in out
+    assert "max residual 0.000e+00 > tol" not in out
+    payload = json.loads((tmp_path / "high.report.json").read_text())
+    conj = next(r for r in payload["identities"] if r["label"] == "conj.X")
+    assert len(conj["errors"]) == 7
+    assert all(e.endswith("not finite") for e in conj["errors"])
+
+
 def test_verify_seed_precedence(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     base = ["verify", "--system", "euclidean", "--gamma", "1", "--samples", "20"]
@@ -499,6 +515,21 @@ def test_integrate_unknown_method_exits_2(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_integrate_bad_closure_eps_exits_before_any_work(
+    tmp_path, monkeypatch, capsys, eps
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "integrate", None)  # the flow must not start
+    code = cli.main(
+        ["integrate", "--system", "euclidean", "--gamma", "1", "--q0=0.1,0.2",
+         "--p0=0.3,0.4", "--t-end", "1", "--closure-eps", eps, "--out", "p"]
+    )
+    assert code == 2
+    assert "--closure-eps must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_integrate_bad_pair_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = cli.main(
@@ -727,9 +758,43 @@ def test_trace_outputs_byte_identical_search_in_manifest(tmp_path, monkeypatch):
         ).read_bytes()
     assert "level_search" not in json.loads((tmp_path / "ta.report.json").read_text())
     search = json.loads((tmp_path / "ta.manifest.json").read_text())["level_search"]
-    assert set(search) == {
-        "valid_starts", "iterations", "winning_start", "lane_retries", "seconds"
-    }
+    assert set(search) == {"valid_starts", "iterations", "winning_start", "seconds"}
     assert search["valid_starts"] == 81
     assert search["winning_start"] == 0
-    assert search["lane_retries"] == 0
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_trace_bad_closure_eps_exits_before_the_level_search(
+    tmp_path, monkeypatch, capsys, eps
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "solve_levels", None)  # the search must not start
+    code = cli.main(
+        ["trace", "--system", "euclidean", "--gamma", "1", "--energy", "1",
+         "--second", "0.3", "--symmetry", "X=0.1", "--closure-eps", eps,
+         "--out", "t"]
+    )
+    assert code == 2
+    assert "--closure-eps must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_manifest_records_every_integration_option(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        [
+            "trace", "--system", "sphere", "--gamma", "3/2",
+            "--energy", "0.4739364112484795", "--second", "0.3869453568468833",
+            "--symmetry", "X=-0.0054487168913519395", "--t-end", "0.01",
+            "--max-step", "0.005", "--fixed-dt", "0.001", "--out", "t",
+        ]
+    )
+    assert code == 0
+    run_args = json.loads((tmp_path / "t.manifest.json").read_text())["args"]
+    assert run_args["max_step"] == 0.005
+    assert run_args["fixed_dt"] == 0.001
+    integrate_args = {
+        "t_end", "rel_tol", "abs_tol", "max_step", "sample_dt", "fixed_dt",
+        "method", "closure_eps",
+    }
+    assert integrate_args <= set(run_args)

@@ -1,4 +1,4 @@
-"""Batched level search: levels found again, determinism, lane isolation."""
+"""Batched level search: levels found again, determinism, domain-masked batches."""
 
 import itertools
 import math
@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from superfact import (
+    DELTA_MARGIN,
     DELTA_POS,
-    DomainError,
     Family,
     NoSolution,
     PhasePoint,
     SuperfactError,
     default_box,
     domain_check,
+    domain_mask,
     gradient,
     hamiltonian,
     higher_integral,
@@ -99,7 +100,6 @@ def test_levels_found_again(family, gamma):
     found = _levels_at(spec, PhasePoint(*z))
     np.testing.assert_allclose(found, targets, rtol=1e-8, atol=1e-8)
     assert search.valid_starts == 81
-    assert search.lane_retries == 0
     start, z_ref = _reference_search(spec, targets)
     assert search.winning_start == start
     np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-10)
@@ -129,16 +129,15 @@ def test_invalid_starts_skipped(family, options):
     targets = _levels_at(spec, SEED_POINTS[family])
     z, residual, search = solve_levels(spec, "X", targets)
     assert search.valid_starts == 54
-    assert search.lane_retries == 0
     assert residual <= LEVEL_TOLERANCE
     np.testing.assert_allclose(
         _levels_at(spec, PhasePoint(*z)), targets, rtol=1e-8, atol=1e-8
     )
 
 
-@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
-def test_energy_below_floor_reports_best_residual(family):
-    spec = spec_for(family, "2")
+def _energy_below_floor(spec, family):
+    """Levels of the family's seed point with the energy moved 1 below the
+    least energy on its sector level."""
     _, i2, x = _levels_at(spec, SEED_POINTS[family])
     g = spec.gamma.value
     floor = {
@@ -146,8 +145,14 @@ def test_energy_below_floor_reports_best_residual(family):
         "sphere": g * g * i2 - 0.5,
         "ttw": 2 * g * math.sqrt(i2),
     }[family]
+    return [floor - 1.0, i2, x]
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_energy_below_floor_reports_best_residual(family):
+    spec = spec_for(family, "2")
     with pytest.raises(NoSolution, match="no phase point matches") as info:
-        solve_levels(spec, "X", [floor - 1.0, i2, x])
+        solve_levels(spec, "X", _energy_below_floor(spec, family))
     best = float(re.search(r"best residual (\S+)\)", str(info.value)).group(1))
     assert LEVEL_TOLERANCE < best < math.inf
 
@@ -165,18 +170,27 @@ def test_sector_level_below_floor_skips_search(family, second, message, monkeypa
         solve_levels(spec_for(family, "1"), "X", [12.0, second, 1.5])
 
 
-def test_singular_lane_retried_alone():
-    spec = spec_for("euclidean", "1")
-    lv = levels._Levels(spec, "X", np.zeros(3))
-    z = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.2, 0.3, 0.4], [0.5, 0.2, 0.3, 0.4]])
+@pytest.mark.parametrize("reachable", [True, False])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_search_evaluates_only_batches_inside_the_domain(family, reachable, monkeypatch):
+    spec = spec_for(family, "2")
+    inside = {"eval_batch": [], "gradient_batch": []}
 
-    def fn(obs, batch):
-        if (batch.q1 == 0).any():
-            raise DomainError("singular denominator in observable evaluation")
-        return batch.q1.real[None]
+    def checked(name):
+        run = getattr(levels, name)
 
-    out = lv._evaluate(fn, z, 1)
-    assert lv.retries == 3
-    np.testing.assert_array_equal(out[:, 0, 0], [0.1] * 3)
-    assert np.isnan(out[:, 0, 1]).all()
-    np.testing.assert_array_equal(out[:, 0, 2], [0.5] * 3)
+        def wrapper(obs, batch):
+            inside[name].append(bool(domain_mask(spec, batch, DELTA_MARGIN).all()))
+            return run(obs, batch)
+
+        return wrapper
+
+    for name in inside:
+        monkeypatch.setattr(levels, name, checked(name))
+    if reachable:
+        solve_levels(spec, "X", _levels_at(spec, SEED_POINTS[family]))
+    else:
+        with pytest.raises(NoSolution, match="best residual"):
+            solve_levels(spec, "X", _energy_below_floor(spec, family))
+    assert inside["eval_batch"] and inside["gradient_batch"]
+    assert all(inside["eval_batch"]) and all(inside["gradient_batch"])

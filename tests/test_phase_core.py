@@ -216,6 +216,8 @@ def test_gradient_batch_matches_pointwise():
         point = batch.point(i)
         assert vals[i] == pytest.approx(complex(h(point)), rel=1e-13)
         assert np.allclose(grads[:, i], gradient(h, point), rtol=1e-12, atol=1e-14)
+        duals = _partials_scalar(h.fn, [point.q1, point.q2, point.p1, point.p2])
+        assert np.allclose(grads[:, i], duals, rtol=1e-12, atol=1e-14)
 
 
 def test_eval_batch_matches_pointwise():

@@ -38,7 +38,7 @@ from superfact import (
     verify_system,
 )
 
-from _oracles import narrow_box, spec_for
+from _oracles import narrow_box, run_identity_pointwise, spec_for
 
 
 # ---------- sampling ----------
@@ -167,6 +167,60 @@ def test_run_identity_reports_pointwise_errors():
     assert result.errors and "point 1" in result.errors[0]
 
 
+def _flagged_points(result) -> list[int]:
+    return [int(e.split(":")[0].removeprefix("point ")) for e in result.errors]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize(
+    "family,gamma", [("sphere", "141/100"), ("ttw", "141/100"), ("ttw", "99/70")]
+)
+def test_one_pass_flags_what_the_pointwise_reference_flags(family, gamma, seed):
+    spec = spec_for(family, gamma)
+    points = sample_points(spec, None, 300, seed)
+    # The reference must meet each overflow itself, so it gets its own batch.
+    fresh = PhaseBatch.from_arrays(*points.arrays())
+    flagged = 0
+    for ident in build_suite(spec):
+        got = run_identity(ident, points)
+        want = run_identity_pointwise(ident, fresh)
+        assert _flagged_points(got) == _flagged_points(want), ident.label
+        assert got.max_residual == want.max_residual, ident.label
+        assert got.passed == want.passed, ident.label
+        flagged += len(got.errors)
+    assert flagged > 0
+
+
+def test_a_point_whose_scale_alone_overflows_is_flagged():
+    spec = spec_for("ttw", "141/100")
+    points = sample_points(spec, None, 1000, seed=7)
+    ident = next(i for i in build_suite(spec) if i.label == "sym.H_Xp")
+    point = points[624:625]
+    with np.errstate(all="ignore"):
+        bracket, scale = ident.lhs(point), ident.scale(point)
+        residual = np.abs(bracket) / (1.0 + np.abs(scale))
+    assert np.isfinite(bracket).all() and not np.isfinite(scale).any()
+    assert residual[0] == 0.0
+    result = run_identity(ident, points)
+    assert "point 624: scale not finite" in result.errors
+    assert not result.passed
+
+
+def test_suite_names_a_domain_error_without_raising():
+    spec = spec_for("ttw", "3/2")
+    points = sample_points(spec, None, 20, seed=2)
+    q1 = points.q1.copy()
+    q1[5] = 0.0  # r = 0: the compiled code of H meets an exact-zero divisor
+    report = run_suite(spec, None, PhaseBatch.from_arrays(q1, *points.arrays()[1:]))
+    assert not report.passed
+    errors = [e for r in report.identities for e in r.errors]
+    assert "DomainError: singular denominator in observable evaluation" in errors
+    assert report.result("comm.H_I2").errors == (
+        "DomainError: singular denominator in observable evaluation",
+    )
+    json.dumps(report.to_json_dict(), allow_nan=False)
+
+
 def test_report_json_is_deterministic_and_valid():
     jsonschema = pytest.importorskip("jsonschema")
     spec = spec_for("ttw", "3/2")
@@ -179,8 +233,8 @@ def test_report_json_is_deterministic_and_valid():
     assert d1["spec"]["gamma"] == {"m": 3, "n": 2}
 
 
-@pytest.mark.parametrize("family,gamma", [("euclidean", "3/2"), ("sphere", "7/5"), ("ttw", "17/12")])
-def test_verify_takes_each_gradient_once_per_batch(family, gamma, monkeypatch):
+def _count_gradient_runs(monkeypatch) -> collections.Counter:
+    """Count, by observable, the runs of each compiled gradient."""
     calls = collections.Counter()
     compile_once = phase._batch_code
 
@@ -194,6 +248,12 @@ def test_verify_takes_each_gradient_once_per_batch(family, gamma, monkeypatch):
         return run
 
     monkeypatch.setattr(phase, "_batch_code", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,gamma", [("euclidean", "3/2"), ("sphere", "7/5"), ("ttw", "17/12")])
+def test_verify_takes_each_gradient_once_per_batch(family, gamma, monkeypatch):
+    calls = _count_gradient_runs(monkeypatch)
     spec = spec_for(family, gamma)
     points = sample_points(spec, None, 300, seed=4)
     report = run_suite(spec, None, points)
@@ -204,6 +264,19 @@ def test_verify_takes_each_gradient_once_per_batch(family, gamma, monkeypatch):
     assert calls == suite_calls
     assert max(calls.values()) == 1
     assert hamiltonian_observable(spec) in calls
+
+
+def test_overflowing_gradients_run_once_per_suite(monkeypatch):
+    calls = _count_gradient_runs(monkeypatch)
+    spec = spec_for("ttw", "141/100")
+    points = sample_points(spec, None, 300, seed=7)
+    report = run_suite(spec, None, points)
+    assert report.result("sym.H_Xp").errors
+    suite_calls = dict(calls)
+    for which in ("with_X", "with_Y"):
+        assert independence_report(spec, points[:200], which)["non_finite"] > 0
+    assert calls == suite_calls
+    assert max(calls.values()) == 1
 
 
 _VERIFY_SCRIPT = """
