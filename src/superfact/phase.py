@@ -419,9 +419,10 @@ def gradient_batch(f: Observable, batch: PhaseBatch):
 
     Runs the array code of :func:`_batch_code` once per observable and
     batch: the result is kept on the batch, read-only, finite or not, and
-    later calls (and slices of the batch) reuse it.  Raises :class:`~superfact.errors.DomainError` at an
-    exact-zero divisor or a non-positive square-root argument anywhere in
-    the batch.  Returns ``(values (n,), grads (4, n))``.
+    later calls (and slices of the batch) reuse it.  Raises
+    :class:`~superfact.errors.DomainError` at an exact-zero divisor or a
+    non-positive square-root argument anywhere in the batch.  Returns
+    ``(values (n,), grads (4, n))``.
     """
     kept = batch._gradients.get(f)
     if kept is not None:
