@@ -505,7 +505,6 @@ def _run_integration(
     plane = getattr(args, "plane", None)
 
     breach_info = None
-    traj = None
     try:
         traj = integrate(spec, initial, t_end, controls)
     except DomainBreach as exc:
@@ -523,28 +522,8 @@ def _run_integration(
         )
         return EXIT_STEP_FAILURE
 
-    extra_cols = None
-    if traj is not None and plane:
-        extra_cols = _projection(spec, traj, plane)
-    if traj is not None:
-        header, columns = _csv_rows(spec, traj, external_angle, extra_cols)
-    else:
-        header, columns = _csv_rows(
-            spec,
-            Trajectory(
-                t=np.zeros(0),
-                states=np.zeros((0, 4)),
-                energy=np.zeros(0),
-                second=np.zeros(0),
-                sym_x=np.zeros(0),
-                sym_y=np.zeros(0),
-                spec=spec,
-                initial=initial,
-                controls=controls,
-            ),
-            external_angle,
-            None,
-        )
+    extra_cols = _projection(spec, traj, plane) if plane else None
+    header, columns = _csv_rows(spec, traj, external_angle, extra_cols)
     _write_csv(csv_path, header, columns)
 
     report: dict = {
@@ -552,16 +531,16 @@ def _run_integration(
         "initial_internal": list(initial.as_array()),
         "t_end": t_end,
         "method": controls.method,
-        "samples": len(traj) if traj is not None else 0,
+        "samples": len(traj),
         "status": "breach" if breach_info else "completed",
     }
     if report_extra:
         report.update(report_extra)
-    if traj is not None and len(traj):
+    if len(traj):
         report["drift"] = drift_report(traj).to_json_dict()
     if breach_info:
         report["breach"] = breach_info
-    if args.closure_eps is not None and breach_info is None and traj is not None:
+    if args.closure_eps is not None and breach_info is None:
         try:
             report["closure"] = detect_closure(traj, args.closure_eps).to_json_dict()
         except InsufficientSpan as exc:
@@ -571,9 +550,7 @@ def _run_integration(
     manifest_extra = {
         **(manifest_extra or {}),
         "status": report["status"],
-        "integrator": {
-            "rhs_evaluations": traj.rhs_evaluations if traj is not None else 0
-        },
+        "integrator": {"rhs_evaluations": traj.rhs_evaluations},
     }
     if breach_info:
         manifest_extra["breach"] = breach_info

@@ -337,7 +337,8 @@ def integrate(
 
     Returns the sampled :class:`Trajectory`.  Raises
     :class:`~superfact.errors.DomainBreach` (with the partial trajectory
-    attached) if the state reaches the safety margin of an open domain, and
+    attached, empty when the initial state is already inside the margin) if
+    the state reaches the safety margin of an open domain, and
     :class:`~superfact.errors.StepFailure` if the stepper gives up.
     """
     if not t_end > 0:
@@ -359,6 +360,7 @@ def integrate(
             f"initial state already inside the safety margin: {verdict.reason}",
             time=0.0,
             state=initial,
+            trajectory=_build_trajectory(spec, initial, controls, [], [], 0),
         )
 
     ts = _sample_times(t_end, sample_dt)

@@ -26,7 +26,8 @@ class DomainBreach(SuperfactError):
     """A trajectory approached the domain boundary.
 
     Carries the breach time, the last in-domain state, and the partial
-    trajectory accumulated up to the breach (when available).
+    trajectory accumulated up to the breach; :func:`~superfact.integrate`
+    attaches an empty one when the initial state already breaches.
     """
 
     def __init__(self, message, time=None, state=None, trajectory=None):

@@ -23,6 +23,13 @@ which is the combination this module returns.  The frequency-like factor
 ``E`` appearing in the spherical shifts and everywhere in TTW is kept as a
 full phase-space function (a square root of the sector integral), never as
 a frozen number, so its derivatives chain through every bracket.
+
+Each pair is written once, as a :class:`FactorPair` record
+(:func:`factor_pairs`): its two factors, its factorization
+``plus * minus + lam = target`` and its rotation rate along the flow.  The
+identity suite (:mod:`~superfact.verification`) certifies the records, and
+the pointwise :func:`ladder`, :func:`shift` and :func:`shift_ttw` evaluate
+them at a point.
 """
 
 from __future__ import annotations
@@ -33,14 +40,16 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import scalars as sc
-from .errors import PositivityError, UnsupportedError
+from .errors import UnsupportedError
 from .phase import Observable, PhasePoint
 from .systems import (
-    DELTA_POS,
     Family,
     SystemSpec,
+    _positive_sector,
     _require_in_domain,
     epsilon_observable,
+    euclid_y_sector_observable,
+    hamiltonian_observable,
     second_integral_observable,
 )
 
@@ -64,6 +73,29 @@ class TtwShift:
     a1: FactorValue
     a2: FactorValue
     pure: FactorValue
+
+
+@dataclass(frozen=True)
+class FactorPair:
+    """One conjugate pair as the construction uses it.
+
+    The pair factorizes a sector, ``plus * minus + lam = target`` (``lam``
+    None stands for 0), and rotates along the flow:
+    ``{H, plus} = rate * plus`` and ``{H, minus} = -rate * minus``, where
+    ``rate = rate_factor * rate_obs`` (``rate_obs`` None stands for 1).
+    ``name`` is the pair's symbol (``B``, ``A``, ``a1``, ``a2``) and
+    ``role`` the factorization it performs (``ladder``, ``shift``,
+    ``shift1``, ``shift2``, ``pure_shift``).
+    """
+
+    name: str
+    role: str
+    plus: Observable
+    minus: Observable
+    lam: Observable | None
+    target: Observable
+    rate_factor: complex
+    rate_obs: Observable | None
 
 
 @dataclass(frozen=True)
@@ -208,22 +240,108 @@ def ttw_shift_observables(spec: SystemSpec) -> MappingProxyType:
 
 
 @functools.lru_cache(maxsize=64)
+def factor_pairs(spec: SystemSpec) -> MappingProxyType:
+    """Every conjugate pair of the family as a :class:`FactorPair`, keyed by
+    name in the order the suite certifies them: ``B`` and ``A`` on the plane
+    and the sphere; ``B``, ``a1``, ``a2`` and ``A`` for TTW.  The mapping is
+    read-only and shared per spec.  For ``gamma = m/n`` the rates of the
+    factors of ``X+`` cancel: ``n * rate(B) + m * rate(A) = 0``, with the
+    sign of ``rate(A)`` flipped for TTW, whose ``X+`` takes ``A-``."""
+    w = spec.omega
+    g = spec.gamma.value
+    fam = spec.family
+    i2 = second_integral_observable(spec)
+    sector = i2.fn
+    bp, bm = ladder_observables(spec)
+    if fam is Family.EUCLIDEAN:
+        ap, am = shift_observables(spec)
+        hy = euclid_y_sector_observable(spec)
+        pairs = (
+            FactorPair("B", "ladder", bp, bm, None, i2, -1j * g * w, None),
+            FactorPair("A", "shift", ap, am, None, hy, 1j * w, None),
+        )
+    elif fam is Family.SPHERE:
+        ap, am = shift_observables(spec)
+        eps_fn = epsilon_observable(spec).fn
+
+        def angular(q1, q2, p1, p2):
+            c = sc.cos(q2)
+            return eps_fn(q1, q2, p1, p2) / (c * c)
+
+        def lam_b(q1, q2, p1, p2):
+            return -sector(q1, q2, p1, p2)
+
+        def lam_a(q1, q2, p1, p2):
+            return (2 * g * g * sector(q1, q2, p1, p2) - w * w) / 2
+
+        rate = Observable(angular, "E/cos^2(y)")
+        pairs = (
+            FactorPair("B", "ladder", bp, bm, Observable(lam_b, "-Hxi"),
+                       sphere_ladder_target_observable(spec), -1j * g * g, rate),
+            FactorPair("A", "shift", ap, am, Observable(lam_a, "lam_A"),
+                       hamiltonian_observable(spec), 1j * g, rate),
+        )
+    else:
+        a2b2 = spec.alpha * spec.alpha + spec.beta * spec.beta
+        d = spec.beta * spec.beta - spec.alpha * spec.alpha
+        h = hamiltonian_observable(spec)
+        h_fn = h.fn
+        eps_fn = epsilon_observable(spec).fn
+        shifts = ttw_shift_observables(spec)
+
+        def radial(q1, q2, p1, p2):
+            return eps_fn(q1, q2, p1, p2) / (q1 * q1)
+
+        def lam_b(q1, q2, p1, p2):
+            return 2 * a2b2 - (d * d) / sector(q1, q2, p1, p2)
+
+        def lam_a1(q1, q2, p1, p2):
+            return 2 * w * g * eps_fn(q1, q2, p1, p2)
+
+        def lam_a2(q1, q2, p1, p2):
+            return -2 * w * g * eps_fn(q1, q2, p1, p2)
+
+        def rate_a1(q1, q2, p1, p2):
+            return w + g * radial(q1, q2, p1, p2)
+
+        def rate_a2(q1, q2, p1, p2):
+            return w - g * radial(q1, q2, p1, p2)
+
+        def pure_target(q1, q2, p1, p2):
+            hv = h_fn(q1, q2, p1, p2)
+            return hv * hv - 4 * w * w * g * g * sector(q1, q2, p1, p2)
+
+        rate = Observable(radial, "E/r^2")
+        pairs = (
+            FactorPair("B", "ladder", bp, bm, Observable(lam_b, "lam_B"), i2,
+                       -4j * g * g, rate),
+            FactorPair("a1", "shift1", shifts["a1+"], shifts["a1-"],
+                       Observable(lam_a1, "lam_a1"), h,
+                       -2j, Observable(rate_a1, "w+gE/r^2")),
+            FactorPair("a2", "shift2", shifts["a2+"], shifts["a2-"],
+                       Observable(lam_a2, "lam_a2"), h,
+                       -2j, Observable(rate_a2, "w-gE/r^2")),
+            # The pure pair has no additive constant: its product is
+            # H^2 - 4 omega^2 gamma^2 Htheta.
+            FactorPair("A", "pure_shift", shifts["A+"], shifts["A-"], None,
+                       Observable(pure_target, "H^2-4w^2g^2Htheta"), -4j * g, rate),
+        )
+    return MappingProxyType({pair.name: pair for pair in pairs})
+
+
+@functools.lru_cache(maxsize=64)
 def higher_integral_observables(spec: SystemSpec):
     """``(X+, X-, X, Y)`` as observables; ``X`` and ``Y`` are real at real
     points (their tiny imaginary residue is an arithmetic identity, not an
     approximation, because the minus factors mirror the plus ones exactly)."""
     m, n = spec.gamma.m, spec.gamma.n
-    bp, bm = ladder_observables(spec)
+    pairs = factor_pairs(spec)
+    ladder_pair, shift_pair = pairs["B"], pairs["A"]
+    bpf, bmf = ladder_pair.plus.fn, ladder_pair.minus.fn
+    apf, amf = shift_pair.plus.fn, shift_pair.minus.fn
     if spec.family is Family.TTW:
-        shifts = ttw_shift_observables(spec)
         # Phase cancellation pairs the plus ladder with the minus pure shift.
-        ap_for_plus, am_for_minus = shifts["A-"], shifts["A+"]
-    else:
-        a_plus, a_minus = shift_observables(spec)
-        ap_for_plus, am_for_minus = a_plus, a_minus
-
-    bpf, bmf = bp.fn, bm.fn
-    apf, amf = ap_for_plus.fn, am_for_minus.fn
+        apf, amf = amf, apf
 
     def xp(q1, q2, p1, p2):
         return sc.ipow(bpf(q1, q2, p1, p2), n) * sc.ipow(apf(q1, q2, p1, p2), m)
@@ -245,74 +363,44 @@ def higher_integral_observables(spec: SystemSpec):
 # ---------- pointwise operations ----------
 
 
-def _positive_sector(spec: SystemSpec, point: PhasePoint) -> float:
-    obs = second_integral_observable(spec)
-    i2 = obs(point).real
-    if i2 <= DELTA_POS:
-        raise PositivityError(
-            f"{obs.label} = {i2:.3g} <= {DELTA_POS:g}; factor functions undefined"
-        )
-    return i2
+def _require_factor_domain(spec: SystemSpec, point: PhasePoint) -> None:
+    _require_in_domain(spec, point)
+    if spec.family is not Family.EUCLIDEAN:
+        _positive_sector(spec, point)
+
+
+def _pair_value(pair: FactorPair, point: PhasePoint) -> FactorValue:
+    lam = 0.0 if pair.lam is None else pair.lam(point).real
+    return FactorValue(pair.plus(point), pair.minus(point), lam)
 
 
 def ladder(spec: SystemSpec, point: PhasePoint) -> FactorValue:
-    """Evaluate the ladder pair and its factorization constant at a point.
-
-    Constants by family: 0 (flat); ``-Hxi`` (sphere, factorizing the constant
-    sector combination); for TTW the value that completes the product
-    identity ``Htheta = B+ B- + lam``.
-    """
-    _require_in_domain(spec, point)
-    bp, bm = ladder_observables(spec)
-    fam = spec.family
-    if fam is Family.EUCLIDEAN:
-        lam = 0.0
-    else:
-        i2 = _positive_sector(spec, point)
-        if fam is Family.SPHERE:
-            lam = -i2
-        else:
-            d = spec.beta * spec.beta - spec.alpha * spec.alpha
-            lam = 2 * (spec.alpha * spec.alpha + spec.beta * spec.beta) - d * d / i2
-    return FactorValue(bp(point), bm(point), lam)
+    """Evaluate the ladder pair and its factorization constant at a point
+    (the record ``factor_pairs(spec)["B"]``)."""
+    _require_factor_domain(spec, point)
+    return _pair_value(factor_pairs(spec)["B"], point)
 
 
 def shift(spec: SystemSpec, point: PhasePoint) -> FactorValue:
     """Evaluate the shift pair for the flat or spherical family."""
     if spec.family is Family.TTW:
         raise UnsupportedError("ttw shifts are mixed; call shift_ttw instead")
-    _require_in_domain(spec, point)
-    ap, am = shift_observables(spec)
-    if spec.family is Family.EUCLIDEAN:
-        lam = 0.0
-    else:
-        i2 = _positive_sector(spec, point)
-        g = spec.gamma.value
-        lam = (g * g * 2 * i2 - spec.omega * spec.omega) / 2
-    return FactorValue(ap(point), am(point), lam)
+    _require_factor_domain(spec, point)
+    return _pair_value(factor_pairs(spec)["A"], point)
 
 
 def shift_ttw(spec: SystemSpec, point: PhasePoint) -> TtwShift:
     """Evaluate the mixed and pure TTW shift pairs at a point."""
     if spec.family is not Family.TTW:
         raise UnsupportedError("shift_ttw applies to the ttw family only")
-    _require_in_domain(spec, point)
-    i2 = _positive_sector(spec, point)
-    e = math.sqrt(i2)
-    obs = ttw_shift_observables(spec)
-    lam1 = 2 * spec.omega * spec.gamma.value * e
-    a1 = FactorValue(obs["a1+"](point), obs["a1-"](point), lam1)
-    a2 = FactorValue(obs["a2+"](point), obs["a2-"](point), -lam1)
-    # The pure pair has no additive factorization constant of its own.
-    pure = FactorValue(obs["A+"](point), obs["A-"](point), 0.0)
-    return TtwShift(a1, a2, pure)
+    _require_factor_domain(spec, point)
+    pairs = factor_pairs(spec)
+    return TtwShift(*(_pair_value(pairs[name], point) for name in ("a1", "a2", "A")))
 
 
 def higher_integral(spec: SystemSpec, point: PhasePoint) -> IntegralPair:
     """Evaluate the conjugate constants of motion and their real parts."""
-    _require_in_domain(spec, point)
-    if spec.family is not Family.EUCLIDEAN:
-        _positive_sector(spec, point)
+    _require_factor_domain(spec, point)
     xp_obs, xm_obs, _, _ = higher_integral_observables(spec)
     xp = xp_obs(point)
     xm = xm_obs(point)

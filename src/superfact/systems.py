@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import scalars as sc
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, PositivityError, UnsupportedError
 from .phase import Observable, PhaseBatch, PhasePoint, eval_batch
 
 #: Default distance kept from coordinate singularities when sampling (rad).
@@ -447,17 +447,24 @@ def second_integral(spec: SystemSpec, point: PhasePoint) -> float:
     return _eval_real(second_integral_observable(spec), point)
 
 
+def _positive_sector(spec: SystemSpec, point: PhasePoint) -> None:
+    """The one positivity guard of the pointwise API: the sector integral
+    under every square root must exceed :data:`DELTA_POS`."""
+    obs = second_integral_observable(spec)
+    i2 = _eval_real(obs, point)
+    if i2 <= DELTA_POS:
+        raise PositivityError(
+            f"{obs.label} = {i2:.3g} <= {DELTA_POS:g}; "
+            "E and the factor functions undefined"
+        )
+
+
 def epsilon(spec: SystemSpec, point: PhasePoint) -> float:
     """Positive square root of the (doubled, on the sphere) sector integral."""
-    if spec.family is Family.EUCLIDEAN:
-        raise UnsupportedError("epsilon is not defined for the euclidean family")
+    obs = epsilon_observable(spec)
     _require_in_domain(spec, point)
-    i2 = _eval_real(second_integral_observable(spec), point)
-    if i2 <= DELTA_POS:
-        raise DomainError(f"sector integral {i2:.3g} <= {DELTA_POS:g}")
-    if spec.family is Family.SPHERE:
-        return math.sqrt(2 * i2)
-    return math.sqrt(i2)
+    _positive_sector(spec, point)
+    return _eval_real(obs, point)
 
 
 def higgs_potential_identity(x, y):

@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import scalars as sc
 from .errors import SamplerExhausted, SuperfactError, UnsupportedError
 from .phase import (
     RANK_TOL,
@@ -36,13 +35,7 @@ from .phase import (
     gradient_batch,
     gradient_ranks,
 )
-from .factorization import (
-    higher_integral_observables,
-    ladder_observables,
-    shift_observables,
-    sphere_ladder_target_observable,
-    ttw_shift_observables,
-)
+from .factorization import FactorPair, factor_pairs, higher_integral_observables
 from .systems import (
     DomainBox,
     Family,
@@ -277,16 +270,11 @@ def _bracket_scale(f: Observable, g: Observable):
     return lambda batch: bracket_batch_with_scale(f, g, batch)[1].astype(np.complex128)
 
 
-def _prod_vals(f: Observable, g: Observable):
-    return lambda batch: eval_batch(f, batch) * eval_batch(g, batch)
-
-
-def _scaled_vals(coeff: complex, obs: Observable):
-    return lambda batch: coeff * eval_batch(obs, batch)
-
-
-def _coeff_times(coeff_obs: Observable, factor: complex, obs: Observable):
-    return lambda batch: factor * eval_batch(coeff_obs, batch) * eval_batch(obs, batch)
+def _scaled(factor: complex, coeff: Observable | None, obs: Observable):
+    """``factor * coeff * obs`` over a batch; ``coeff`` None stands for 1."""
+    if coeff is None:
+        return lambda batch: factor * eval_batch(obs, batch)
+    return lambda batch: factor * eval_batch(coeff, batch) * eval_batch(obs, batch)
 
 
 def _conservation(label: str, h: Observable, q: Observable, tol: float) -> IdentitySpec:
@@ -321,81 +309,89 @@ def _symmetry_identities(spec: SystemSpec) -> list[IdentitySpec]:
     ]
 
 
-def _euclidean_suite(spec: SystemSpec) -> list[IdentitySpec]:
+def _factored(pair: FactorPair):
+    def lhs(batch):
+        product = eval_batch(pair.plus, batch) * eval_batch(pair.minus, batch)
+        return product if pair.lam is None else product + eval_batch(pair.lam, batch)
+
+    return lhs
+
+
+def _pair_identities(spec: SystemSpec):
+    """The identities every conjugate pair of :func:`factor_pairs` states,
+    as three lists in pair order: its factorization (``fact.<role>``), its
+    two rotations along the flow (``bracket.H_<name>p``, ``..m``) and its
+    conjugacy at real points (``conj.<name>``)."""
+    h = hamiltonian_observable(spec)
+    algebraic = spec.family is Family.EUCLIDEAN
+    tol_fact = TOL_POLY if algebraic else TOL_ROOT
+    tol_rate = TOL_POLY if algebraic else TOL_CHAIN
+    facts, rates, conjs = [], [], []
+    for pair in factor_pairs(spec).values():
+        p, m = pair.plus, pair.minus
+        facts.append(
+            IdentitySpec(
+                f"fact.{pair.role}", _factored(pair), _vals(pair.target), tol_fact
+            )
+        )
+        factor, coeff = pair.rate_factor, pair.rate_obs
+        rates += [
+            IdentitySpec(f"bracket.H_{pair.name}p", _bracket(h, p),
+                         _scaled(factor, coeff, p), tol_rate),
+            IdentitySpec(f"bracket.H_{pair.name}m", _bracket(h, m),
+                         _scaled(-factor, coeff, m), tol_rate),
+        ]
+        conjs.append(IdentitySpec(f"conj.{pair.name}", _vals(m), _conj_vals(p), tol_fact))
+    return facts, rates, conjs
+
+
+def _euclidean_suite(spec: SystemSpec, facts, rates, conjs) -> list[IdentitySpec]:
     w = spec.omega
     g = spec.gamma.value
     h = hamiltonian_observable(spec)
     i2 = second_integral_observable(spec)
     hy = euclid_y_sector_observable(spec)
-    bp, bm = ladder_observables(spec)
-    ap, am = shift_observables(spec)
+    pairs = factor_pairs(spec)
+    bp, bm = pairs["B"].plus, pairs["B"].minus
+    ap, am = pairs["A"].plus, pairs["A"].minus
 
     def h_from_sectors(batch):
         return eval_batch(hy, batch) + (g * g) * eval_batch(i2, batch)
 
-    ident = [
-        IdentitySpec("fact.ladder", _prod_vals(bp, bm), _vals(i2), TOL_POLY),
-        IdentitySpec("fact.shift", _prod_vals(ap, am), _vals(hy), TOL_POLY),
+    return [
+        *facts,
         IdentitySpec("decomp.H", _vals(h), h_from_sectors, TOL_POLY),
         IdentitySpec(
-            "bracket.Hxi_Bp", _bracket(i2, bp), _scaled_vals(-1j * w / g, bp), TOL_POLY
+            "bracket.Hxi_Bp", _bracket(i2, bp), _scaled(-1j * w / g, None, bp), TOL_POLY
         ),
         IdentitySpec(
-            "bracket.Hxi_Bm", _bracket(i2, bm), _scaled_vals(1j * w / g, bm), TOL_POLY
+            "bracket.Hxi_Bm", _bracket(i2, bm), _scaled(1j * w / g, None, bm), TOL_POLY
         ),
         IdentitySpec("bracket.Bm_Bp", _bracket(bm, bp), _const(-1j * w / g), TOL_POLY),
         IdentitySpec(
-            "bracket.Hy_Ap", _bracket(hy, ap), _scaled_vals(1j * w, ap), TOL_POLY
+            "bracket.Hy_Ap", _bracket(hy, ap), _scaled(1j * w, None, ap), TOL_POLY
         ),
         IdentitySpec(
-            "bracket.Hy_Am", _bracket(hy, am), _scaled_vals(-1j * w, am), TOL_POLY
+            "bracket.Hy_Am", _bracket(hy, am), _scaled(-1j * w, None, am), TOL_POLY
         ),
         IdentitySpec("bracket.Am_Ap", _bracket(am, ap), _const(1j * w), TOL_POLY),
-        IdentitySpec(
-            "bracket.H_Bp", _bracket(h, bp), _scaled_vals(-1j * g * w, bp), TOL_POLY
-        ),
-        IdentitySpec(
-            "bracket.H_Bm", _bracket(h, bm), _scaled_vals(1j * g * w, bm), TOL_POLY
-        ),
-        IdentitySpec(
-            "bracket.H_Ap", _bracket(h, ap), _scaled_vals(1j * w, ap), TOL_POLY
-        ),
-        IdentitySpec(
-            "bracket.H_Am", _bracket(h, am), _scaled_vals(-1j * w, am), TOL_POLY
-        ),
+        *rates,
         _conservation("comm.H_I2", h, i2, TOL_POLY),
         _conservation("comm.H_Hy", h, hy, TOL_POLY),
-        IdentitySpec("conj.B", _vals(bm), _conj_vals(bp), TOL_POLY),
-        IdentitySpec("conj.A", _vals(am), _conj_vals(ap), TOL_POLY),
+        *conjs,
     ]
-    ident.extend(_symmetry_identities(spec))
-    ident.extend(_conjugacy_and_reality(spec))
-    return ident
 
 
-def _sphere_suite(spec: SystemSpec) -> list[IdentitySpec]:
+def _sphere_suite(spec: SystemSpec, facts, rates, conjs) -> list[IdentitySpec]:
     w = spec.omega
     g = spec.gamma.value
     h = hamiltonian_observable(spec)
     i2 = second_integral_observable(spec)
-    target = sphere_ladder_target_observable(spec)
     eps_obs = epsilon_observable(spec)
-    bp, bm = ladder_observables(spec)
-    ap, am = shift_observables(spec)
-    eps_fn = eps_obs.fn
-
-    def angular_coeff_fn(q1, q2, p1, p2):
-        c = sc.cos(q2)
-        return eps_fn(q1, q2, p1, p2) / (c * c)
-
-    coeff = Observable(angular_coeff_fn)  # E / cos^2(q2)
-
-    def ladder_product(batch):
-        return eval_batch(bp, batch) * eval_batch(bm, batch) - eval_batch(i2, batch)
-
-    def shift_product(batch):
-        lam = (2 * g * g * eval_batch(i2, batch) - w * w) / 2
-        return eval_batch(ap, batch) * eval_batch(am, batch) + lam
+    pairs = factor_pairs(spec)
+    ladder_pair, shift_pair = pairs["B"], pairs["A"]
+    bp, bm = ladder_pair.plus, ladder_pair.minus
+    ap, am = shift_pair.plus, shift_pair.minus
 
     def higgs_side(k):
         return lambda batch: higgs_potential_identity(batch.q1, batch.q2)[k]
@@ -408,27 +404,21 @@ def _sphere_suite(spec: SystemSpec) -> list[IdentitySpec]:
             - w * w / 2
         )
 
-    ident = [
-        IdentitySpec("fact.ladder", ladder_product, _vals(target), TOL_ROOT),
+    return [
+        facts[0],
         IdentitySpec(
             "const.ladder_target",
-            _vals(target),
+            _vals(ladder_pair.target),
             _const(-w * w / (2 * g * g)),
             TOL_POLY,
         ),
-        IdentitySpec("fact.shift", shift_product, _vals(h), TOL_ROOT),
+        facts[1],
         IdentitySpec("decomp.H", _vals(h), h_from_sectors, TOL_POLY),
         IdentitySpec(
-            "bracket.Hxi_Bp",
-            _bracket(i2, bp),
-            _coeff_times(eps_obs, -1j, bp),
-            TOL_ROOT,
+            "bracket.Hxi_Bp", _bracket(i2, bp), _scaled(-1j, eps_obs, bp), TOL_ROOT
         ),
         IdentitySpec(
-            "bracket.Hxi_Bm",
-            _bracket(i2, bm),
-            _coeff_times(eps_obs, 1j, bm),
-            TOL_ROOT,
+            "bracket.Hxi_Bm", _bracket(i2, bm), _scaled(1j, eps_obs, bm), TOL_ROOT
         ),
         IdentitySpec(
             "bracket.Bm_Bp",
@@ -436,83 +426,29 @@ def _sphere_suite(spec: SystemSpec) -> list[IdentitySpec]:
             lambda batch: -1j * eval_batch(eps_obs, batch),
             TOL_ROOT,
         ),
-        IdentitySpec(
-            "bracket.H_Bp",
-            _bracket(h, bp),
-            _coeff_times(coeff, -1j * g * g, bp),
-            TOL_CHAIN,
-        ),
-        IdentitySpec(
-            "bracket.H_Bm",
-            _bracket(h, bm),
-            _coeff_times(coeff, 1j * g * g, bm),
-            TOL_CHAIN,
-        ),
-        IdentitySpec(
-            "bracket.H_Ap", _bracket(h, ap), _coeff_times(coeff, 1j * g, ap), TOL_CHAIN
-        ),
-        IdentitySpec(
-            "bracket.H_Am", _bracket(h, am), _coeff_times(coeff, -1j * g, am), TOL_CHAIN
-        ),
+        *rates,
         IdentitySpec(
             "bracket.Am_Ap",
             _bracket(am, ap),
-            lambda batch: 1j * g * eval_batch(coeff, batch),
+            lambda batch: 1j * g * eval_batch(shift_pair.rate_obs, batch),
             TOL_CHAIN,
         ),
         _conservation("comm.H_I2", h, i2, TOL_POLY),
-        IdentitySpec("conj.B", _vals(bm), _conj_vals(bp), TOL_ROOT),
-        IdentitySpec("conj.A", _vals(am), _conj_vals(ap), TOL_ROOT),
+        *conjs,
         IdentitySpec("higgs.potential", higgs_side(0), higgs_side(1), TOL_POLY),
     ]
-    ident.extend(_symmetry_identities(spec))
-    ident.extend(_conjugacy_and_reality(spec))
-    return ident
 
 
-def _ttw_suite(spec: SystemSpec) -> list[IdentitySpec]:
+def _ttw_suite(spec: SystemSpec, facts, rates, conjs) -> list[IdentitySpec]:
     w = spec.omega
     g = spec.gamma.value
-    a2b2 = spec.alpha * spec.alpha + spec.beta * spec.beta
     d = spec.beta * spec.beta - spec.alpha * spec.alpha
     h = hamiltonian_observable(spec)
     i2 = second_integral_observable(spec)
     eps_obs = epsilon_observable(spec)
-    bp, bm = ladder_observables(spec)
-    shifts = ttw_shift_observables(spec)
-    a1p, a1m = shifts["a1+"], shifts["a1-"]
-    a2p, a2m = shifts["a2+"], shifts["a2-"]
-    pp, pm = shifts["A+"], shifts["A-"]
-    eps_fn = eps_obs.fn
-
-    def radial_coeff_fn(q1, q2, p1, p2):
-        return eps_fn(q1, q2, p1, p2) / (q1 * q1)
-
-    coeff = Observable(radial_coeff_fn)  # E / r^2
-
-    def mixed_coeff(sign: float, factor_obs: Observable, scale: complex):
-        def rhs(batch):
-            freq = w + sign * g * eval_batch(coeff, batch)
-            return scale * freq * eval_batch(factor_obs, batch)
-
-        return rhs
-
-    def ladder_product(batch):
-        i2v = eval_batch(i2, batch)
-        lam = 2 * a2b2 - (d * d) / i2v
-        return eval_batch(bp, batch) * eval_batch(bm, batch) + lam
-
-    def shift1_product(batch):
-        lam = 2 * w * g * eval_batch(eps_obs, batch)
-        return eval_batch(a1p, batch) * eval_batch(a1m, batch) + lam
-
-    def shift2_product(batch):
-        lam = -2 * w * g * eval_batch(eps_obs, batch)
-        return eval_batch(a2p, batch) * eval_batch(a2m, batch) + lam
-
-    def pure_product_rhs(batch):
-        hv = eval_batch(h, batch)
-        return hv * hv - 4 * w * w * g * g * eval_batch(i2, batch)
+    pairs = factor_pairs(spec)
+    bp, bm = pairs["B"].plus, pairs["B"].minus
+    pure = pairs["A"]
 
     def bmbp_rhs(batch):
         i2v = eval_batch(i2, batch)
@@ -526,83 +462,45 @@ def _ttw_suite(spec: SystemSpec) -> list[IdentitySpec]:
             + (g * g) * eval_batch(i2, batch) / (q1 * q1)
         )
 
-    ident = [
-        IdentitySpec("fact.ladder", ladder_product, _vals(i2), TOL_ROOT),
-        IdentitySpec("fact.shift1", shift1_product, _vals(h), TOL_ROOT),
-        IdentitySpec("fact.shift2", shift2_product, _vals(h), TOL_ROOT),
-        IdentitySpec(
-            "fact.pure_shift", _prod_vals(pp, pm), pure_product_rhs, TOL_ROOT
-        ),
+    return [
+        *facts,
         IdentitySpec("decomp.H", _vals(h), h_from_sectors, TOL_POLY),
         IdentitySpec(
-            "bracket.Htheta_Bp",
-            _bracket(i2, bp),
-            _coeff_times(eps_obs, -4j, bp),
-            TOL_ROOT,
+            "bracket.Htheta_Bp", _bracket(i2, bp), _scaled(-4j, eps_obs, bp), TOL_ROOT
         ),
         IdentitySpec(
-            "bracket.Htheta_Bm",
-            _bracket(i2, bm),
-            _coeff_times(eps_obs, 4j, bm),
-            TOL_ROOT,
+            "bracket.Htheta_Bm", _bracket(i2, bm), _scaled(4j, eps_obs, bm), TOL_ROOT
         ),
         IdentitySpec("bracket.Bm_Bp", _bracket(bm, bp), bmbp_rhs, TOL_ROOT),
-        IdentitySpec(
-            "bracket.H_Bp", _bracket(h, bp), _coeff_times(coeff, -4j * g * g, bp),
-            TOL_CHAIN,
-        ),
-        IdentitySpec(
-            "bracket.H_Bm", _bracket(h, bm), _coeff_times(coeff, 4j * g * g, bm),
-            TOL_CHAIN,
-        ),
-        IdentitySpec(
-            "bracket.H_a1p", _bracket(h, a1p), mixed_coeff(1.0, a1p, -2j), TOL_CHAIN
-        ),
-        IdentitySpec(
-            "bracket.H_a1m", _bracket(h, a1m), mixed_coeff(1.0, a1m, 2j), TOL_CHAIN
-        ),
-        IdentitySpec(
-            "bracket.H_a2p", _bracket(h, a2p), mixed_coeff(-1.0, a2p, -2j), TOL_CHAIN
-        ),
-        IdentitySpec(
-            "bracket.H_a2m", _bracket(h, a2m), mixed_coeff(-1.0, a2m, 2j), TOL_CHAIN
-        ),
-        IdentitySpec(
-            "bracket.H_Ap", _bracket(h, pp), _coeff_times(coeff, -4j * g, pp),
-            TOL_CHAIN,
-        ),
-        IdentitySpec(
-            "bracket.H_Am", _bracket(h, pm), _coeff_times(coeff, 4j * g, pm),
-            TOL_CHAIN,
-        ),
+        *rates,
         IdentitySpec(
             "bracket.Am_Ap",
-            _bracket(pm, pp),
+            _bracket(pure.minus, pure.plus),
             lambda batch: -8j
             * g
-            * eval_batch(coeff, batch)
+            * eval_batch(pure.rate_obs, batch)
             * eval_batch(h, batch),
             TOL_CHAIN,
         ),
         _conservation("comm.H_I2", h, i2, TOL_POLY),
-        IdentitySpec("conj.B", _vals(bm), _conj_vals(bp), TOL_ROOT),
-        IdentitySpec("conj.a1", _vals(a1m), _conj_vals(a1p), TOL_ROOT),
-        IdentitySpec("conj.a2", _vals(a2m), _conj_vals(a2p), TOL_ROOT),
-        IdentitySpec("conj.A", _vals(pm), _conj_vals(pp), TOL_ROOT),
+        *conjs,
     ]
-    ident.extend(_symmetry_identities(spec))
-    ident.extend(_conjugacy_and_reality(spec))
-    return ident
+
+
+_FAMILY_SUITES = {
+    Family.EUCLIDEAN: _euclidean_suite,
+    Family.SPHERE: _sphere_suite,
+    Family.TTW: _ttw_suite,
+}
 
 
 def build_suite(spec: SystemSpec) -> tuple[IdentitySpec, ...]:
-    """All identities certifying the factorization story of one system."""
-    if spec.family is Family.EUCLIDEAN:
-        suite = _euclidean_suite(spec)
-    elif spec.family is Family.SPHERE:
-        suite = _sphere_suite(spec)
-    else:
-        suite = _ttw_suite(spec)
+    """All identities certifying the factorization story of one system:
+    the identities of every factor pair, placed among the family's own,
+    then the symmetries and the reality of ``X`` and ``Y``."""
+    suite = _FAMILY_SUITES[spec.family](spec, *_pair_identities(spec))
+    suite.extend(_symmetry_identities(spec))
+    suite.extend(_conjugacy_and_reality(spec))
     return tuple(suite)
 
 

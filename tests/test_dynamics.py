@@ -276,7 +276,11 @@ def test_immediate_breach():
     breach = exc_info.value
     assert breach.time == 0.0
     assert breach.state == hot
-    assert breach.trajectory is None
+    traj = breach.trajectory
+    assert len(traj) == 0
+    assert traj.states.shape == (0, 4)
+    assert traj.initial == hot
+    assert traj.rhs_evaluations == 0
 
 
 def test_midrun_breach_adaptive():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from superfact import (
@@ -12,6 +13,8 @@ from superfact import (
     RationalGamma,
     SystemSpec,
     UnsupportedError,
+    eval_batch,
+    factor_pairs,
     hamiltonian,
     higher_integral,
     higher_integral_observables,
@@ -195,6 +198,34 @@ def test_conjugacy_at_real_points(family, gamma):
             vp, vm = obs_p(pt), obs_m(pt)
             scale = 1.0 + abs(vp)
             assert abs(vm - vp.conjugate()) <= 1e-15 * scale, (obs_p.label, obs_m.label)
+
+
+# ---------- phase cancellation ----------
+
+
+def _rate(pair, batch):
+    if pair.rate_obs is None:
+        return np.full(len(batch), pair.rate_factor)
+    return pair.rate_factor * eval_batch(pair.rate_obs, batch)
+
+
+@pytest.mark.parametrize("gamma", ["1", "3/2", "7/5", "17/12"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_phase_rates_cancel(family, gamma):
+    """The rates the records carry cancel in X+ = (B+)^n (A')^m, where A' is
+    A+ on the plane and the sphere and A- for TTW."""
+    spec = spec_for(family, gamma)
+    m, n = spec.gamma.m, spec.gamma.n
+    pairs = factor_pairs(spec)
+    batch = sample_points(spec, None, 200, seed=31)
+    rate_b = _rate(pairs["B"], batch)
+    rate_a = _rate(pairs["A"], batch)
+    if spec.family is Family.TTW:
+        rate_a = -rate_a
+    total = n * rate_b + m * rate_a
+    scale = n * np.abs(rate_b) + m * np.abs(rate_a)
+    assert np.all(scale > 0)
+    assert np.all(np.abs(total) <= 1e-12 * scale)
 
 
 # ---------- unit frequency ratio reductions ----------

@@ -16,6 +16,7 @@ from superfact import (
     Observable,
     PhaseBatch,
     PhasePoint,
+    PositivityError,
     RationalGamma,
     SystemSpec,
     UnsupportedError,
@@ -230,6 +231,8 @@ def test_epsilon_values_and_guards():
     # near-zero sector integral: frequency-like root undefined
     tiny = SystemSpec(Family.SPHERE, 1e-6, RationalGamma(1))
     with pytest.raises(DomainError):
+        epsilon(tiny, PhasePoint(0, 0, 0, 0))
+    with pytest.raises(PositivityError):  # the guard that ladder and shift use
         epsilon(tiny, PhasePoint(0, 0, 0, 0))
 
 
