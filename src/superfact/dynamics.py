@@ -43,6 +43,7 @@ _FIXED_POINT_TOL = 1e-13
 _FIXED_POINT_MAX_ITER = 50
 
 METHODS = ("dop853", "midpoint")
+MAX_SAMPLE_INTERVALS = 1_000_000  # a finer grid is refused before any allocation
 
 
 # ---------- configuration and result containers ----------
@@ -209,7 +210,13 @@ def _breach_events(spec: SystemSpec, margin: float):
 
 
 def _sample_times(t_end: float, sample_dt: float) -> np.ndarray:
-    n = int(math.floor(t_end / sample_dt + 1e-9))
+    steps = t_end / sample_dt
+    if not steps <= MAX_SAMPLE_INTERVALS:
+        raise ValueError(
+            f"t_end / sample_dt = {steps:.6g} is above the limit of "
+            f"{MAX_SAMPLE_INTERVALS} sample intervals"
+        )
+    n = int(math.floor(steps + 1e-9))
     ts = np.arange(n + 1, dtype=float) * sample_dt
     if ts[-1] < t_end * (1.0 - 1e-12):
         ts = np.append(ts, t_end)

@@ -25,11 +25,13 @@ full phase-space function (a square root of the sector integral), never as
 a frozen number, so its derivatives chain through every bracket.
 
 Each pair is written once, as a :class:`FactorPair` record
-(:func:`factor_pairs`): its two factors, its factorization
-``plus * minus + lam = target`` and its rotation rate along the flow.  The
-identity suite (:mod:`~superfact.verification`) certifies the records, and
-the pointwise :func:`ladder`, :func:`shift` and :func:`shift_ttw` evaluate
-them at a point.
+(:func:`factor_pairs`) holding its whole algebra: its two factors, its
+factorization ``plus * minus + lam = target`` (and the constant the target
+equals, where it is one), its rotation along the flow, its rotation under
+its sector integral and the mutual bracket ``{minus, plus}``.  The identity
+suite (:mod:`~superfact.verification`) generates every pair identity from
+the records, and the pointwise :func:`ladder`, :func:`shift` and
+:func:`shift_ttw` evaluate them at a point.
 """
 
 from __future__ import annotations
@@ -76,13 +78,31 @@ class TtwShift:
 
 
 @dataclass(frozen=True)
-class FactorPair:
-    """One conjugate pair as the construction uses it.
+class Coefficient:
+    """``factor`` times the values of ``observables``, multiplied left to
+    right; with no observables it is the constant ``factor``."""
 
-    The pair factorizes a sector, ``plus * minus + lam = target`` (``lam``
-    None stands for 0), and rotates along the flow:
-    ``{H, plus} = rate * plus`` and ``{H, minus} = -rate * minus``, where
-    ``rate = rate_factor * rate_obs`` (``rate_obs`` None stands for 1).
+    factor: complex
+    observables: tuple[Observable, ...] = ()
+
+    def __neg__(self) -> "Coefficient":
+        return Coefficient(-self.factor, self.observables)
+
+
+@dataclass(frozen=True)
+class FactorPair:
+    """One conjugate pair and the relations that define it.
+
+    - It factorizes a sector: ``plus * minus + lam = target`` (``lam`` None
+      stands for 0); where ``target_const`` is set, the target is
+      identically that constant.
+    - It rotates along the flow: ``{H, plus} = rate * plus`` and
+      ``{H, minus} = -rate * minus``.
+    - Where ``sector`` is set, it rotates under that sector integral:
+      ``{sector, plus} = sector_rate * plus`` and
+      ``{sector, minus} = -sector_rate * minus``.
+    - Where ``mutual`` is set, ``{minus, plus} = mutual``.
+
     ``name`` is the pair's symbol (``B``, ``A``, ``a1``, ``a2``) and
     ``role`` the factorization it performs (``ladder``, ``shift``,
     ``shift1``, ``shift2``, ``pure_shift``).
@@ -94,8 +114,11 @@ class FactorPair:
     minus: Observable
     lam: Observable | None
     target: Observable
-    rate_factor: complex
-    rate_obs: Observable | None
+    rate: Coefficient
+    sector: Observable | None = None
+    sector_rate: Coefficient | None = None
+    mutual: Coefficient | None = None
+    target_const: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -246,7 +269,10 @@ def factor_pairs(spec: SystemSpec) -> MappingProxyType:
     and the sphere; ``B``, ``a1``, ``a2`` and ``A`` for TTW.  The mapping is
     read-only and shared per spec.  For ``gamma = m/n`` the rates of the
     factors of ``X+`` cancel: ``n * rate(B) + m * rate(A) = 0``, with the
-    sign of ``rate(A)`` flipped for TTW, whose ``X+`` takes ``A-``."""
+    sign of ``rate(A)`` flipped for TTW, whose ``X+`` takes ``A-``.  The
+    ladder pair rotates under the sector it factorizes, and so does the
+    plane's shift pair; the curved shift pairs have no sector integral of
+    their own."""
     w = spec.omega
     g = spec.gamma.value
     fam = spec.family
@@ -256,13 +282,18 @@ def factor_pairs(spec: SystemSpec) -> MappingProxyType:
     if fam is Family.EUCLIDEAN:
         ap, am = shift_observables(spec)
         hy = euclid_y_sector_observable(spec)
+        # Each sector rotates its pair at the constant of its mutual bracket.
+        k_b, k_a = Coefficient(-1j * w / g), Coefficient(1j * w)
         pairs = (
-            FactorPair("B", "ladder", bp, bm, None, i2, -1j * g * w, None),
-            FactorPair("A", "shift", ap, am, None, hy, 1j * w, None),
+            FactorPair("B", "ladder", bp, bm, None, i2, Coefficient(-1j * g * w),
+                       sector=i2, sector_rate=k_b, mutual=k_b),
+            FactorPair("A", "shift", ap, am, None, hy, k_a,
+                       sector=hy, sector_rate=k_a, mutual=k_a),
         )
     elif fam is Family.SPHERE:
         ap, am = shift_observables(spec)
-        eps_fn = epsilon_observable(spec).fn
+        eps = epsilon_observable(spec)
+        eps_fn = eps.fn
 
         def angular(q1, q2, p1, p2):
             c = sc.cos(q2)
@@ -275,18 +306,24 @@ def factor_pairs(spec: SystemSpec) -> MappingProxyType:
             return (2 * g * g * sector(q1, q2, p1, p2) - w * w) / 2
 
         rate = Observable(angular, "E/cos^2(y)")
+        k_b = Coefficient(-1j, (eps,))
+        rate_a = Coefficient(1j * g, (rate,))
         pairs = (
             FactorPair("B", "ladder", bp, bm, Observable(lam_b, "-Hxi"),
-                       sphere_ladder_target_observable(spec), -1j * g * g, rate),
+                       sphere_ladder_target_observable(spec),
+                       Coefficient(-1j * g * g, (rate,)),
+                       sector=i2, sector_rate=k_b, mutual=k_b,
+                       target_const=-w * w / (2 * g * g)),
             FactorPair("A", "shift", ap, am, Observable(lam_a, "lam_A"),
-                       hamiltonian_observable(spec), 1j * g, rate),
+                       hamiltonian_observable(spec), rate_a, mutual=rate_a),
         )
     else:
         a2b2 = spec.alpha * spec.alpha + spec.beta * spec.beta
         d = spec.beta * spec.beta - spec.alpha * spec.alpha
         h = hamiltonian_observable(spec)
         h_fn = h.fn
-        eps_fn = epsilon_observable(spec).fn
+        eps = epsilon_observable(spec)
+        eps_fn = eps.fn
         shifts = ttw_shift_observables(spec)
 
         def radial(q1, q2, p1, p2):
@@ -294,6 +331,10 @@ def factor_pairs(spec: SystemSpec) -> MappingProxyType:
 
         def lam_b(q1, q2, p1, p2):
             return 2 * a2b2 - (d * d) / sector(q1, q2, p1, p2)
+
+        def ladder_gap(q1, q2, p1, p2):
+            s = sector(q1, q2, p1, p2)
+            return 1.0 - (d * d) / (s * s)
 
         def lam_a1(q1, q2, p1, p2):
             return 2 * w * g * eps_fn(q1, q2, p1, p2)
@@ -312,19 +353,24 @@ def factor_pairs(spec: SystemSpec) -> MappingProxyType:
             return hv * hv - 4 * w * w * g * g * sector(q1, q2, p1, p2)
 
         rate = Observable(radial, "E/r^2")
+        gap = Observable(ladder_gap, "1-d^2/Htheta^2")
         pairs = (
             FactorPair("B", "ladder", bp, bm, Observable(lam_b, "lam_B"), i2,
-                       -4j * g * g, rate),
+                       Coefficient(-4j * g * g, (rate,)),
+                       sector=i2, sector_rate=Coefficient(-4j, (eps,)),
+                       mutual=Coefficient(-4j, (eps, gap))),
             FactorPair("a1", "shift1", shifts["a1+"], shifts["a1-"],
                        Observable(lam_a1, "lam_a1"), h,
-                       -2j, Observable(rate_a1, "w+gE/r^2")),
+                       Coefficient(-2j, (Observable(rate_a1, "w+gE/r^2"),))),
             FactorPair("a2", "shift2", shifts["a2+"], shifts["a2-"],
                        Observable(lam_a2, "lam_a2"), h,
-                       -2j, Observable(rate_a2, "w-gE/r^2")),
+                       Coefficient(-2j, (Observable(rate_a2, "w-gE/r^2"),))),
             # The pure pair has no additive constant: its product is
             # H^2 - 4 omega^2 gamma^2 Htheta.
             FactorPair("A", "pure_shift", shifts["A+"], shifts["A-"], None,
-                       Observable(pure_target, "H^2-4w^2g^2Htheta"), -4j * g, rate),
+                       Observable(pure_target, "H^2-4w^2g^2Htheta"),
+                       Coefficient(-4j * g, (rate,)),
+                       mutual=Coefficient(-8j * g, (rate, h))),
         )
     return MappingProxyType({pair.name: pair for pair in pairs})
 

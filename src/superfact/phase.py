@@ -409,7 +409,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def eval_batch(f: Observable, batch: PhaseBatch) -> np.ndarray:
-    """Evaluate ``f`` at every point of the batch (no derivatives)."""
+    """Evaluate ``f`` at every point of the batch (no derivatives).  A value
+    :func:`gradient_batch` kept on the batch is read, not computed again."""
+    kept = batch._gradients.get(f)
+    if kept is not None:
+        return kept[0]
     out = f.fn(*batch.arrays())
     return np.broadcast_to(np.asarray(out, dtype=np.complex128), (len(batch),))
 

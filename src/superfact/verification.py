@@ -7,8 +7,8 @@ evaluations over randomly sampled phase points.  Residuals are normalized as
 
 so identities between large quantities are judged relatively and identities
 near zero absolutely.  Identities whose two sides cancel exactly (conserved
-brackets) additionally supply a *scale* callable returning the magnitude of
-the terms that cancelled; it joins the max in the denominator, otherwise no
+brackets) additionally return a *scale* with their left side, the magnitude
+of the terms that cancelled; it joins the max in the denominator, otherwise no
 amount of floating-point care could certify a zero bracket of two huge
 quantities.
 
@@ -35,7 +35,12 @@ from .phase import (
     gradient_batch,
     gradient_ranks,
 )
-from .factorization import FactorPair, factor_pairs, higher_integral_observables
+from .factorization import (
+    Coefficient,
+    FactorPair,
+    factor_pairs,
+    higher_integral_observables,
+)
 from .systems import (
     DomainBox,
     Family,
@@ -46,7 +51,6 @@ from .systems import (
     hamiltonian_observable,
     higgs_potential_identity,
     second_integral_observable,
-    epsilon_observable,
 )
 
 # Residual tolerances by arithmetic depth.
@@ -56,6 +60,7 @@ TOL_CHAIN = 1e-9        # square roots chained through composite brackets
 TOL_HIGH_ORDER = 1e-8   # products of five or more factors
 
 _MAX_DRAW_FACTOR = 100  # sampler gives up after this many draws per request
+MAX_SAMPLE_POINTS = 1_000_000  # a larger request is refused before any allocation
 
 
 def symmetry_tolerance(spec: SystemSpec) -> float:
@@ -69,14 +74,15 @@ def symmetry_tolerance(spec: SystemSpec) -> float:
 @dataclass(frozen=True)
 class IdentitySpec:
     """One numerical identity: ``lhs(batch) == rhs(batch)`` within
-    ``tolerance`` under the normalized residual; ``scale`` (optional)
-    supplies the magnitude of cancelled terms for exact-zero identities."""
+    ``tolerance`` under the normalized residual.  A ``scaled`` identity is
+    an exact-zero one whose ``lhs`` returns ``(values, scale)``, the scale
+    being the magnitude of the cancelled terms."""
 
     label: str
     lhs: Callable[[PhaseBatch], np.ndarray]
     rhs: Callable[[PhaseBatch], np.ndarray]
     tolerance: float
-    scale: Callable[[PhaseBatch], np.ndarray] | None = None
+    scaled: bool = False
 
 
 @dataclass(frozen=True)
@@ -212,10 +218,13 @@ def sample_points(
     floor.  The stream is a counter-based generator, so a given
     ``(spec, box, count, seed)`` always yields the same batch.  Raises
     :class:`~superfact.errors.SamplerExhausted` if the acceptance rate is so
-    low that ``100 * count`` draws do not suffice.
+    low that ``100 * count`` draws do not suffice, and ``ValueError`` if
+    ``count`` is below 1 or above :data:`MAX_SAMPLE_POINTS`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count > MAX_SAMPLE_POINTS:
+        raise ValueError(f"count {count} is above the limit of {MAX_SAMPLE_POINTS} points")
     if box is None:
         box = default_box(spec)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -266,35 +275,39 @@ def _bracket(f: Observable, g: Observable):
     return lambda batch: bracket_batch(f, g, batch)
 
 
-def _bracket_scale(f: Observable, g: Observable):
-    return lambda batch: bracket_batch_with_scale(f, g, batch)[1].astype(np.complex128)
+def _times(coeff: Coefficient, *obs: Observable):
+    """``coeff`` times ``obs`` over a batch, every value multiplied in left
+    to right; a coefficient with no observable at all is a constant."""
+    factors = coeff.observables + obs
+    if not factors:
+        return _const(coeff.factor)
 
+    def side(batch):
+        out = coeff.factor
+        for f in factors:
+            out = out * eval_batch(f, batch)
+        return out
 
-def _scaled(factor: complex, coeff: Observable | None, obs: Observable):
-    """``factor * coeff * obs`` over a batch; ``coeff`` None stands for 1."""
-    if coeff is None:
-        return lambda batch: factor * eval_batch(obs, batch)
-    return lambda batch: factor * eval_batch(coeff, batch) * eval_batch(obs, batch)
+    return side
 
 
 def _conservation(label: str, h: Observable, q: Observable, tol: float) -> IdentitySpec:
     return IdentitySpec(
         label=label,
-        lhs=_bracket(h, q),
+        lhs=lambda batch: bracket_batch_with_scale(h, q, batch),
         rhs=_zero,
         tolerance=tol,
-        scale=_bracket_scale(h, q),
+        scaled=True,
     )
 
 
 def _conjugacy_and_reality(spec: SystemSpec) -> list[IdentitySpec]:
     xp, xm, x_real, y_real = higher_integral_observables(spec)
-    out = [
+    return [
         IdentitySpec("conj.X", _vals(xm), _conj_vals(xp), TOL_POLY),
         IdentitySpec("real.X", _imag_vals(x_real), _zero, TOL_POLY),
         IdentitySpec("real.Y", _imag_vals(y_real), _zero, TOL_POLY),
     ]
-    return out
 
 
 def _symmetry_identities(spec: SystemSpec) -> list[IdentitySpec]:
@@ -317,16 +330,35 @@ def _factored(pair: FactorPair):
     return lhs
 
 
+def _rotations(name: str, s: Observable, rate: Coefficient, pair: FactorPair, tol: float):
+    """``{s, plus} = rate * plus`` and ``{s, minus} = -rate * minus``,
+    labelled ``bracket.<name>_<pair>p`` and ``..m``."""
+    p, m = pair.plus, pair.minus
+    return [
+        IdentitySpec(f"bracket.{name}_{pair.name}p", _bracket(s, p), _times(rate, p), tol),
+        IdentitySpec(f"bracket.{name}_{pair.name}m", _bracket(s, m), _times(-rate, m), tol),
+    ]
+
+
 def _pair_identities(spec: SystemSpec):
-    """The identities every conjugate pair of :func:`factor_pairs` states,
-    as three lists in pair order: its factorization (``fact.<role>``), its
-    two rotations along the flow (``bracket.H_<name>p``, ``..m``) and its
-    conjugacy at real points (``conj.<name>``)."""
+    """Every identity the records of :func:`factor_pairs` state, as four
+    lists in pair order:
+
+    - the factorization (``fact.<role>``), then the constant target
+      (``const.<role>_target``) where the record names one;
+    - for a pair with a sector integral ``s``, its rotations under ``s``
+      (``bracket.<s>_<name>p``, ``..m``) and its mutual bracket
+      (``bracket.<name>m_<name>p``), at the factorization's tolerance;
+    - the rotations along the flow (``bracket.H_<name>p``, ``..m``), then
+      the mutual brackets of the pairs without a sector, which chain roots
+      through composite brackets as the rotations do;
+    - the conjugacy at real points (``conj.<name>``).
+    """
     h = hamiltonian_observable(spec)
     algebraic = spec.family is Family.EUCLIDEAN
     tol_fact = TOL_POLY if algebraic else TOL_ROOT
     tol_rate = TOL_POLY if algebraic else TOL_CHAIN
-    facts, rates, conjs = [], [], []
+    facts, sectors, rates, mutuals, conjs = [], [], [], [], []
     for pair in factor_pairs(spec).values():
         p, m = pair.plus, pair.minus
         facts.append(
@@ -334,174 +366,71 @@ def _pair_identities(spec: SystemSpec):
                 f"fact.{pair.role}", _factored(pair), _vals(pair.target), tol_fact
             )
         )
-        factor, coeff = pair.rate_factor, pair.rate_obs
-        rates += [
-            IdentitySpec(f"bracket.H_{pair.name}p", _bracket(h, p),
-                         _scaled(factor, coeff, p), tol_rate),
-            IdentitySpec(f"bracket.H_{pair.name}m", _bracket(h, m),
-                         _scaled(-factor, coeff, m), tol_rate),
-        ]
+        if pair.target_const is not None:
+            facts.append(IdentitySpec(f"const.{pair.role}_target", _vals(pair.target),
+                                      _const(pair.target_const), TOL_POLY))
+        if pair.sector is not None:
+            sectors += _rotations(pair.sector.label, pair.sector, pair.sector_rate,
+                                  pair, tol_fact)
+        rates += _rotations("H", h, pair.rate, pair, tol_rate)
+        if pair.mutual is not None:
+            alone = pair.sector is None
+            (mutuals if alone else sectors).append(
+                IdentitySpec(f"bracket.{pair.name}m_{pair.name}p", _bracket(m, p),
+                             _times(pair.mutual), tol_rate if alone else tol_fact)
+            )
         conjs.append(IdentitySpec(f"conj.{pair.name}", _vals(m), _conj_vals(p), tol_fact))
-    return facts, rates, conjs
+    return facts, sectors, rates + mutuals, conjs
 
 
-def _euclidean_suite(spec: SystemSpec, facts, rates, conjs) -> list[IdentitySpec]:
+def _family_identities(spec: SystemSpec):
+    """The family's own identities: the decomposition of H into its
+    sectors, the conservation of each sector and, on the sphere, the Higgs
+    potential."""
     w = spec.omega
     g = spec.gamma.value
     h = hamiltonian_observable(spec)
     i2 = second_integral_observable(spec)
-    hy = euclid_y_sector_observable(spec)
-    pairs = factor_pairs(spec)
-    bp, bm = pairs["B"].plus, pairs["B"].minus
-    ap, am = pairs["A"].plus, pairs["A"].minus
+    conserved = [_conservation("comm.H_I2", h, i2, TOL_POLY)]
+    others = []
+    if spec.family is Family.EUCLIDEAN:
+        hy = euclid_y_sector_observable(spec)
+        conserved.append(_conservation("comm.H_Hy", h, hy, TOL_POLY))
 
-    def h_from_sectors(batch):
-        return eval_batch(hy, batch) + (g * g) * eval_batch(i2, batch)
+        def h_from_sectors(batch):
+            return eval_batch(hy, batch) + (g * g) * eval_batch(i2, batch)
 
-    return [
-        *facts,
-        IdentitySpec("decomp.H", _vals(h), h_from_sectors, TOL_POLY),
-        IdentitySpec(
-            "bracket.Hxi_Bp", _bracket(i2, bp), _scaled(-1j * w / g, None, bp), TOL_POLY
-        ),
-        IdentitySpec(
-            "bracket.Hxi_Bm", _bracket(i2, bm), _scaled(1j * w / g, None, bm), TOL_POLY
-        ),
-        IdentitySpec("bracket.Bm_Bp", _bracket(bm, bp), _const(-1j * w / g), TOL_POLY),
-        IdentitySpec(
-            "bracket.Hy_Ap", _bracket(hy, ap), _scaled(1j * w, None, ap), TOL_POLY
-        ),
-        IdentitySpec(
-            "bracket.Hy_Am", _bracket(hy, am), _scaled(-1j * w, None, am), TOL_POLY
-        ),
-        IdentitySpec("bracket.Am_Ap", _bracket(am, ap), _const(1j * w), TOL_POLY),
-        *rates,
-        _conservation("comm.H_I2", h, i2, TOL_POLY),
-        _conservation("comm.H_Hy", h, hy, TOL_POLY),
-        *conjs,
-    ]
+    elif spec.family is Family.SPHERE:
 
+        def higgs_side(k):
+            return lambda batch: higgs_potential_identity(batch.q1, batch.q2)[k]
 
-def _sphere_suite(spec: SystemSpec, facts, rates, conjs) -> list[IdentitySpec]:
-    w = spec.omega
-    g = spec.gamma.value
-    h = hamiltonian_observable(spec)
-    i2 = second_integral_observable(spec)
-    eps_obs = epsilon_observable(spec)
-    pairs = factor_pairs(spec)
-    ladder_pair, shift_pair = pairs["B"], pairs["A"]
-    bp, bm = ladder_pair.plus, ladder_pair.minus
-    ap, am = shift_pair.plus, shift_pair.minus
+        def h_from_sectors(batch):
+            c2 = np.cos(batch.q2) ** 2
+            return (batch.p2 * batch.p2 / 2 + (g * g) * eval_batch(i2, batch) / c2
+                    - w * w / 2)
 
-    def higgs_side(k):
-        return lambda batch: higgs_potential_identity(batch.q1, batch.q2)[k]
+        others = [IdentitySpec("higgs.potential", higgs_side(0), higgs_side(1), TOL_POLY)]
+    else:
 
-    def h_from_sectors(batch):
-        c2 = np.cos(batch.q2) ** 2
-        return (
-            batch.p2 * batch.p2 / 2
-            + (g * g) * eval_batch(i2, batch) / c2
-            - w * w / 2
-        )
+        def h_from_sectors(batch):
+            q1 = batch.q1
+            return (batch.p1 * batch.p1 + w * w * q1 * q1
+                    + (g * g) * eval_batch(i2, batch) / (q1 * q1))
 
-    return [
-        facts[0],
-        IdentitySpec(
-            "const.ladder_target",
-            _vals(ladder_pair.target),
-            _const(-w * w / (2 * g * g)),
-            TOL_POLY,
-        ),
-        facts[1],
-        IdentitySpec("decomp.H", _vals(h), h_from_sectors, TOL_POLY),
-        IdentitySpec(
-            "bracket.Hxi_Bp", _bracket(i2, bp), _scaled(-1j, eps_obs, bp), TOL_ROOT
-        ),
-        IdentitySpec(
-            "bracket.Hxi_Bm", _bracket(i2, bm), _scaled(1j, eps_obs, bm), TOL_ROOT
-        ),
-        IdentitySpec(
-            "bracket.Bm_Bp",
-            _bracket(bm, bp),
-            lambda batch: -1j * eval_batch(eps_obs, batch),
-            TOL_ROOT,
-        ),
-        *rates,
-        IdentitySpec(
-            "bracket.Am_Ap",
-            _bracket(am, ap),
-            lambda batch: 1j * g * eval_batch(shift_pair.rate_obs, batch),
-            TOL_CHAIN,
-        ),
-        _conservation("comm.H_I2", h, i2, TOL_POLY),
-        *conjs,
-        IdentitySpec("higgs.potential", higgs_side(0), higgs_side(1), TOL_POLY),
-    ]
-
-
-def _ttw_suite(spec: SystemSpec, facts, rates, conjs) -> list[IdentitySpec]:
-    w = spec.omega
-    g = spec.gamma.value
-    d = spec.beta * spec.beta - spec.alpha * spec.alpha
-    h = hamiltonian_observable(spec)
-    i2 = second_integral_observable(spec)
-    eps_obs = epsilon_observable(spec)
-    pairs = factor_pairs(spec)
-    bp, bm = pairs["B"].plus, pairs["B"].minus
-    pure = pairs["A"]
-
-    def bmbp_rhs(batch):
-        i2v = eval_batch(i2, batch)
-        return -4j * eval_batch(eps_obs, batch) * (1.0 - (d * d) / (i2v * i2v))
-
-    def h_from_sectors(batch):
-        q1 = batch.q1
-        return (
-            batch.p1 * batch.p1
-            + w * w * q1 * q1
-            + (g * g) * eval_batch(i2, batch) / (q1 * q1)
-        )
-
-    return [
-        *facts,
-        IdentitySpec("decomp.H", _vals(h), h_from_sectors, TOL_POLY),
-        IdentitySpec(
-            "bracket.Htheta_Bp", _bracket(i2, bp), _scaled(-4j, eps_obs, bp), TOL_ROOT
-        ),
-        IdentitySpec(
-            "bracket.Htheta_Bm", _bracket(i2, bm), _scaled(4j, eps_obs, bm), TOL_ROOT
-        ),
-        IdentitySpec("bracket.Bm_Bp", _bracket(bm, bp), bmbp_rhs, TOL_ROOT),
-        *rates,
-        IdentitySpec(
-            "bracket.Am_Ap",
-            _bracket(pure.minus, pure.plus),
-            lambda batch: -8j
-            * g
-            * eval_batch(pure.rate_obs, batch)
-            * eval_batch(h, batch),
-            TOL_CHAIN,
-        ),
-        _conservation("comm.H_I2", h, i2, TOL_POLY),
-        *conjs,
-    ]
-
-
-_FAMILY_SUITES = {
-    Family.EUCLIDEAN: _euclidean_suite,
-    Family.SPHERE: _sphere_suite,
-    Family.TTW: _ttw_suite,
-}
+    return IdentitySpec("decomp.H", _vals(h), h_from_sectors, TOL_POLY), conserved, others
 
 
 def build_suite(spec: SystemSpec) -> tuple[IdentitySpec, ...]:
     """All identities certifying the factorization story of one system:
-    the identities of every factor pair, placed among the family's own,
-    then the symmetries and the reality of ``X`` and ``Y``."""
-    suite = _FAMILY_SUITES[spec.family](spec, *_pair_identities(spec))
-    suite.extend(_symmetry_identities(spec))
-    suite.extend(_conjugacy_and_reality(spec))
-    return tuple(suite)
+    the identities of every factor pair around the family's own, then the
+    symmetries and the reality of ``X`` and ``Y``."""
+    facts, sectors, rates, conjs = _pair_identities(spec)
+    decomp, conserved, others = _family_identities(spec)
+    return (
+        *facts, decomp, *sectors, *rates, *conserved, *conjs, *others,
+        *_symmetry_identities(spec), *_conjugacy_and_reality(spec),
+    )
 
 
 # ---------- suite execution ----------
@@ -529,9 +458,9 @@ def run_identity(ident: IdentitySpec, batch: PhaseBatch) -> IdentityResult:
         return IdentityResult(ident.label, 0, 0.0, ident.tolerance, True)
     try:
         with np.errstate(all="ignore"):
-            lhs = np.asarray(ident.lhs(batch), dtype=np.complex128)
+            lhs, scale = ident.lhs(batch) if ident.scaled else (ident.lhs(batch), None)
+            lhs = np.asarray(lhs, dtype=np.complex128)
             rhs = np.asarray(ident.rhs(batch), dtype=np.complex128)
-            scale = ident.scale(batch) if ident.scale is not None else None
             res = _residuals(lhs, rhs, scale)
     except SuperfactError as exc:
         error = f"{type(exc).__name__}: {exc}"

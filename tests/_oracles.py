@@ -141,9 +141,8 @@ def _residuals(lhs, rhs, scale) -> np.ndarray:
 
 def _eval_identity(ident, batch):
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        lhs = ident.lhs(batch)
+        lhs, scale = ident.lhs(batch) if ident.scaled else (ident.lhs(batch), None)
         rhs = ident.rhs(batch)
-        scale = ident.scale(batch) if ident.scale is not None else None
     return _residuals(lhs, rhs, scale)
 
 

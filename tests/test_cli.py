@@ -160,6 +160,25 @@ def test_verify_missing_system_is_config_error(tmp_path, monkeypatch, capsys):
     assert "no system selected" in capsys.readouterr().err
 
 
+def test_verify_too_many_samples_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["verify", "--system", "euclidean", "--gamma", "1",
+                     "--samples", "1000000000"])
+    assert code == 2
+    assert "count 1000000000 is above the limit of 1000000 points" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sample_dt", ["1e-10", "5e-324"])
+def test_integrate_too_fine_a_grid_is_config_error(tmp_path, monkeypatch, capsys, sample_dt):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["integrate", "--system", "euclidean", "--gamma", "1", "--q0", "1,0",
+                     "--p0", "0,1", "--t-end", "1", "--sample-dt", sample_dt])
+    assert code == 2
+    assert "above the limit of 1000000 sample intervals" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_identity_failure_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
 

@@ -13,6 +13,7 @@ from superfact import (
     RationalGamma,
     SystemSpec,
     UnsupportedError,
+    build_suite,
     eval_batch,
     factor_pairs,
     hamiltonian,
@@ -30,7 +31,7 @@ from superfact import (
 )
 from superfact.scalars import ipow
 
-from _oracles import narrow_box, spec_for
+from _oracles import bracket_value, narrow_box, spec_for
 
 SQH = 1.0 / math.sqrt(2.0)
 
@@ -204,9 +205,10 @@ def test_conjugacy_at_real_points(family, gamma):
 
 
 def _rate(pair, batch):
-    if pair.rate_obs is None:
-        return np.full(len(batch), pair.rate_factor)
-    return pair.rate_factor * eval_batch(pair.rate_obs, batch)
+    rate = np.full(len(batch), pair.rate.factor)
+    for obs in pair.rate.observables:
+        rate = rate * eval_batch(obs, batch)
+    return rate
 
 
 @pytest.mark.parametrize("gamma", ["1", "3/2", "7/5", "17/12"])
@@ -226,6 +228,45 @@ def test_phase_rates_cancel(family, gamma):
     scale = n * np.abs(rate_b) + m * np.abs(rate_a)
     assert np.all(scale > 0)
     assert np.all(np.abs(total) <= 1e-12 * scale)
+
+
+def _relations(pair):
+    """``(label, f, g, coefficient, factor)`` for each bracket the record
+    states: ``{f, g} = coefficient * factor`` (``factor`` None stands for 1)."""
+    out = []
+    if pair.sector is not None:
+        s = pair.sector
+        out += [
+            (f"bracket.{s.label}_{pair.name}p", s, pair.plus, pair.sector_rate, pair.plus),
+            (f"bracket.{s.label}_{pair.name}m", s, pair.minus, -pair.sector_rate, pair.minus),
+        ]
+    if pair.mutual is not None:
+        out.append((f"bracket.{pair.name}m_{pair.name}p", pair.minus, pair.plus,
+                    pair.mutual, None))
+    return out
+
+
+@pytest.mark.parametrize("gamma", ["1", "3/2", "2/3"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_pair_relations_hold(family, gamma):
+    """Each record's rotations under its sector and its mutual bracket hold
+    against the forward-mode dual bracket, within the identity's tolerance."""
+    spec = spec_for(family, gamma)
+    tolerance = {ident.label: ident.tolerance for ident in build_suite(spec)}
+    batch = sample_points(spec, None, 100, seed=37)
+    relations = [r for pair in factor_pairs(spec).values() for r in _relations(pair)]
+    assert len(relations) == {"euclidean": 6, "sphere": 4, "ttw": 4}[family]
+    for label, f, g, coeff, factor in relations:
+        tol = tolerance[label]
+        for i in range(len(batch)):
+            pt = batch.point(i)
+            coords = (pt.q1, pt.q2, pt.p1, pt.p2)
+            lhs = bracket_value(f.fn, g.fn, coords)
+            rhs = coeff.factor
+            for obs in (*coeff.observables, *([factor] if factor is not None else [])):
+                rhs = rhs * obs.fn(*coords)
+            residual = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+            assert residual <= tol, (label, i, residual)
 
 
 # ---------- unit frequency ratio reductions ----------

@@ -23,6 +23,7 @@ from superfact import (
 )
 from superfact import scalars as sc
 from superfact.factorization import (
+    factor_pairs,
     higher_integral_observables,
     ladder_observables,
     shift_observables,
@@ -313,6 +314,45 @@ def test_gradient_batch_is_kept_on_the_batch_and_its_slices():
     np.testing.assert_array_equal(gradient_batch(h, batch[mask])[0], vals[mask])
     fresh = PhaseBatch.from_arrays(*batch.arrays())
     np.testing.assert_array_equal(gradient_batch(h, fresh)[1], grads)
+
+
+def test_eval_batch_reads_the_kept_value():
+    calls = []
+
+    def fn(q1, q2, p1, p2):
+        calls.append(1)
+        return q1 * p2 - q2 * sc.sin(p1)
+
+    f = Observable(fn, "counted")
+    batch = sample_points(spec_for("euclidean", "1"), None, 20, seed=3)
+    vals, _ = gradient_batch(f, batch)
+    traced = len(calls)
+    np.testing.assert_array_equal(eval_batch(f, batch), vals)
+    np.testing.assert_array_equal(eval_batch(f, batch[:5]), vals[:5])
+    assert len(calls) == traced
+    eval_batch(f, PhaseBatch.from_arrays(*batch.arrays()))
+    assert len(calls) == traced + 1
+
+
+@pytest.mark.parametrize("family,gamma", [("euclidean", "3/2"), ("sphere", "17/12"),
+                                          ("ttw", "17/12")])
+def test_kept_values_equal_evaluated_values_bit_for_bit(family, gamma):
+    """Reading a kept value instead of evaluating changes no report digit."""
+    spec = spec_for(family, gamma)
+    batch = sample_points(spec, None, 300, seed=6)
+    observables = [hamiltonian_observable(spec), second_integral_observable(spec),
+                   *higher_integral_observables(spec)]
+    if family != "euclidean":
+        observables.append(epsilon_observable(spec))
+    for pair in factor_pairs(spec).values():
+        observables += [pair.plus, pair.minus, pair.target]
+        observables += [pair.lam] if pair.lam is not None else []
+    for f in observables:
+        fresh = PhaseBatch.from_arrays(*batch.arrays())
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(
+                gradient_batch(f, batch)[0], eval_batch(f, fresh), err_msg=f.label
+            )
 
 
 def test_bracket_batch_matches_pointwise():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import superfact
-from superfact import phase
+from superfact import phase, verification
 from superfact import (
     DELTA_POS,
     DomainBox,
@@ -197,7 +197,7 @@ def test_a_point_whose_scale_alone_overflows_is_flagged():
     ident = next(i for i in build_suite(spec) if i.label == "sym.H_Xp")
     point = points[624:625]
     with np.errstate(all="ignore"):
-        bracket, scale = ident.lhs(point), ident.scale(point)
+        bracket, scale = ident.lhs(point)
         residual = np.abs(bracket) / (1.0 + np.abs(scale))
     assert np.isfinite(bracket).all() and not np.isfinite(scale).any()
     assert residual[0] == 0.0
@@ -264,6 +264,26 @@ def test_verify_takes_each_gradient_once_per_batch(family, gamma, monkeypatch):
     assert calls == suite_calls
     assert max(calls.values()) == 1
     assert hamiltonian_observable(spec) in calls
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_each_bracket_is_taken_once(family, monkeypatch):
+    """A bracket identity, conserved ones included, takes its bracket once."""
+    taken = collections.Counter()
+    take = phase.bracket_batch_with_scale
+
+    def counted(f, g, batch):
+        taken[f, g] += 1
+        return take(f, g, batch)
+
+    monkeypatch.setattr(phase, "bracket_batch_with_scale", counted)
+    monkeypatch.setattr(verification, "bracket_batch_with_scale", counted)
+    spec = spec_for(family, "3/2")
+    suite = build_suite(spec)
+    assert run_suite(spec, suite, sample_points(spec, None, 50, seed=3)).passed
+    brackets = [i for i in suite if i.label.split(".")[0] in ("bracket", "comm", "sym")]
+    assert sum(taken.values()) == len(brackets)
+    assert max(taken.values()) == 1
 
 
 def test_overflowing_gradients_run_once_per_suite(monkeypatch):
