@@ -303,11 +303,12 @@ def _conservation(label: str, h: Observable, q: Observable, tol: float) -> Ident
 
 def _conjugacy_and_reality(spec: SystemSpec) -> list[IdentitySpec]:
     xp, xm, x_real, y_real = higher_integral_observables(spec)
-    return [
+    out = [
         IdentitySpec("conj.X", _vals(xm), _conj_vals(xp), TOL_POLY),
         IdentitySpec("real.X", _imag_vals(x_real), _zero, TOL_POLY),
         IdentitySpec("real.Y", _imag_vals(y_real), _zero, TOL_POLY),
     ]
+    return out
 
 
 def _symmetry_identities(spec: SystemSpec) -> list[IdentitySpec]:
