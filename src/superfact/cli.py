@@ -28,6 +28,7 @@ from .dynamics import (
     detect_closure,
     drift_report,
     integrate,
+    sample_interval,
 )
 from .errors import (
     DomainBreach,
@@ -392,6 +393,7 @@ def _integration_settings(spec: SystemSpec, args):
         raise _ConfigError("--t-end must be positive")
     if args.closure_eps is not None and not args.closure_eps > 0:
         raise _ConfigError("--closure-eps must be positive")
+    sample_interval(spec, t_end, controls)  # ValueError on too fine a grid
     run_args = {
         "t_end": t_end,
         "rel_tol": controls.rel_tol,
@@ -645,7 +647,11 @@ def cmd_trace(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _write_manifest(
             args.out, "trace", spec, run_args, None, [], started,
-            extra={"status": "no_solution", "level_search": exc.search.to_json_dict()},
+            extra={
+                "status": "no_solution",
+                "message": str(exc),
+                "level_search": exc.search.to_json_dict(),
+            },
         )
         return EXIT_NO_SOLUTION
     initial = PhasePoint(z[0], z[1], z[2], z[3])

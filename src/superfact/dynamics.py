@@ -209,14 +209,26 @@ def _breach_events(spec: SystemSpec, margin: float):
 # ---------- sampling helpers ----------
 
 
-def _sample_times(t_end: float, sample_dt: float) -> np.ndarray:
+def sample_interval(spec: SystemSpec, t_end: float, controls: IntegratorControls) -> float:
+    """The sample interval of ``controls`` on ``spec`` (``T/200`` unless
+    set).  Raises ``ValueError`` when ``[0, t_end]`` would hold more than
+    :data:`MAX_SAMPLE_INTERVALS` of them (``inf`` included)."""
+    sample_dt = (
+        controls.sample_dt
+        if controls.sample_dt is not None
+        else characteristic_period(spec) / 200
+    )
     steps = t_end / sample_dt
     if not steps <= MAX_SAMPLE_INTERVALS:
         raise ValueError(
             f"t_end / sample_dt = {steps:.6g} is above the limit of "
             f"{MAX_SAMPLE_INTERVALS} sample intervals"
         )
-    n = int(math.floor(steps + 1e-9))
+    return sample_dt
+
+
+def _sample_times(t_end: float, sample_dt: float) -> np.ndarray:
+    n = int(math.floor(t_end / sample_dt + 1e-9))
     ts = np.arange(n + 1, dtype=float) * sample_dt
     if ts[-1] < t_end * (1.0 - 1e-12):
         ts = np.append(ts, t_end)
@@ -353,7 +365,7 @@ def integrate(
     controls = controls or IntegratorControls()
     period = characteristic_period(spec)
     max_step = controls.max_step if controls.max_step is not None else period / 10
-    sample_dt = controls.sample_dt if controls.sample_dt is not None else period / 200
+    sample_dt = sample_interval(spec, t_end, controls)
     fixed_dt = controls.fixed_dt if controls.fixed_dt is not None else sample_dt / 10
     margin = (
         controls.breach_margin

@@ -9,6 +9,10 @@ batch: each iteration takes every lane's Jacobian from one
 reverse sweep) and tries all step halvings of every lane in one evaluation.  Lanes
 never interact, so the answer is the one a start-by-start search gives: the
 lowest-index start, in grid order, that reaches the tolerance.
+
+Before any search, a request is refused when its sector level or its energy
+lies below the floor that the factorization proves (:func:`_below_floor`):
+no real point exists there, and a search could only give up.
 """
 
 from __future__ import annotations
@@ -66,6 +70,18 @@ class LevelSearch:
         return asdict(self)
 
 
+# The two floors below are the levels where a factor pair's squared modulus
+# vanishes (factorization.factor_pairs).  At a real point ``minus`` is the
+# conjugate of ``plus``, so ``plus * minus = target - lam = |plus|^2 >= 0``:
+#
+# - the ladder pair ``B`` gives the sector floor: ``|B+|^2`` is ``I2`` on the
+#   plane, ``I2 - omega^2/(2 gamma^2)`` on the sphere, and for TTW
+#   ``(I2 - (|alpha|+|beta|)^2)(I2 - (|alpha|-|beta|)^2) / I2``;
+# - the shift pair gives the energy floor ``F(I2)``: ``|A+|^2 = H - F`` on the
+#   plane and the sphere, and the pure shift of TTW has ``|A+|^2 = H^2 - F^2``
+#   with ``H > 0``.
+
+
 def _sector_floor(spec: SystemSpec) -> tuple[str, float]:
     """Name and value of the infimum of the sector integral over the domain:
     ``0`` (flat), ``omega^2 / (2 gamma^2)`` (sphere) and
@@ -76,6 +92,43 @@ def _sector_floor(spec: SystemSpec) -> tuple[str, float]:
         g = spec.gamma.value
         return "sphere sector", spec.omega * spec.omega / (2 * g * g)
     return "ttw angular", (abs(spec.alpha) + abs(spec.beta)) ** 2
+
+
+def _energy_floor(spec: SystemSpec, i2: float) -> float:
+    """Least energy of a real point on sector level ``i2``: ``gamma^2 i2``
+    (plane), ``gamma^2 i2 - omega^2/2`` (sphere) and
+    ``2 omega gamma sqrt(i2)`` (TTW, the root taken of ``max(i2, 0)``).  It
+    increases with ``i2``."""
+    g = spec.gamma.value
+    w = spec.omega
+    if spec.family is Family.EUCLIDEAN:
+        return g * g * i2
+    if spec.family is Family.SPHERE:
+        return g * g * i2 - w * w / 2
+    return 2 * w * g * math.sqrt(max(i2, 0.0))
+
+
+def _below_floor(spec: SystemSpec, targets: np.ndarray) -> str | None:
+    """Why no state can meet ``targets = (H, I2, .)`` within the search's
+    acceptance test, or ``None`` when a floor does not rule it out.
+
+    A state is accepted when each level is within ``LEVEL_TOLERANCE *
+    (1 + |t|)`` of its target, so a level is refused only when even the
+    edge of that band lies below its floor: the sector level when
+    ``t_I2 + slack_I2`` is below the sector floor, the energy when
+    ``t_H + slack_H`` is below ``F(t_I2 - slack_I2)``.
+    """
+    h, i2 = float(targets[0]), float(targets[1])
+    slack = LEVEL_TOLERANCE * (1.0 + np.abs(targets))
+    name, floor = _sector_floor(spec)
+    if i2 + slack[1] < floor:
+        return f"sector level {i2:g} is below the {name} floor {floor:g}"
+    if h + slack[0] < _energy_floor(spec, i2 - slack[1]):
+        return (
+            f"energy {h:g} is below the floor {_energy_floor(spec, i2):g} "
+            f"of sector level {i2:g}"
+        )
+    return None
 
 
 class _Levels:
@@ -147,11 +200,12 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
     the internal state, its scaled residual (at most
     :data:`LEVEL_TOLERANCE`) and the :class:`LevelSearch` telemetry.
     Raises ``ValueError`` naming a non-finite level, and
-    :class:`~superfact.errors.NoSolution` at once when the sector
-    level lies below its family's floor, and after the search when no start
-    reaches the tolerance; that message gives the best residual reached.
-    Either way the exception's ``search`` holds the telemetry (no starts
-    and no iterations for the floor case).
+    :class:`~superfact.errors.NoSolution` at once when the sector level
+    lies below its family's floor or the energy below the least energy on
+    that sector level (the message names the floor), and after the search
+    when no start reaches the tolerance; that message gives the best
+    residual reached.  Either way the exception's ``search`` holds the
+    telemetry (no starts and no iterations for a floor).
 
     Values are taken only at states that pass
     ``domain_mask(spec, ., DELTA_MARGIN)``, and Jacobians only at states
@@ -165,11 +219,10 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
     for level, value in zip(("H", "I2", sym_name), targets):
         if not math.isfinite(value):
             raise ValueError(f"the {level} level must be finite, got {value:g}")
-    name, floor = _sector_floor(spec)
-    if targets[1] < floor:
+    reason = _below_floor(spec, targets)
+    if reason is not None:
         raise NoSolution(
-            f"no phase point matches the requested levels: sector level "
-            f"{targets[1]:g} is below the {name} floor {floor:g}",
+            f"no phase point matches the requested levels: {reason}",
             search=LevelSearch(
                 valid_starts=0,
                 iterations=0,

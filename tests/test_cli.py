@@ -651,9 +651,10 @@ def test_trace_infeasible_levels(tmp_path, monkeypatch, capsys):
             "trace",
             "--system", "euclidean",
             "--gamma", "2",
-            "--energy", "0.1",
-            "--second", "1.0",
-            "--symmetry", "Y=0.0",
+            # H and I2 of a point, X ten times its |X+|: above both floors.
+            "--energy", "0.7350000000000001",
+            "--second", "0.11125000000000002",
+            "--symmetry", "X=0.9672706446491588",
             "--out", "no",
         ]
     )
@@ -796,6 +797,56 @@ def test_trace_bad_closure_eps_exits_before_the_level_search(
     assert code == 2
     assert "--closure-eps must be positive" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", [["--sample-dt", "1e-10"], ["--t-end", "1e10"]])
+def test_trace_too_fine_a_grid_exits_before_the_level_search(
+    tmp_path, monkeypatch, capsys, option
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "solve_levels", None)  # the search must not start
+    code = cli.main(
+        ["trace", "--system", "ttw", "--gamma", "2", "--alpha", "1.1", "--beta", "0.7",
+         "--energy", "12", "--second", "4", "--symmetry", "X=1.5", "--plane", "xy",
+         *option, "--out", "t"]
+    )
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "levels matched" not in out
+    assert "above the limit of 1000000 sample intervals" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "spec_args, levels, reason",
+    [
+        (["--system", "sphere", "--gamma", "2"], ["12", "0.1", "X=1.5"],
+         "sector level 0.1 is below the sphere sector floor 0.125"),
+        (["--system", "ttw", "--gamma", "2", "--alpha", "1.1", "--beta", "0.7"],
+         ["6.39", "3.41", "X=1.5"],
+         "energy 6.39 is below the floor 7.38647 of sector level 3.41"),
+        (["--system", "euclidean", "--gamma", "2"],
+         ["0.7350000000000001", "0.11125000000000002", "X=0.9672706446491588"],
+         "within 1e-09 (best residual 3.440e-01)"),
+    ],
+)
+def test_trace_no_solution_manifest_names_the_reason(
+    tmp_path, monkeypatch, capsys, spec_args, levels, reason
+):
+    monkeypatch.chdir(tmp_path)
+    energy, second, symmetry = levels
+    code = cli.main(
+        ["trace", *spec_args, "--energy", energy, "--second", second,
+         "--symmetry", symmetry, "--out", "no"]
+    )
+    assert code == 5
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "no.manifest.json").read_text())
+    assert manifest["status"] == "no_solution"
+    assert manifest["message"].startswith("no phase point matches the requested levels")
+    assert manifest["message"].endswith(reason)
+    assert f"error: {manifest['message']}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["no.manifest.json"]
 
 
 def test_trace_manifest_records_every_integration_option(tmp_path, monkeypatch):

@@ -12,15 +12,21 @@ from superfact import (
     DELTA_POS,
     Family,
     NoSolution,
+    PhaseBatch,
     PhasePoint,
     SuperfactError,
     default_box,
     domain_check,
     domain_mask,
+    eval_batch,
+    factor_pairs,
     gradient,
     hamiltonian,
+    hamiltonian_observable,
     higher_integral,
+    sample_points,
     second_integral,
+    second_integral_observable,
 )
 from superfact import levels
 from superfact.levels import LEVEL_TOLERANCE, solve_levels
@@ -148,11 +154,19 @@ def _energy_below_floor(spec, family):
     return [floor - 1.0, i2, x]
 
 
+def _unreachable(spec, family):
+    """Levels that pass both floors but that no start reaches: ``H`` and
+    ``I2`` of the family's seed point, and ``X`` ten times ``|X+|`` there."""
+    point = SEED_POINTS[family]
+    h, i2, _ = _levels_at(spec, point)
+    return [h, i2, 10 * abs(higher_integral(spec, point).x_plus)]
+
+
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
-def test_energy_below_floor_reports_best_residual(family):
+def test_unreachable_levels_report_best_residual(family):
     spec = spec_for(family, "2")
     with pytest.raises(NoSolution, match="no phase point matches") as info:
-        solve_levels(spec, "X", _energy_below_floor(spec, family))
+        solve_levels(spec, "X", _unreachable(spec, family))
     best = float(re.search(r"best residual (\S+)\)", str(info.value)).group(1))
     assert LEVEL_TOLERANCE < best < math.inf
 
@@ -168,6 +182,111 @@ def test_sector_level_below_floor_skips_search(family, second, message, monkeypa
     monkeypatch.setattr(levels, "_Levels", None)  # the search must not start
     with pytest.raises(NoSolution, match=message):
         solve_levels(spec_for(family, "1"), "X", [12.0, second, 1.5])
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_energy_below_floor_skips_search(family, monkeypatch):
+    spec = spec_for(family, "2")
+    h, i2, x = _energy_below_floor(spec, family)
+    monkeypatch.setattr(levels, "_Levels", None)  # the search must not start
+    message = f"energy {h:g} is below the floor {h + 1.0:g} of sector level {i2:g}"
+    with pytest.raises(NoSolution, match=re.escape(message)) as info:
+        solve_levels(spec, "X", [h, i2, x])
+    search = info.value.search
+    assert (search.valid_starts, search.iterations, search.winning_start) == (0, 0, None)
+
+
+def _h_and_i2(spec, batch):
+    return (
+        eval_batch(hamiltonian_observable(spec), batch).real,
+        eval_batch(second_integral_observable(spec), batch).real,
+    )
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.5])
+@pytest.mark.parametrize("gamma", ["1", "2", "1/2", "3/2", "141/100"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_floors_never_refuse_a_real_point(family, gamma, omega):
+    spec = spec_for(family, gamma, omega=omega)
+    h, i2 = _h_and_i2(spec, sample_points(spec, default_box(spec), 2000, 1))
+    refused = [
+        (hk, ik) for hk, ik in zip(h, i2)
+        if levels._below_floor(spec, np.array([hk, ik, 0.0])) is not None
+    ]
+    assert refused == []
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.5])
+@pytest.mark.parametrize("gamma", ["1", "2", "1/2", "3/2", "141/100"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_energy_floor_is_tight(family, gamma, omega):
+    """At the minimiser of ``H`` on each sector level the energy is the floor:
+    ``q2 = p2 = 0`` on the plane and the sphere; ``p1 = 0`` and
+    ``r^4 = gamma^2 I2 / omega^2`` for TTW."""
+    spec = spec_for(family, gamma, omega=omega)
+    q1, q2, p1, p2 = (c.real for c in sample_points(spec, default_box(spec), 200, 3).arrays())
+    if family == "ttw":
+        _, i2 = _h_and_i2(spec, PhaseBatch.from_arrays(q1, q2, p1, p2))
+        g = spec.gamma.value
+        q1, p1 = (g * g * i2 / (omega * omega)) ** 0.25, np.zeros_like(p1)
+    else:
+        q2, p2 = np.zeros_like(q2), np.zeros_like(p2)
+    h, i2 = _h_and_i2(spec, PhaseBatch.from_arrays(q1, q2, p1, p2))
+    floor = np.array([levels._energy_floor(spec, v) for v in i2])
+    np.testing.assert_allclose(h, floor, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("gamma", ["1", "3/2", "141/100"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_floors_agree_with_the_factor_pairs(family, gamma):
+    """``plus * minus`` of the shift pair is the distance of ``H`` from the
+    energy floor (of ``H^2`` from its square for TTW), and that of the
+    ladder pair vanishes at the sector floor."""
+    spec = spec_for(family, gamma)
+    batch = sample_points(spec, default_box(spec), 200, 7)
+    h, i2 = _h_and_i2(spec, batch)
+    pairs = factor_pairs(spec)
+
+    def product(name):
+        return eval_batch(pairs[name].plus, batch) * eval_batch(pairs[name].minus, batch)
+
+    energy = np.array([levels._energy_floor(spec, v) for v in i2])
+    _, sector = levels._sector_floor(spec)
+    if family == "ttw":
+        shift, shift_scale = h * h - energy * energy, 1 + h * h + energy * energy
+        # The ladder modulus also vanishes at (|alpha| - |beta|)^2, below the floor.
+        other = (abs(spec.alpha) - abs(spec.beta)) ** 2
+        ladder = (i2 - sector) * (i2 - other) / i2
+        ladder_scale = 1 + (i2 + sector) * (i2 + other) / i2
+    else:
+        shift, shift_scale = h - energy, 1 + np.abs(h) + np.abs(energy)
+        ladder, ladder_scale = i2 - sector, 1 + i2 + sector
+    assert np.all(np.abs(product("A") - shift) <= 1e-12 * shift_scale)
+    assert np.all(np.abs(product("B") - ladder) <= 1e-12 * ladder_scale)
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_floors_refuse_only_outside_the_tolerance(family, monkeypatch):
+    """A level ``2 tol`` below its floor is refused, one ``tol/2`` below is
+    not.  The energy floor is that of the least sector level the search
+    accepts, ``I2 - tol (1 + |I2|)``."""
+    spec = spec_for(family, "2")
+    h, i2, x = _levels_at(spec, SEED_POINTS[family])
+    _, sector = levels._sector_floor(spec)
+    energy = levels._energy_floor(spec, i2 - LEVEL_TOLERANCE * (1 + abs(i2)))
+
+    def below(floor, k):
+        return floor - k * LEVEL_TOLERANCE * (1 + abs(floor))
+
+    assert levels._below_floor(spec, np.array([below(energy, 0.5), i2, x])) is None
+    assert levels._below_floor(spec, np.array([h, below(sector, 0.5), x])) is None
+    monkeypatch.setattr(levels, "_Levels", None)  # the search must not start
+    for targets, level in (
+        ([below(energy, 2), i2, x], "energy"),
+        ([h, below(sector, 2), x], "sector level"),
+    ):
+        with pytest.raises(NoSolution, match=f"requested levels: {level} "):
+            solve_levels(spec, "X", targets)
 
 
 @pytest.mark.parametrize("reachable", [True, False])
@@ -191,6 +310,6 @@ def test_search_evaluates_only_batches_inside_the_domain(family, reachable, monk
         solve_levels(spec, "X", _levels_at(spec, SEED_POINTS[family]))
     else:
         with pytest.raises(NoSolution, match="best residual"):
-            solve_levels(spec, "X", _energy_below_floor(spec, family))
+            solve_levels(spec, "X", _unreachable(spec, family))
     assert inside["eval_batch"] and inside["gradient_batch"]
     assert all(inside["eval_batch"]) and all(inside["gradient_batch"])

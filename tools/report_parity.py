@@ -13,12 +13,15 @@ commands in one process, writing into its own output directory under
   (``perfbench/workloads.py``) at seeds 1-3, 1000 points each;
 - ``verify`` on sphere and TTW at gamma 141/100, seed 7, whose high-order
   products overflow at some points;
-- the ``integrate`` and ``trace`` examples of the README.
+- the ``integrate`` and ``trace`` examples of the README;
+- the first round of the benchmark's ``trace`` workload at seeds 1-3: per
+  spec, one request on reachable levels and two below the energy floor.
 
 Every output file but the manifests (they carry wall-clock timestamps) is
-compared byte for byte, and so are the exit codes.  The script prints each
-file that differs or exists on one side only and exits 1 if there is any;
-it exits 0 when all match.
+compared byte for byte, and so are the exit codes; each request below the
+floor must also exit 5 on both sides.  The script prints each file that
+differs or exists on one side only, and each such request that did not exit
+5, and exits 1 if there is any; it exits 0 when all match.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from bench_pairs import ROOT, SIDES, export  # noqa: E402
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import workloads  # noqa: E402
+from superfact.cli import EXIT_NO_SOLUTION  # noqa: E402
 
 SEEDS = (1, 2, 3)
 HIGH_ORDER = (("sphere", "141/100", 7), ("ttw", "141/100", 7))
@@ -59,6 +63,17 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
 """
 
 
+def _trace_requests() -> list[tuple[str, str, list[str]]]:
+    """``(output prefix, kind, argv)`` of round 0 of the ``trace`` workload
+    at each seed, as ``perfbench/run.py`` builds it."""
+    out = []
+    for seed in SEEDS:
+        for index in range(workloads.groups_per_round("trace")):
+            for k, cmd in enumerate(workloads.group("trace", seed, 0, index)):
+                out.append((f"trace-s{seed}-g{index}-{k}", cmd.kind, list(cmd.argv)))
+    return out
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """``(output prefix, argv)`` of every command both sides run."""
     runs = [(family, gamma, seed) for family, gamma in workloads.specs_for("certify")
@@ -68,7 +83,15 @@ def commands() -> list[tuple[str, list[str]]]:
         argv = ["verify", *workloads.spec_argv(family, gamma),
                 "--samples", str(workloads.VERIFY_SAMPLES), "--seed", str(seed)]
         out.append((f"verify-{family}-{gamma.replace('/', '_')}-s{seed}", argv))
-    return out + [(prefix, argv) for prefix, argv in README_EXAMPLES]
+    out += [(prefix, argv) for prefix, argv in README_EXAMPLES]
+    return out + [(prefix, argv) for prefix, _, argv in _trace_requests()]
+
+
+def unrefused(outdir: Path) -> list[str]:
+    """The requests below the energy floor that did not exit 5."""
+    codes = json.loads((outdir / EXIT_CODES).read_text(encoding="utf-8"))
+    return [prefix for prefix, kind, _ in _trace_requests()
+            if kind == "unreachable" and codes[prefix] != EXIT_NO_SOLUTION]
 
 
 def run_side(tree: Path, outdir: Path, cmds) -> None:
@@ -109,9 +132,12 @@ def main(argv=None) -> int:
     compared, diff = differences(outdirs["parent"], outdirs["change"])
     for name in diff:
         print(f"differs: {name}")
+    bad = [(side, prefix) for side in SIDES for prefix in unrefused(outdirs[side])]
+    for side, prefix in bad:
+        print(f"not exit 5 on the {side} side: {prefix}")
     print(f"{len(cmds)} commands; {len(diff)} of {compared} files differ "
           f"({outdirs['parent']} vs {outdirs['change']})")
-    return 1 if diff else 0
+    return 1 if diff or bad else 0
 
 
 if __name__ == "__main__":
