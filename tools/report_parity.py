@@ -96,11 +96,15 @@ def unrefused(outdir: Path) -> list[str]:
 
 def run_side(tree: Path, outdir: Path, cmds) -> None:
     outdir.mkdir(parents=True, exist_ok=False)
-    subprocess.run(
+    # The refused requests print their errors; show them only on a crash.
+    proc = subprocess.run(
         [sys.executable, "-c", DRIVER, str(tree / "src"), EXIT_CODES],
-        input=json.dumps(cmds), text=True, cwd=outdir, check=True,
-        stdout=subprocess.DEVNULL,
+        input=json.dumps(cmds), text=True, cwd=outdir,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        proc.check_returncode()
 
 
 def differences(parent: Path, change: Path) -> tuple[int, list[str]]:
