@@ -553,7 +553,11 @@ def _run_integration(
     manifest_extra = {
         **(manifest_extra or {}),
         "status": report["status"],
-        "integrator": {"rhs_evaluations": traj.rhs_evaluations},
+        "integrator": {
+            "rhs_evaluations": traj.rhs_evaluations,
+            "steps_accepted": traj.steps_accepted,
+            "steps_rejected": traj.steps_rejected,
+        },
     }
     if breach_info:
         manifest_extra["breach"] = breach_info

@@ -1,8 +1,8 @@
 """Trajectory integration with conservation monitoring and closure detection.
 
 Integration happens in internal coordinates.  Two integrators are offered:
-scipy's adaptive 8th-order Dormand-Prince pair (DOP853) for production
-accuracy and a hand-rolled fixed-step implicit midpoint rule as a
+the adaptive 8th-order Dormand-Prince pair DOP853 for production accuracy
+and a hand-rolled fixed-step implicit midpoint rule as a
 structure-preserving cross-check.  Both watch the walls of the family's
 chart (:data:`~superfact.systems.WALLS`) and stop with a
 :class:`~superfact.errors.DomainBreach` carrying the partial trajectory when
@@ -10,21 +10,29 @@ the state reaches a wall's safety margin; the message names the wall.
 
 Both drive the same vector field: the Hamiltonian's gradient compiled once
 per system into straight-line float code
-(:func:`~superfact.phase.compiled_gradient`), so one evaluation is a few
-microseconds of plain float arithmetic.  Every sampled state gets the
-energy, the sector integral, and the real constants ``X``/``Y`` attached so
-drift can be audited after the fact, and the trajectory records how many
-vector-field evaluations it took.
+(:func:`~superfact.phase.compiled_gradient`), so one evaluation is about a
+microsecond of plain float arithmetic.  DOP853 runs as straight-line float
+code too: its step and dense output are generated once per process from
+the tableau of ``scipy.integrate.DOP853`` (:func:`solve_ivp`), and the
+driver around them takes the steps scipy's ``solve_ivp`` would take, with
+the same step-size control, interpolant and event location.  Every
+sampled state gets the energy, the sector integral, and the real constants
+``X``/``Y`` attached so drift can be audited after the fact, and the
+trajectory records its vector-field evaluations and its accepted and
+rejected steps.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from .errors import DomainBreach, DomainError, InsufficientSpan, StepFailure
 from .factorization import higher_integral_observables
@@ -86,7 +94,9 @@ class Trajectory:
     ``states`` has shape ``(n, 4)`` in internal coordinates; ``energy``,
     ``second``, ``sym_x`` and ``sym_y`` are the matching series of ``H``,
     the sector integral, and the real constants of motion.
-    ``rhs_evaluations`` counts the vector-field calls the integrator made.
+    ``rhs_evaluations`` counts the vector-field calls the integrator made,
+    ``steps_accepted`` and ``steps_rejected`` its steps (the midpoint rule
+    counts its substeps and rejects none).
     """
 
     t: np.ndarray
@@ -99,6 +109,8 @@ class Trajectory:
     initial: PhasePoint
     controls: IntegratorControls
     rhs_evaluations: int = 0
+    steps_accepted: int = 0
+    steps_rejected: int = 0
 
     def __len__(self) -> int:
         return len(self.t)
@@ -155,10 +167,12 @@ class ClosureResult:
 
 # ---------- vector field ----------
 
+_NAN_ROW = (math.nan,) * 4
+
 
 @functools.lru_cache(maxsize=64)
 def _rhs_function(spec: SystemSpec):
-    """Hamiltonian vector field as ``f(t, y) -> ndarray(4)``.
+    """Hamiltonian vector field as ``f(q1, q2, p1, p2) -> (dq1, dq2, dp1, dp2)``.
 
     Compiling costs about half a millisecond, so the field is cached per
     spec.  A state where ``H`` cannot be evaluated (a singular denominator,
@@ -167,14 +181,14 @@ def _rhs_function(spec: SystemSpec):
     """
     grad = compiled_gradient(hamiltonian_observable(spec))
 
-    def rhs(t, y):
+    def field(q1, q2, p1, p2):
         try:
-            h_q1, h_q2, h_p1, h_p2 = grad(*y.tolist())
+            h_q1, h_q2, h_p1, h_p2 = grad(q1, q2, p1, p2)
         except (ZeroDivisionError, OverflowError, ValueError, DomainError):
-            return np.full(4, np.nan)
-        return np.array([h_p1, h_p2, -h_q1, -h_q2])
+            return _NAN_ROW
+        return h_p1, h_p2, -h_q1, -h_q2
 
-    return rhs
+    return field
 
 
 def hamilton_rhs(spec: SystemSpec, point: PhasePoint) -> np.ndarray:
@@ -182,7 +196,7 @@ def hamilton_rhs(spec: SystemSpec, point: PhasePoint) -> np.ndarray:
     verdict = domain_check(spec, point, margin=0.0)
     if not verdict:
         raise DomainError(verdict.reason)
-    out = _rhs_function(spec)(0.0, point.as_array())
+    out = np.array(_rhs_function(spec)(point.q1, point.q2, point.p1, point.p2))
     if not np.isfinite(out).all():
         raise DomainError("vector field not finite at the requested point")
     return out
@@ -192,18 +206,270 @@ def hamilton_rhs(spec: SystemSpec, point: PhasePoint) -> np.ndarray:
 
 
 def _breach_events(spec: SystemSpec, margin: float):
-    """Terminal event functions, one per wall, positive strictly inside the
-    safe region."""
-    events = []
-    for wall in WALLS[spec.family]:
+    """Event functions ``g(t, y)``, one per wall, positive strictly inside
+    the safe region: the flow breaches a wall where its function falls to
+    zero."""
+    return [
+        lambda t, y, wall=wall: wall.clearance(y[wall.index], margin)
+        for wall in WALLS[spec.family]
+    ]
 
-        def event(t, y, wall=wall):
-            return wall.clearance(y[wall.index], margin)
 
-        event.terminal = True
-        event.direction = -1.0
-        events.append(event)
-    return events
+# ---------- DOP853 stepper ----------
+
+# Step-size control of scipy's explicit Runge-Kutta solvers
+# (Hairer-Norsett-Wanner, *Solving ODEs I*, II.4).
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 8  # DOP853's error estimator has order 7
+_EVENT_TOL = 4 * sys.float_info.epsilon  # solve_ivp's tolerance on event times
+
+
+def _names(prefix: str) -> str:
+    return ", ".join(f"{prefix}_{j}" for j in range(4))
+
+
+def _combination(row, j: int) -> str:
+    """``c0 * k0_j + c5 * k5_j + ...`` over the non-zero coefficients of a
+    tableau row, in tableau order; ``repr`` reads back the same float."""
+    return " + ".join(f"{c!r} * k{s}_{j}" for s, c in enumerate(map(float, row)) if c)
+
+
+def _stage(s: int, row) -> list[str]:
+    """Stage ``s``: the field at ``y + (row . K) * h``, kept as a tuple and
+    as its four components."""
+    args = ", ".join(f"y_{j} + ({_combination(row, j)}) * h" for j in range(4))
+    return [f"k{s} = f({args})", f"{_names(f'k{s}')} = k{s}"]
+
+
+def _dop853_source() -> str:
+    """Python source of one DOP853 step and its dense output on four floats.
+
+    ``step(f, h, y, k0, rtol, atol)`` runs the stages of a step of size
+    ``h`` from state ``y``, where ``k0 = f(*y)``, and returns ``(err,
+    y_new, f_new, kept)``: scipy's error norm (``DOP853._estimate_error_norm``),
+    the new state, the field there, and the stages the dense output needs.
+    ``err`` is NaN when a stage that the error estimate weights by zero is
+    not finite, so such a step is rejected like any other non-finite one.
+    ``dense(f, h, y, y_new, k0, f_new, kept)`` evaluates the extra stages
+    and returns the 7 x 4 coefficients of the interpolant, row by row
+    (scipy's ``DOP853._dense_output_impl``).
+
+    Every coefficient comes from the public attributes of
+    ``scipy.integrate.DOP853``; zero ones are skipped.
+    """
+    a, b, e3, e5, d = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5, DOP853.D
+    new = len(b)  # the stage at the new state, f_new
+    extra = range(new + 1, new + 1 + len(DOP853.A_EXTRA))
+    used = {s for row in (*d, *DOP853.A_EXTRA) for s in np.flatnonzero(row)}
+    kept = sorted(used - {0, new, *extra})
+    unchecked = [s for s in range(len(e5)) if not e5[s] and not e3[s]]
+    returns = f"({_names('n')}), k{new}, ({''.join(f'k{s}, ' for s in kept)})"
+
+    step = [f"{_names('y')} = y", f"{_names('k0')} = k0"]
+    for s in range(1, new):
+        step += _stage(s, a[s, :s])
+    step += [f"n_{j} = y_{j} + h * ({_combination(b, j)})" for j in range(4)]
+    step += [f"k{new} = f({_names('n')})", f"{_names(f'k{new}')} = k{new}"]
+    if unchecked:
+        total = " + ".join(f"k{s}_{j}" for s in unchecked for j in range(4))
+        step += [f"z = {total}", "if z - z != 0.0:", "    return nan, None, None, None"]
+    for j in range(4):
+        step += [
+            f"u = abs(y_{j})",
+            f"v = abs(n_{j})",
+            "s = atol + (u if u > v else v) * rtol",
+            f"e5_{j} = ({_combination(e5, j)}) / s",
+            f"e3_{j} = ({_combination(e3, j)}) / s",
+        ]
+    step += [
+        "r5 = sqrt(" + " + ".join(f"e5_{j} * e5_{j}" for j in range(4)) + ")",
+        "r3 = sqrt(" + " + ".join(f"e3_{j} * e3_{j}" for j in range(4)) + ")",
+        "e5 = r5 * r5",
+        "e3 = r3 * r3",
+        "if e5 == 0.0 and e3 == 0.0:",
+        f"    return 0.0, {returns}",
+        f"return h * e5 / sqrt((e5 + 0.01 * e3) * 4), {returns}",
+    ]
+
+    dense = [f"{_names(x)} = {x}" for x in ("y", "n", "k0", f"k{new}")]
+    if kept:
+        dense.append("[" + ", ".join(f"({_names(f'k{s}')})" for s in kept) + "] = kept")
+    for s, row in zip(extra, DOP853.A_EXTRA):
+        dense += _stage(s, row[:s])
+    dense += [f"d_{j} = n_{j} - y_{j}" for j in range(4)]
+    rows = [
+        [f"d_{j}" for j in range(4)],
+        [f"h * k0_{j} - d_{j}" for j in range(4)],
+        [f"2.0 * d_{j} - h * (k{new}_{j} + k0_{j})" for j in range(4)],
+        *([f"h * ({_combination(r, j)})" for j in range(4)] for r in d),
+    ]
+    dense.append("return (" + ",\n        ".join(", ".join(r) for r in rows) + ")")
+
+    return "".join(
+        f"def {head}:\n" + "".join(f"    {line}\n" for line in body) + "\n"
+        for head, body in (
+            ("step(f, h, y, k0, rtol, atol)", step),
+            (f"dense(f, h, y, n, k0, k{new}, kept)", dense),
+        )
+    )
+
+
+@functools.cache
+def _dop853():
+    """The generated ``(step, dense)`` pair, compiled on first use."""
+    namespace = {"nan": math.nan, "sqrt": math.sqrt}
+    exec(compile(_dop853_source(), "<dop853>", "exec"), namespace)
+    return namespace["step"], namespace["dense"]
+
+
+def _initial_step(field, y, f, t_end, max_step, rtol, atol) -> float:
+    """scipy's ``select_initial_step`` for a forward run from ``t = 0``
+    (Hairer-Norsett-Wanner II.4); calls the field once."""
+
+    def rms(values):
+        return math.sqrt(sum(v * v for v in values)) / 2.0
+
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = rms([v / s for v, s in zip(y, scale)])
+    d1 = rms([v / s for v, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = field(*(v + h0 * w for v, w in zip(y, f)))
+    d2 = rms([(v - w) / s for v, w, s in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, t_end, max_step)
+
+
+def _dense_states(t, t_old, h, y_old, coefficients) -> np.ndarray:
+    """DOP853's interpolant at times ``t``, one row per time: sample ``i``
+    lies in the step of size ``h[i]`` from ``(t_old[i], y_old[i])`` whose
+    coefficients are ``coefficients[i]`` (one row of four per power).  The
+    same operations as scipy's ``Dop853DenseOutput``."""
+    x = ((t - t_old) / h)[:, None]
+    y = np.zeros_like(y_old)
+    for i in range(coefficients.shape[1] - 1, -1, -1):
+        y += coefficients[:, i]
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
+
+
+@dataclass(frozen=True)
+class Solution:
+    """What :func:`solve_ivp` returns.
+
+    ``t`` holds the sample times reached (up to the event when one fired)
+    and ``y`` the states there, shape ``(len(t), 4)``.  ``status`` is 0
+    when the run reached its last sample and 1 when ``event = (k, time,
+    state)`` names the event function that fired.  ``nfev`` counts the
+    field evaluations: 2 to start, 12 per accepted or rejected step and 3
+    per step that holds a sample or an event.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    event: tuple[int, float, np.ndarray] | None
+    nfev: int
+    steps_accepted: int
+    steps_rejected: int
+
+
+def solve_ivp(field, y0, t_eval, *, rtol, atol, max_step, events=()) -> Solution:
+    """Integrate ``dy/dt = field(*y)`` from ``y(0) = y0`` to ``t_eval[-1]``
+    with DOP853, sampling at the increasing times ``t_eval``.
+
+    scipy's ``solve_ivp(method="DOP853", t_eval=..., events=...)`` step
+    for step: the same initial step, step-size control, error norm,
+    dense output and event location, so the same steps are taken.  Each
+    event function ``g(t, y)`` is terminal and fires where it falls from
+    positive to zero or below; the run stops at the first root, located
+    on the interpolant by ``brentq``.  Raises
+    :class:`~superfact.errors.StepFailure` when the step falls below ten
+    spacings of ``t``.
+    """
+    step, dense = _dop853()
+    samples = [float(v) for v in t_eval]
+    t_end = samples[-1]
+    t = 0.0
+    y = tuple(float(v) for v in y0)
+    f = field(*y)
+    h_abs = _initial_step(field, y, f, t_end, max_step, rtol, atol)
+    nfev, accepted, rejected = 2, 0, 0
+    g = [event(0.0, y) for event in events]
+    records = []  # (t_old, h, y_old, coefficients) per step holding samples
+    owners = []  # per sample, its record
+    fired = None
+    while fired is None and t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        retried = False
+        while True:
+            if not h_abs >= min_step:
+                raise StepFailure(
+                    f"adaptive integrator failed at t={t:.6g}: the step size fell to "
+                    f"{h_abs:.3g}, below ten spacings of t ({min_step:.3g})"
+                )
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            err, y_new, f_new, kept = step(field, h, y, f, rtol, atol)
+            nfev += 12
+            if err < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+            retried = True
+            rejected += 1
+        factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
+        h_abs *= min(1, factor) if retried else factor
+        accepted += 1
+        t_old, y_old, f_old = t, y, f
+        t, y, f = t_new, y_new, f_new
+
+        coefficients = None
+        if events:
+            g_new = [event(t, y) for event in events]
+            active = [k for k, (a, b) in enumerate(zip(g, g_new)) if a >= 0 and b <= 0]
+            g = g_new
+            if active:
+                coefficients = dense(field, h, y_old, y, f_old, f, kept)
+                nfev += 3
+                args = (np.array([t_old]), np.array([h]), np.array([y_old]),
+                        np.array(coefficients).reshape(1, -1, 4))
+
+                def sol(s):
+                    return _dense_states(np.array([s]), *args)[0]
+
+                roots = [
+                    brentq(lambda s, k=k: events[k](s, sol(s)), t_old, t,
+                           xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+                    for k in active
+                ]
+                first = min(range(len(active)), key=roots.__getitem__)
+                t = roots[first]
+                fired = (active[first], t, sol(t))
+        end = bisect.bisect_right(samples, t, len(owners))
+        if end > len(owners):
+            if coefficients is None:
+                coefficients = dense(field, h, y_old, y, f_old, f, kept)
+                nfev += 3
+            owners += [len(records)] * (end - len(owners))
+            records.append((t_old, h, y_old, coefficients))
+
+    ts = np.array(samples[: len(owners)])
+    if records:
+        t_old, h, y_old, coefficients = (np.array(v) for v in zip(*records))
+        states = _dense_states(ts, t_old[owners], h[owners], y_old[owners],
+                               coefficients.reshape(len(records), -1, 4)[owners])
+    else:
+        states = np.empty((0, 4))
+    return Solution(ts, states, 0 if fired is None else 1, fired, nfev, accepted, rejected)
 
 
 # ---------- sampling helpers ----------
@@ -237,7 +503,7 @@ def _sample_times(t_end: float, sample_dt: float) -> np.ndarray:
     return ts
 
 
-def _build_trajectory(spec, initial, controls, t, states, rhs_evaluations) -> Trajectory:
+def _build_trajectory(spec, initial, controls, t, states, counts=(0, 0, 0)) -> Trajectory:
     t = np.asarray(t, dtype=float)
     states = np.asarray(states, dtype=float).reshape(len(t), 4)
     batch = PhaseBatch.from_arrays(states[:, 0], states[:, 1], states[:, 2], states[:, 3])
@@ -259,52 +525,47 @@ def _build_trajectory(spec, initial, controls, t, states, rhs_evaluations) -> Tr
         spec=spec,
         initial=initial,
         controls=controls,
-        rhs_evaluations=rhs_evaluations,
+        rhs_evaluations=counts[0],
+        steps_accepted=counts[1],
+        steps_rejected=counts[2],
     )
 
 
 # ---------- integrators ----------
 
 
-def _integrate_adaptive(spec, y0, t_end, ts, controls, max_step, margin):
-    events = _breach_events(spec, margin)
+def _integrate_adaptive(spec, y0, ts, controls, max_step, margin):
     sol = solve_ivp(
         _rhs_function(spec),
-        (0.0, t_end),
         y0,
-        method="DOP853",
-        t_eval=ts,
+        ts,
         rtol=controls.rel_tol,
         atol=controls.abs_tol,
         max_step=max_step,
-        events=events if events else None,
+        events=_breach_events(spec, margin),
     )
-    if sol.status == -1:
-        raise StepFailure(f"adaptive integrator failed: {sol.message}")
-    t_out = list(sol.t)
-    y_out = list(sol.y.T)
-    if sol.status == 1:
-        fired = [k for k, tev in enumerate(sol.t_events) if len(tev)]
-        k = min(fired, key=lambda k: sol.t_events[k][0])
-        t_best, y_best = float(sol.t_events[k][0]), sol.y_events[k][0]
-        if not t_out or t_best > t_out[-1] + 1e-15:
-            t_out.append(t_best)
-            y_out.append(np.asarray(y_best, dtype=float))
-        return t_out, y_out, (t_best, y_best, WALLS[spec.family][k]), sol.nfev
-    return t_out, y_out, None, sol.nfev
+    counts = (sol.nfev, sol.steps_accepted, sol.steps_rejected)
+    if sol.event is None:
+        return sol.t, sol.y, None, counts
+    k, t_best, y_best = sol.event
+    t_out, y_out = sol.t, sol.y
+    if not len(t_out) or t_best > t_out[-1] + 1e-15:
+        t_out = np.append(t_out, t_best)
+        y_out = np.vstack([y_out, y_best])
+    return t_out, y_out, (t_best, y_best, WALLS[spec.family][k]), counts
 
 
-def _midpoint_step(rhs, t, y, h):
+def _midpoint_step(field, t, y, h):
     """One implicit midpoint step solved by fixed-point iteration.
 
     Returns the new state and the number of vector-field evaluations."""
     t_mid = t + h / 2
-    f = rhs(t, y)
+    f = np.array(field(*y.tolist()))
     if not np.isfinite(f).all():
         raise StepFailure(f"vector field not evaluable at t={t:.6g}")
     z = y + (h / 2) * f
     for sweep in range(_FIXED_POINT_MAX_ITER):
-        f = rhs(t_mid, z)
+        f = np.array(field(*z.tolist()))
         if not np.isfinite(f).all():
             raise StepFailure(f"vector field not evaluable near t={t_mid:.6g}")
         z_new = y + (h / 2) * f
@@ -319,9 +580,10 @@ def _midpoint_step(rhs, t, y, h):
 
 
 def _integrate_midpoint(spec, y0, ts, controls, fixed_dt, margin):
-    rhs = _rhs_function(spec)
+    field = _rhs_function(spec)
     events = _breach_events(spec, margin)
     nfev = 0
+    steps = 0
     t_out = [0.0]
     y_out = [np.asarray(y0, dtype=float)]
     y = np.asarray(y0, dtype=float)
@@ -331,19 +593,20 @@ def _integrate_midpoint(spec, y0, ts, controls, fixed_dt, margin):
         h = span / n_sub
         t = ts[i]
         for _ in range(n_sub):
-            y, calls = _midpoint_step(rhs, t, y, h)
+            y, calls = _midpoint_step(field, t, y, h)
             nfev += calls
+            steps += 1
             t += h
             for k, event in enumerate(events):
                 if not event(t, y) > 0:
                     t_out.append(t)
                     y_out.append(y)
-                    return t_out, y_out, (t, y, WALLS[spec.family][k]), nfev
+                    return t_out, y_out, (t, y, WALLS[spec.family][k]), (nfev, steps, 0)
         # Land exactly on the sample time to keep the grid drift-free.
         t = ts[i + 1]
         t_out.append(t)
         y_out.append(y)
-    return t_out, y_out, None, nfev
+    return t_out, y_out, None, (nfev, steps, 0)
 
 
 def integrate(
@@ -379,21 +642,21 @@ def integrate(
             f"initial state already inside the safety margin: {verdict.reason}",
             time=0.0,
             state=initial,
-            trajectory=_build_trajectory(spec, initial, controls, [], [], 0),
+            trajectory=_build_trajectory(spec, initial, controls, [], []),
         )
 
     ts = _sample_times(t_end, sample_dt)
     y0 = initial.as_array()
     if controls.method == "dop853":
-        t_out, y_out, breach, nfev = _integrate_adaptive(
-            spec, y0, t_end, ts, controls, max_step, margin
+        t_out, y_out, breach, counts = _integrate_adaptive(
+            spec, y0, ts, controls, max_step, margin
         )
     else:
-        t_out, y_out, breach, nfev = _integrate_midpoint(
+        t_out, y_out, breach, counts = _integrate_midpoint(
             spec, y0, ts, controls, fixed_dt, margin
         )
 
-    traj = _build_trajectory(spec, initial, controls, t_out, y_out, nfev)
+    traj = _build_trajectory(spec, initial, controls, t_out, y_out, counts)
     if breach is not None:
         t_b, y_b, wall = breach
         raise DomainBreach(

@@ -6,10 +6,13 @@ nested for brackets of brackets, and central finite differences),
 random polynomial observables whose bracket algebra is known exactly, and
 a point-by-point identity runner.  Nothing here imports from the modules
 under test beyond the public containers, the error types and the dual
-number type.
+number type, with one exception: the reference flow integrator drives the
+library's own vector field through scipy's ``solve_ivp``, so it checks the
+stepper, not the field.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from superfact import (
     DomainBox,
@@ -19,9 +22,12 @@ from superfact import (
     Observable,
     PhasePoint,
     RationalGamma,
+    StepFailure,
     SuperfactError,
     SystemSpec,
+    dynamics,
 )
+from superfact.systems import WALLS
 
 FD_STEP = 1e-6
 
@@ -181,3 +187,63 @@ def run_identity_pointwise(ident, batch) -> IdentityResult:
     return IdentityResult(
         ident.label, n, max_res, ident.tolerance, passed, tuple(errors)
     )
+
+
+# ---------- reference flow integrator ----------
+
+
+def _rhs_function(spec):
+    """The library's vector field as scipy's ``f(t, y) -> ndarray(4)``,
+    looked up at call time so a patched field reaches the reference too."""
+    field = dynamics._rhs_function(spec)
+
+    def rhs(t, y):
+        return np.array(field(*y.tolist()))
+
+    return rhs
+
+
+def _breach_events(spec, margin):
+    """Terminal event functions, one per wall, positive strictly inside the
+    safe region."""
+    events = []
+    for wall in WALLS[spec.family]:
+
+        def event(t, y, wall=wall):
+            return wall.clearance(y[wall.index], margin)
+
+        event.terminal = True
+        event.direction = -1.0
+        events.append(event)
+    return events
+
+
+def integrate_adaptive_scipy(spec, y0, t_end, ts, controls, max_step, margin):
+    """The library's former DOP853 driver on scipy's ``solve_ivp``: the
+    reference for ``dynamics._integrate_adaptive``.  Returns ``(t, states,
+    breach, nfev)`` with ``breach = (time, state, wall)`` or ``None``."""
+    events = _breach_events(spec, margin)
+    sol = solve_ivp(
+        _rhs_function(spec),
+        (0.0, t_end),
+        y0,
+        method="DOP853",
+        t_eval=ts,
+        rtol=controls.rel_tol,
+        atol=controls.abs_tol,
+        max_step=max_step,
+        events=events if events else None,
+    )
+    if sol.status == -1:
+        raise StepFailure(f"adaptive integrator failed: {sol.message}")
+    t_out = list(sol.t)
+    y_out = list(sol.y.T)
+    if sol.status == 1:
+        fired = [k for k, tev in enumerate(sol.t_events) if len(tev)]
+        k = min(fired, key=lambda k: sol.t_events[k][0])
+        t_best, y_best = float(sol.t_events[k][0]), sol.y_events[k][0]
+        if not t_out or t_best > t_out[-1] + 1e-15:
+            t_out.append(t_best)
+            y_out.append(np.asarray(y_best, dtype=float))
+        return t_out, y_out, (t_best, y_best, WALLS[spec.family][k]), sol.nfev
+    return t_out, y_out, None, sol.nfev

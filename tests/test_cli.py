@@ -4,6 +4,9 @@ import datetime
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from superfact import (
     PhasePoint,
     TOL_POLY,
     cli,
+    dynamics,
     hamiltonian,
     higher_integral,
     integrate,
@@ -475,6 +479,41 @@ def test_integrate_step_failure_writes_a_manifest(tmp_path, monkeypatch):
     assert manifest["outputs"] == []
 
 
+def test_integrate_adaptive_step_failure_writes_a_manifest(tmp_path, monkeypatch):
+    compiled = dynamics._rhs_function
+
+    def nan_after_the_initial_step(spec):
+        field = compiled(spec)
+        calls = []
+
+        def patched(*y):
+            # The first two evaluations pick the initial step; every later
+            # one is NaN, so each step is rejected until the size runs out.
+            calls.append(y)
+            return field(*y) if len(calls) <= 2 else (math.nan,) * 4
+
+        return patched
+
+    monkeypatch.setattr(dynamics, "_rhs_function", nan_after_the_initial_step)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        [
+            "integrate", "--system", "sphere", "--gamma", "1",
+            "--q0", "0.3,0.2", "--p0", "1.5,-0.8", "--t-end", "10",
+            "--out", "stuck",
+        ]
+    )
+    assert code == 4
+    assert [p.name for p in tmp_path.iterdir()] == ["stuck.manifest.json"]
+    manifest = json.loads((tmp_path / "stuck.manifest.json").read_text())
+    assert manifest["status"] == "step_failure"
+    assert manifest["outputs"] == []
+    message = manifest["message"]
+    assert "at t=0: the step size fell to " in message
+    step = float(message.split("fell to ")[1].split(",")[0])
+    assert 0 < step < 1e-322
+
+
 def test_integrate_midpoint_completes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = cli.main(
@@ -574,6 +613,32 @@ def test_integrate_csv_byte_identical_across_runs(tmp_path, monkeypatch):
     assert ra == rb
 
 
+_INTEGRATE_SCRIPT = """
+import sys
+from superfact import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_integrate_outputs_byte_identical_across_processes(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [
+        "integrate", "--system", "sphere", "--gamma", "3/2",
+        "--q0", "0.4,-0.3", "--p0", "0.2,0.5", "--t-end", "6.0",
+        "--closure-eps", "1e-4",
+    ]
+    for hash_seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-c", _INTEGRATE_SCRIPT, *argv, "--out", f"run{hash_seed}"],
+            cwd=tmp_path, env=env, capture_output=True, check=True, timeout=120,
+        )
+    for suffix in (".csv", ".report.json"):
+        assert (tmp_path / f"run0{suffix}").read_bytes() == (
+            tmp_path / f"run4242{suffix}"
+        ).read_bytes()
+
+
 @pytest.mark.parametrize("method", ["dop853", "midpoint"])
 def test_integrate_rhs_evaluations_in_manifest_only(tmp_path, monkeypatch, method):
     monkeypatch.chdir(tmp_path)
@@ -598,7 +663,11 @@ def test_integrate_rhs_evaluations_in_manifest_only(tmp_path, monkeypatch, metho
         IntegratorControls(method=method, fixed_dt=0.01),
     )
     manifest = json.loads((tmp_path / "runa.manifest.json").read_text())
-    assert manifest["integrator"] == {"rhs_evaluations": traj.rhs_evaluations}
+    assert manifest["integrator"] == {
+        "rhs_evaluations": traj.rhs_evaluations,
+        "steps_accepted": traj.steps_accepted,
+        "steps_rejected": traj.steps_rejected,
+    }
     assert traj.rhs_evaluations > 0
 
 

@@ -13,6 +13,8 @@ import superfact
 from superfact import dynamics
 from superfact import (
     DomainBreach,
+    default_box,
+    sample_points,
     DomainError,
     InsufficientSpan,
     IntegratorControls,
@@ -26,7 +28,9 @@ from superfact import (
     integrate,
 )
 
-from _oracles import fd_partial, spec_for
+from superfact.systems import DELTA_MARGIN, characteristic_period
+
+from _oracles import fd_partial, integrate_adaptive_scipy, spec_for
 
 TWO_PI = 2 * math.pi
 
@@ -91,17 +95,15 @@ def test_rhs_at_non_finite_states_returns_a_row(family):
         for bad in (math.inf, -math.inf, math.nan):
             y = np.array([1.2, 0.6, 0.3, -0.4])
             y[k] = bad
-            assert rhs(0.0, y).shape == (4,)
+            assert np.shape(rhs(*y.tolist())) == (4,)
     # math.cos has no value at infinity: the unevaluable state is the NaN row.
-    row = dynamics._rhs_function(spec_for("sphere", "1"))(
-        0.0, np.array([math.inf, 0.6, 0.3, -0.4])
-    )
+    row = dynamics._rhs_function(spec_for("sphere", "1"))(math.inf, 0.6, 0.3, -0.4)
     assert np.isnan(row).all()
 
 
 def test_rhs_at_ttw_origin_is_the_nan_row():
     rhs = dynamics._rhs_function(spec_for("ttw", "3/2"))
-    assert np.isnan(rhs(0.0, np.array([0.0, 0.7, 0.1, 0.2]))).all()
+    assert np.isnan(rhs(0.0, 0.7, 0.1, 0.2)).all()
 
 
 def test_rhs_function_is_compiled_once_per_spec():
@@ -124,6 +126,9 @@ for spec in (
     grad = compiled_gradient(hamiltonian_observable(spec))
     print(grad.source)
     print([(k, repr(v)) for k, v in grad.__globals__.items() if re.fullmatch("c[0-9]+", k)])
+
+from superfact import dynamics
+print(dynamics._dop853_source())
 """
 
 
@@ -139,6 +144,7 @@ def test_rhs_compiled_source_is_deterministic():
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("def gradient") == 3
+    assert outputs[0].count("def step") == outputs[0].count("def dense") == 1
 
 
 # ---------- flows with known solutions ----------
@@ -330,9 +336,9 @@ def test_trajectory_counts_rhs_evaluations(monkeypatch, method):
     def counting(spec):
         rhs = compiled(spec)
 
-        def counted(t, y):
-            calls.append(t)
-            return rhs(t, y)
+        def counted(*y):
+            calls.append(y)
+            return rhs(*y)
 
         return counted
 
@@ -348,6 +354,121 @@ def test_step_failure_midpoint_giant_step():
     controls = IntegratorControls(method="midpoint", sample_dt=10.0, fixed_dt=10.0)
     with pytest.raises(StepFailure):
         integrate(spec, PhasePoint(0.3, 0.2, 1.5, -0.8), 10.0, controls)
+
+
+# ---------- the generated DOP853 stepper against scipy ----------
+
+
+def _both_steppers(spec, start, t_end, controls=IntegratorControls()):
+    """``_integrate_adaptive`` and the scipy reference on one start, with
+    the controls resolved as :func:`integrate` resolves them."""
+    period = characteristic_period(spec)
+    max_step = controls.max_step if controls.max_step is not None else period / 10
+    ts = dynamics._sample_times(t_end, dynamics.sample_interval(spec, t_end, controls))
+    margin = controls.breach_margin if controls.breach_margin is not None else DELTA_MARGIN / 2
+    y0 = np.array(start, dtype=float)
+    t, states, breach, counts = dynamics._integrate_adaptive(
+        spec, y0, ts, controls, max_step, margin
+    )
+    ref_t, ref_states, ref_breach, ref_nfev = integrate_adaptive_scipy(
+        spec, y0, t_end, ts, controls, max_step, margin
+    )
+    assert counts[0] == ref_nfev
+    assert len(t) == len(ref_t)
+    ref_states = np.asarray(ref_states).reshape(-1, 4)
+    assert np.all(np.abs(states - ref_states) <= 1e-11 * (1.0 + np.abs(ref_states)))
+    assert (breach is None) == (ref_breach is None)
+    if breach is not None:
+        assert breach[2] == ref_breach[2]
+        assert abs(breach[0] - ref_breach[0]) <= 1e-12
+    return breach
+
+
+@pytest.mark.parametrize("gamma", ["1", "2", "1/2", "3/2", "2/3"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_stepper_takes_scipys_steps_from_default_box_starts(family, gamma):
+    spec = spec_for(family, gamma)
+    starts = sample_points(spec, default_box(spec), 2, seed=13)
+    half_period = characteristic_period(spec) / 2
+    for i in range(len(starts)):
+        _both_steppers(spec, starts.point(i).as_array(), half_period)
+
+
+@pytest.mark.parametrize(
+    "family,start,t_end,controls",
+    [
+        ("sphere", (0.0, 0.0, 45.0, 0.0), 1.0, IntegratorControls()),
+        ("sphere", (0.0, 0.0, 2.0, 0.0), 3.0, IntegratorControls(breach_margin=0.5)),
+        ("ttw", (1.0, 0.7, -4.0, 0.0), 3.0, IntegratorControls(breach_margin=0.5)),
+    ],
+)
+def test_stepper_breaches_where_scipy_does(family, start, t_end, controls):
+    assert _both_steppers(spec_for(family, "1"), start, t_end, controls) is not None
+
+
+def test_non_finite_field_rejects_the_step_and_recovers(monkeypatch):
+    spec = spec_for("euclidean", "1")
+    field = dynamics._rhs_function(spec)
+    probes = []
+
+    def walled(q1, q2, p1, p2):
+        # The orbit q1 = cos t stays below the wall; a long step's stage does not.
+        if q1 > 1.001:
+            probes.append(q1)
+            return (math.nan,) * 4
+        return field(q1, q2, p1, p2)
+
+    start = PhasePoint(1.0, 0.0, 0.0, 1.0)
+    controls = IntegratorControls(rel_tol=1e-3, abs_tol=1e-6, max_step=TWO_PI)
+    clean = integrate(spec, start, 2 * TWO_PI, controls)
+    monkeypatch.setattr(dynamics, "_rhs_function", lambda spec: walled)
+    traj = integrate(spec, start, 2 * TWO_PI, controls)
+    assert probes
+    assert traj.steps_rejected == clean.steps_rejected + 1
+    assert traj.t[-1] == 2 * TWO_PI
+    np.testing.assert_allclose(traj.states, clean.states, atol=1e-3)
+    _both_steppers(spec, start.as_array(), 2 * TWO_PI, controls)
+
+
+@pytest.mark.parametrize(
+    "family,start,controls",
+    [
+        ("ttw", (1.2, 0.8, -0.4, 0.6), IntegratorControls()),
+        ("sphere", (0.0, 0.0, 2.0, 0.0), IntegratorControls(breach_margin=0.5)),
+        ("sphere", (0.3, 0.2, 1.5, -0.8), IntegratorControls(rel_tol=1e-3, max_step=10.0)),
+    ],
+)
+def test_dop853_evaluation_count_follows_its_steps(monkeypatch, family, start, controls):
+    step, dense = dynamics._dop853()
+    dense_calls = []
+
+    def counted_dense(*args):
+        dense_calls.append(args[1])
+        return dense(*args)
+
+    monkeypatch.setattr(dynamics, "_dop853", lambda: (step, counted_dense))
+    try:
+        traj = integrate(spec_for(family, "3/2"), PhasePoint(*start), 3.0, controls)
+    except DomainBreach as exc:
+        traj = exc.trajectory
+    steps = traj.steps_accepted + traj.steps_rejected
+    assert traj.rhs_evaluations == 2 + 12 * steps + 3 * len(dense_calls)
+    assert 0 < len(dense_calls) <= traj.steps_accepted
+
+
+def test_midpoint_counts_its_substeps():
+    controls = IntegratorControls(method="midpoint", sample_dt=0.5, fixed_dt=0.1)
+    traj = integrate(spec_for("euclidean", "2"), PhasePoint(0.0, 0.0, 0.5, 1.0), 2.0, controls)
+    assert traj.steps_accepted == 20
+    assert traj.steps_rejected == 0
+
+
+def test_step_failure_adaptive_names_the_time_and_step(monkeypatch):
+    monkeypatch.setattr(
+        dynamics, "_rhs_function", lambda spec: lambda *y: (math.nan,) * 4
+    )
+    with pytest.raises(StepFailure, match=r"at t=0: the step size fell to nan"):
+        integrate(spec_for("sphere", "1"), PhasePoint(0.3, 0.2, 1.5, -0.8), 1.0)
 
 
 # ---------- closure detection ----------

@@ -14,14 +14,17 @@ commands in one process, writing into its own output directory under
 - ``verify`` on sphere and TTW at gamma 141/100, seed 7, whose high-order
   products overflow at some points;
 - the ``integrate`` and ``trace`` examples of the README;
+- the first round of the benchmark's ``flow`` workload at seeds 1-3: per
+  spec, two ``integrate`` commands from energy-stratified starts;
 - the first round of the benchmark's ``trace`` workload at seeds 1-3: per
   spec, one request on reachable levels and two below the energy floor.
 
 Every output file but the manifests (they carry wall-clock timestamps) is
 compared byte for byte, and so are the exit codes; each request below the
 floor must also exit 5 on both sides.  The script prints each file that
-differs or exists on one side only, and each such request that did not exit
-5, and exits 1 if there is any; it exits 0 when all match.
+differs or exists on one side only, with the largest difference between
+the numbers of a differing CSV or report, and each such request that did
+not exit 5, and exits 1 if there is any; it exits 0 when all match.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -63,14 +67,14 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
 """
 
 
-def _trace_requests() -> list[tuple[str, str, list[str]]]:
-    """``(output prefix, kind, argv)`` of round 0 of the ``trace`` workload
-    at each seed, as ``perfbench/run.py`` builds it."""
+def _round_zero(workload: str) -> list[tuple[str, str, list[str]]]:
+    """``(output prefix, kind, argv)`` of round 0 of ``workload`` at each
+    seed, as ``perfbench/run.py`` builds it."""
     out = []
     for seed in SEEDS:
-        for index in range(workloads.groups_per_round("trace")):
-            for k, cmd in enumerate(workloads.group("trace", seed, 0, index)):
-                out.append((f"trace-s{seed}-g{index}-{k}", cmd.kind, list(cmd.argv)))
+        for index in range(workloads.groups_per_round(workload)):
+            for k, cmd in enumerate(workloads.group(workload, seed, 0, index)):
+                out.append((f"{workload}-s{seed}-g{index}-{k}", cmd.kind, list(cmd.argv)))
     return out
 
 
@@ -84,13 +88,14 @@ def commands() -> list[tuple[str, list[str]]]:
                 "--samples", str(workloads.VERIFY_SAMPLES), "--seed", str(seed)]
         out.append((f"verify-{family}-{gamma.replace('/', '_')}-s{seed}", argv))
     out += [(prefix, argv) for prefix, argv in README_EXAMPLES]
-    return out + [(prefix, argv) for prefix, _, argv in _trace_requests()]
+    return out + [(prefix, argv) for workload in ("flow", "trace")
+                  for prefix, _, argv in _round_zero(workload)]
 
 
 def unrefused(outdir: Path) -> list[str]:
     """The requests below the energy floor that did not exit 5."""
     codes = json.loads((outdir / EXIT_CODES).read_text(encoding="utf-8"))
-    return [prefix for prefix, kind, _ in _trace_requests()
+    return [prefix for prefix, kind, _ in _round_zero("trace")
             if kind == "unreachable" and codes[prefix] != EXIT_NO_SOLUTION]
 
 
@@ -119,6 +124,54 @@ def differences(parent: Path, change: Path) -> tuple[int, list[str]]:
     return len(names[0] | names[1]), out
 
 
+def _numbers(path: Path) -> list[float]:
+    """The numbers of a CSV or JSON output, in file order."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".json":
+        values = []
+        for cell in text.replace("\n", ",").split(","):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                pass
+        return values
+    values = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            values.append(float(node))
+
+    walk(json.loads(text))
+    return values
+
+
+def _gap(x: float, y: float) -> tuple[float, float]:
+    """``|x - y|`` and that over ``1 + |x|``; NaN against a number is infinite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0, 0.0
+    gap = abs(x - y)
+    if math.isnan(gap) or not math.isfinite(x):
+        return math.inf, math.inf
+    return gap, gap / (1.0 + abs(x))
+
+
+def largest_difference(parent: Path, change: Path) -> str:
+    """How far apart the numbers of two versions of an output lie."""
+    a, b = _numbers(parent), _numbers(change)
+    if len(a) != len(b):
+        return f"{len(a)} vs {len(b)} numbers"
+    gaps = [_gap(x, y) for x, y in zip(a, b)] or [(0.0, 0.0)]
+    worst = max(g for g, _ in gaps)
+    relative = max(r for _, r in gaps)
+    return (f"largest difference {worst:.3g}, "
+            f"{relative:.3g} relative to 1 + |parent value|")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -135,7 +188,9 @@ def main(argv=None) -> int:
         run_side(tree, outdirs[side], cmds)
     compared, diff = differences(outdirs["parent"], outdirs["change"])
     for name in diff:
-        print(f"differs: {name}")
+        paths = [outdirs[side] / name for side in SIDES]
+        detail = f" ({largest_difference(*paths)})" if all(p.exists() for p in paths) else ""
+        print(f"differs: {name}{detail}")
     bad = [(side, prefix) for side in SIDES for prefix in unrefused(outdirs[side])]
     for side, prefix in bad:
         print(f"not exit 5 on the {side} side: {prefix}")
