@@ -13,19 +13,19 @@ import superfact
 from superfact import dynamics
 from superfact import (
     DomainBreach,
-    default_box,
-    sample_points,
     DomainError,
     InsufficientSpan,
     IntegratorControls,
     PhasePoint,
     StepFailure,
     Trajectory,
+    default_box,
     detect_closure,
     drift_report,
     hamilton_rhs,
     hamiltonian,
     integrate,
+    sample_points,
 )
 
 from superfact.systems import DELTA_MARGIN, characteristic_period
