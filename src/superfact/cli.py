@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -271,6 +272,18 @@ def _failure_cause(result: IdentityResult) -> str:
     return "; ".join(causes)
 
 
+def _verify_timing(clock: list[float], results) -> dict:
+    """The manifest's ``timing`` block from the clock readings at the
+    start and after sampling, the suite, the independence survey and the
+    report.  An identity's seconds include the gradients it is the first
+    to take on the batch."""
+    stages = ("sample_s", "suite_s", "independence_s", "write_s")
+    timing = {name: b - a for name, a, b in zip(stages, clock, clock[1:])}
+    timing["identities_s"] = {r.label: r.seconds for r in results}
+    timing["slowest_identity"] = max(results, key=lambda r: r.seconds).label
+    return timing
+
+
 def cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     seed = _resolve_seed(args)
@@ -278,19 +291,23 @@ def cmd_verify(args) -> int:
         raise _ConfigError("--samples must be at least 1")
     started = _utc_now()
     box = default_box(spec)
+    clock = [time.perf_counter()]
     try:
         points = sample_points(spec, box, args.samples, seed)
     except SamplerExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    clock.append(time.perf_counter())
     suite = build_suite(spec)
     report = run_suite(spec, suite, points, seed=seed, box=box)
+    clock.append(time.perf_counter())
 
     indep_points = points[:INDEPENDENCE_POINTS]
     independence = {
         "with_X": independence_report(spec, indep_points, "with_X"),
         "with_Y": independence_report(spec, indep_points, "with_Y"),
     }
+    clock.append(time.perf_counter())
     indep_ok = all(
         block["fraction_full"] >= INDEPENDENCE_FRACTION
         for block in independence.values()
@@ -303,6 +320,7 @@ def cmd_verify(args) -> int:
 
     report_path = f"{args.out}.report.json"
     _write_json(report_path, payload)
+    clock.append(time.perf_counter())
     manifest_path = _write_manifest(
         args.out,
         "verify",
@@ -311,6 +329,7 @@ def cmd_verify(args) -> int:
         seed,
         [report_path],
         started,
+        extra={"timing": _verify_timing(clock, report.identities)},
     )
 
     worst = max((r.max_residual for r in report.identities), default=0.0)

@@ -8,9 +8,10 @@ at once) or traced values (compiled derivatives).
 
 Derivatives come from one code generator.  It traces an observable once,
 drops repeated subexpressions, and emits straight-line code that returns
-the value and the four partials from one reverse sweep.  On complex128
-arrays this code serves :func:`gradient_batch` and, through it, every
-bracket, pointwise gradient, level search and rank survey.  It is
+the value and the four partials from one reverse sweep.  On float64
+arrays, which numpy promotes to complex128 only at a complex constant,
+this code serves :func:`gradient_batch` and, through it, every bracket,
+pointwise gradient, level search and rank survey.  It is
 compiled once per observable, and the builders return one observable per
 spec, and a batch keeps each gradient taken on it.  Over 1000 default-box
 points the gradient of ``X`` costs 0.14 ms (euclidean 3/2) to 1.5 ms
@@ -252,7 +253,7 @@ _FLOATS = _Target(
     real=True,
 )
 
-# Complex128 arrays for batches: the contracts of the scalar tower, a
+# Numpy arrays for batches: the contracts of the scalar tower, a
 # DomainError at an exact-zero divisor or a non-positive square root.  The
 # scalar tower's functions dispatch on their argument, so the same code also
 # runs on complex scalars and on traced values (brackets of brackets).
@@ -359,7 +360,7 @@ def _batch_code(f: Observable) -> Callable:
 
 @dataclass(frozen=True)
 class PhaseBatch:
-    """A set of phase points stored column-wise for vectorized evaluation."""
+    """Phase points stored column-wise as float64 arrays for batch evaluation."""
 
     q1: np.ndarray
     q2: np.ndarray
@@ -377,7 +378,10 @@ class PhaseBatch:
 
     @classmethod
     def from_arrays(cls, q1, q2, p1, p2) -> "PhaseBatch":
-        cols = [np.asarray(c, dtype=np.complex128) for c in (q1, q2, p1, p2)]
+        for name, c in zip(COORDS, (q1, q2, p1, p2)):
+            if np.iscomplexobj(c):
+                raise TypeError(f"batch column {name} is complex; coordinates are real")
+        cols = [np.array(c, dtype=np.float64) for c in (q1, q2, p1, p2)]
         n = {c.shape for c in cols}
         if len(n) != 1:
             raise ValueError("batch columns must share one shape")
@@ -398,9 +402,7 @@ class PhaseBatch:
         return out
 
     def point(self, i: int) -> PhasePoint:
-        return PhasePoint(
-            self.q1[i].real, self.q2[i].real, self.p1[i].real, self.p2[i].real
-        )
+        return PhasePoint(self.q1[i], self.q2[i], self.p1[i], self.p2[i])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -409,13 +411,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def eval_batch(f: Observable, batch: PhaseBatch) -> np.ndarray:
-    """Evaluate ``f`` at every point of the batch (no derivatives).  A value
-    :func:`gradient_batch` kept on the batch is read, not computed again."""
+    """Evaluate ``f`` at every point of the batch (no derivatives), in the
+    dtype of :func:`gradient_batch`'s values.  A value that function kept
+    on the batch is read, not computed again."""
     kept = batch._gradients.get(f)
     if kept is not None:
         return kept[0]
-    out = f.fn(*batch.arrays())
-    return np.broadcast_to(np.asarray(out, dtype=np.complex128), (len(batch),))
+    return np.broadcast_to(f.fn(*batch.arrays()), (len(batch),))
 
 
 def gradient_batch(f: Observable, batch: PhaseBatch):
@@ -426,15 +428,16 @@ def gradient_batch(f: Observable, batch: PhaseBatch):
     later calls (and slices of the batch) reuse it.  Raises
     :class:`~superfact.errors.DomainError` at an exact-zero divisor or a
     non-positive square-root argument anywhere in the batch.  Returns
-    ``(values (n,), grads (4, n))``.
+    ``(values (n,), grads (4, n))``: float64, or complex128 where a complex
+    constant enters (the ladder and shift factors and their products).
     """
     kept = batch._gradients.get(f)
     if kept is not None:
         return kept
     n = len(batch)
     value, partials = _batch_code(f)(*batch.arrays())
-    values = np.broadcast_to(np.asarray(value, dtype=np.complex128), (n,))
-    grads = np.empty((4, n), dtype=np.complex128)
+    values = np.broadcast_to(value, (n,))
+    grads = np.empty((4, n), dtype=np.result_type(value, *partials))
     for k, partial in enumerate(partials):
         grads[k] = partial
     batch._gradients[f] = (values, _read_only(grads))

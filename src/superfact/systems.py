@@ -271,11 +271,11 @@ def domain_mask(spec: SystemSpec, batch: PhaseBatch, margin: float) -> np.ndarra
     families with square roots, a finite sector integral above
     :data:`DELTA_POS`.  Next to a wall at margin 0 the sector integral can
     overflow; such a point is rejected, whatever the caller's ``errstate``."""
-    mask = wall_mask(spec.family, (batch.q1.real, batch.q2.real), margin)
+    mask = wall_mask(spec.family, (batch.q1, batch.q2), margin)
     if spec.family is not Family.EUCLIDEAN and mask.any():
         i2 = np.full(len(batch), -1.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            i2[mask] = eval_batch(second_integral_observable(spec), batch[mask]).real
+            i2[mask] = eval_batch(second_integral_observable(spec), batch[mask])
         mask &= np.isfinite(i2) & (i2 > DELTA_POS)
     return mask
 

@@ -19,7 +19,8 @@ through a composite bracket, and high-order products of many factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -61,6 +62,9 @@ TOL_HIGH_ORDER = 1e-8   # products of five or more factors
 
 _MAX_DRAW_FACTOR = 100  # sampler gives up after this many draws per request
 MAX_SAMPLE_POINTS = 1_000_000  # a larger request is refused before any allocation
+# run_suite evaluates a larger batch in chunks of this many points, so the
+# gradients kept on a batch (about 2.7 KB a point at TTW 17/12) stay bounded.
+CHUNK_POINTS = 100_000
 
 
 def symmetry_tolerance(spec: SystemSpec) -> float:
@@ -93,6 +97,9 @@ class IdentityResult:
     tolerance: float
     passed: bool
     errors: tuple[str, ...] = ()
+    # Wall time of the evaluation; it varies from run to run, so it is
+    # left out of the report and of comparisons.
+    seconds: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,15 +267,11 @@ def _conj_vals(obs: Observable):
 
 
 def _imag_vals(obs: Observable):
-    return lambda batch: eval_batch(obs, batch).imag.astype(np.complex128)
+    return lambda batch: eval_batch(obs, batch).imag
 
 
 def _const(value: complex):
-    return lambda batch: np.full(len(batch), value, dtype=np.complex128)
-
-
-def _zero(batch: PhaseBatch) -> np.ndarray:
-    return np.zeros(len(batch), dtype=np.complex128)
+    return lambda batch: np.full(len(batch), value)
 
 
 def _bracket(f: Observable, g: Observable):
@@ -295,7 +298,7 @@ def _conservation(label: str, h: Observable, q: Observable, tol: float) -> Ident
     return IdentitySpec(
         label=label,
         lhs=lambda batch: bracket_batch_with_scale(h, q, batch),
-        rhs=_zero,
+        rhs=_const(0.0),
         tolerance=tol,
         scaled=True,
     )
@@ -305,8 +308,8 @@ def _conjugacy_and_reality(spec: SystemSpec) -> list[IdentitySpec]:
     xp, xm, x_real, y_real = higher_integral_observables(spec)
     out = [
         IdentitySpec("conj.X", _vals(xm), _conj_vals(xp), TOL_POLY),
-        IdentitySpec("real.X", _imag_vals(x_real), _zero, TOL_POLY),
-        IdentitySpec("real.Y", _imag_vals(y_real), _zero, TOL_POLY),
+        IdentitySpec("real.X", _imag_vals(x_real), _const(0.0), TOL_POLY),
+        IdentitySpec("real.Y", _imag_vals(y_real), _const(0.0), TOL_POLY),
     ]
     return out
 
@@ -444,28 +447,30 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray, scale) -> np.ndarray:
     return np.abs(lhs - rhs) / (1.0 + mag)
 
 
-def run_identity(ident: IdentitySpec, batch: PhaseBatch) -> IdentityResult:
+def run_identity(ident: IdentitySpec, batch: PhaseBatch, start: int = 0) -> IdentityResult:
     """Evaluate one identity over a batch in one pass.
 
     A point whose residual or scale is not finite (a high-order product
     overflows, say) is flagged: it fails the identity with one
-    ``point <i>: ...`` error naming what was not finite, and
-    ``max_residual`` is taken over the other points.  A
+    ``point <i>: ...`` error naming what was not finite, where ``i`` is
+    the point's index in the batch plus ``start`` (the batch's offset in
+    a chunked run), and ``max_residual`` is taken over the other points.  A
     :class:`~superfact.errors.SuperfactError` raised by the batch fails the
-    identity with one error naming it.
+    identity with one error naming it.  ``seconds`` is the wall time.
     """
     n = len(batch)
     if n == 0:
         return IdentityResult(ident.label, 0, 0.0, ident.tolerance, True)
+    t0 = time.perf_counter()
     try:
         with np.errstate(all="ignore"):
             lhs, scale = ident.lhs(batch) if ident.scaled else (ident.lhs(batch), None)
-            lhs = np.asarray(lhs, dtype=np.complex128)
-            rhs = np.asarray(ident.rhs(batch), dtype=np.complex128)
+            rhs = ident.rhs(batch)
             res = _residuals(lhs, rhs, scale)
     except SuperfactError as exc:
         error = f"{type(exc).__name__}: {exc}"
-        return IdentityResult(ident.label, n, 0.0, ident.tolerance, False, (error,))
+        return IdentityResult(ident.label, n, 0.0, ident.tolerance, False, (error,),
+                              time.perf_counter() - t0)
     flagged = ~np.isfinite(res)
     if scale is not None:
         flagged |= ~np.isfinite(scale)
@@ -476,11 +481,30 @@ def run_identity(ident: IdentitySpec, batch: PhaseBatch) -> IdentityResult:
         bad = {k: ~np.isfinite(v) for k, v in sides.items() if v is not None}
         for i in np.flatnonzero(flagged):
             names = [k for k, b in bad.items() if b[i]] or ["residual"]
-            errors.append(f"point {i}: {', '.join(names)} not finite")
+            errors.append(f"point {start + i}: {', '.join(names)} not finite")
     passed = not errors and max_res <= ident.tolerance
     return IdentityResult(
-        ident.label, n, max_res, ident.tolerance, passed, tuple(errors)
+        ident.label, n, max_res, ident.tolerance, passed, tuple(errors),
+        time.perf_counter() - t0,
     )
+
+
+def _is_batch_error(result: IdentityResult) -> bool:
+    return bool(result.errors) and not result.errors[0].startswith("point ")
+
+
+def _merge(a: IdentityResult, b: IdentityResult) -> IdentityResult:
+    """One identity's results on two consecutive chunks as one result, the
+    one a single pass over both would give: a batch error in either is the
+    only error; otherwise the residual is the larger and the errors join."""
+    samples, seconds = a.samples + b.samples, a.seconds + b.seconds
+    for r in (a, b):
+        if _is_batch_error(r):
+            return replace(r, samples=samples, seconds=seconds)
+    max_res = max(a.max_residual, b.max_residual)
+    errors = a.errors + b.errors
+    return replace(a, samples=samples, max_residual=max_res, errors=errors,
+                   passed=not errors and max_res <= a.tolerance, seconds=seconds)
 
 
 def run_suite(
@@ -492,13 +516,25 @@ def run_suite(
     box: DomainBox | None = None,
 ) -> BracketReport:
     """Run every identity of ``suite`` (default: the full family suite) over
-    the given points and collect a report; never aborts on a bad point."""
+    the given points and collect a report; never aborts on a bad point.
+
+    A batch of more than :data:`CHUNK_POINTS` points is run in chunks of
+    that size, each chunk's gradients dropped before the next, and each
+    identity's results are merged into the one a single pass gives.  A
+    smaller batch is run as it is and keeps its gradients.
+    """
     if suite is None:
         suite = build_suite(spec)
-    results = tuple(run_identity(ident, points) for ident in suite)
-    return BracketReport(
-        spec=spec, seed=seed, box=box, samples=len(points), identities=results
-    )
+    n = len(points)
+    if n <= CHUNK_POINTS:
+        results = tuple(run_identity(ident, points) for ident in suite)
+    else:
+        results = None
+        for start in range(0, n, CHUNK_POINTS):
+            chunk = points[start:start + CHUNK_POINTS]
+            parts = tuple(run_identity(ident, chunk, start) for ident in suite)
+            results = parts if results is None else tuple(map(_merge, results, parts))
+    return BracketReport(spec=spec, seed=seed, box=box, samples=n, identities=results)
 
 
 def verify_system(

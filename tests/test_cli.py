@@ -126,6 +126,14 @@ def test_verify_pass(tmp_path, monkeypatch, capsys):
     assert manifest["seed"] == 3
     assert manifest["outputs"] == ["check.report.json"]
     assert manifest["started"] <= manifest["finished"]
+    timing = manifest["timing"]
+    stages = ("sample_s", "suite_s", "independence_s", "write_s")
+    assert all(timing[k] >= 0.0 for k in stages)
+    labels = [r["label"] for r in payload["identities"]]
+    assert sorted(timing["identities_s"]) == sorted(labels)
+    assert sum(timing["identities_s"].values()) <= timing["suite_s"]
+    slowest = timing["slowest_identity"]
+    assert timing["identities_s"][slowest] == max(timing["identities_s"].values())
 
 
 def test_verify_report_matches_schema(tmp_path, monkeypatch):

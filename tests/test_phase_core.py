@@ -19,6 +19,7 @@ from superfact import (
     jacobian_rank,
     partial_derivative,
     poisson_bracket,
+    run_suite,
     sample_points,
 )
 from superfact import scalars as sc
@@ -271,6 +272,55 @@ def test_gradient_batch_matches_pointwise_duals(family, gamma):
             assert gap <= 1e-12 * np.linalg.norm(want), (obs.label, i)
 
 
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_batch_dtypes_follow_numpy_promotion(family):
+    """Real observables and their brackets stay float64; the ladder and
+    shift factors and their products are complex128."""
+    spec = spec_for(family, "3/2")
+    batch = sample_points(spec, None, 20, seed=4)
+    h, i2 = hamiltonian_observable(spec), second_integral_observable(spec)
+    third = euclid_y_sector_observable(spec) if family == "euclidean" else epsilon_observable(spec)
+    real = [h, i2, third, *(bracket_observable(f, g) for f, g in ((h, i2), (h, third), (i2, third)))]
+    xp, xm, _, _ = higher_integral_observables(spec)
+    factors = [f for pair in factor_pairs(spec).values() for f in (pair.plus, pair.minus)]
+    for obs, dtype in [*((f, np.float64) for f in real),
+                       *((f, np.complex128) for f in [xp, xm, *factors])]:
+        assert eval_batch(obs, batch).dtype == dtype, obs.label
+        vals, grads = gradient_batch(obs, batch)
+        assert vals.dtype == grads.dtype == dtype, obs.label
+    assert bracket_batch(h, i2, batch).dtype == np.float64
+
+
+@pytest.mark.parametrize("gamma", ["1", "3/2", "17/12", "141/100"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_float_batches_match_complex_batches(family, gamma):
+    """Every observable the suite differentiates agrees with its array code
+    run on the same points held as complex128.  The two differ by rounding:
+    complex division ``a/(b+0j)`` rounds twice, and so does complex ``tan``.
+    A factor agrees within 1e-14 of the norm of its row (value and
+    partials); a product of ``n + m`` factors carries ``n + m`` of those
+    differences, so ``X+-``, ``X`` and ``Y`` get ``(n + m) * 1e-14``."""
+    spec = spec_for(family, gamma)
+    batch = sample_points(spec, default_box(spec), 200, seed=5)
+    with np.errstate(all="ignore"):
+        run_suite(spec, None, batch)
+    order = spec.gamma.m + spec.gamma.n
+    products = {f.label for f in higher_integral_observables(spec)}
+    wide = [c.astype(np.complex128) for c in batch.arrays()]
+    for obs, (vals, grads) in batch._gradients.items():
+        got = np.vstack([vals, grads])
+        with np.errstate(all="ignore"):
+            value, partials = _batch_code(obs)(*wide)
+            want = np.array(np.broadcast_arrays(value, *partials), dtype=np.complex128)
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want), err_msg=obs.label)
+        rows = np.isfinite(want).all(axis=0)
+        peak = np.max(np.abs(want[:, rows]), axis=0)
+        norm = peak * np.linalg.norm(want[:, rows] / np.where(peak > 0, peak, 1.0), axis=0)
+        gap = np.max(np.abs(got[:, rows] - want[:, rows]), axis=0)
+        tol = 1e-14 * (order if obs.label in products else 1)
+        assert np.all(gap <= tol * norm), (obs.label, np.max(gap / norm))
+
+
 def test_gradient_batch_keeps_the_domain_contracts():
     ones = np.ones(3)
     batch = PhaseBatch.from_arrays([1.0, 0.0, 2.0], ones, ones, ones)
@@ -419,6 +469,11 @@ def test_phasebatch_roundtrip_and_validation():
         PhaseBatch.from_arrays(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2))
     empty = PhaseBatch.from_points([])
     assert len(empty) == 0
+    assert {c.dtype for c in batch.arrays()} == {np.dtype(np.float64)}
+    ints = PhaseBatch.from_arrays([1], [2], [3], [4])
+    assert ints.p2.dtype == np.float64 and ints.point(0) == PhasePoint(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(TypeError, match="column p1 is complex"):
+        PhaseBatch.from_arrays([0.5], [0.5], np.array([1.0 + 0j]), [0.5])
 
 
 def test_observable_composition_algebra():

@@ -206,6 +206,31 @@ def test_a_point_whose_scale_alone_overflows_is_flagged():
     assert not result.passed
 
 
+def test_chunked_suite_reports_what_one_pass_reports(monkeypatch):
+    """Chunks of 97 points give the one-pass report: global point indices,
+    the largest residual, and one error for a batch error in any chunk."""
+    spec = spec_for("ttw", "141/100")
+    points = sample_points(spec, None, 1000, seed=7)
+    cut = np.quantile(points.q1, 0.95)
+
+    def raises_beyond_cut(batch):
+        if (batch.q1 > cut).any():
+            raise superfact.DomainError("a point beyond the cut")
+        return batch.q1
+
+    suite = (*build_suite(spec),
+             IdentitySpec("cut", raises_beyond_cut, lambda b: b.q1, TOL_POLY),
+             IdentitySpec("q1", lambda b: b.q1, lambda b: b.q1 * (1.0 + 1e-9), TOL_POLY))
+    one_pass = run_suite(spec, suite, PhaseBatch.from_arrays(*points.arrays()), seed=7)
+    monkeypatch.setattr(verification, "CHUNK_POINTS", 97)
+    chunked = run_suite(spec, suite, PhaseBatch.from_arrays(*points.arrays()), seed=7)
+    assert chunked.to_json_dict() == one_pass.to_json_dict()
+    assert chunked.result("cut").errors == ("DomainError: a point beyond the cut",)
+    assert chunked.result("q1").samples == 1000 and not chunked.result("q1").passed
+    flagged = [i for r in chunked.identities if r.label != "cut" for i in _flagged_points(r)]
+    assert flagged and max(flagged) >= 97
+
+
 def test_suite_names_a_domain_error_without_raising():
     spec = spec_for("ttw", "3/2")
     points = sample_points(spec, None, 20, seed=2)

@@ -22,9 +22,16 @@ commands in one process, writing into its own output directory under
 Every output file but the manifests (they carry wall-clock timestamps) is
 compared byte for byte, and so are the exit codes; each request below the
 floor must also exit 5 on both sides.  The script prints each file that
-differs or exists on one side only, with the largest difference between
-the numbers of a differing CSV or report, and each such request that did
-not exit 5, and exits 1 if there is any; it exits 0 when all match.
+differs or exists on one side only, and each such request that did not
+exit 5, and exits 1 if there is any; it exits 0 when all match.
+
+A differing file is marked "numbers only" when just its floating-point
+numbers moved: a report keeps its keys, verdicts, strings and integers (the
+independence rank counts, say), a CSV keeps its header and row count, and
+its command exits as on the other side.  Any other difference is
+"structure".  Each differing file that exists on both sides is printed
+with the largest difference between its numbers, and the last line counts
+both kinds.
 """
 
 from __future__ import annotations
@@ -92,9 +99,9 @@ def commands() -> list[tuple[str, list[str]]]:
                   for prefix, _, argv in _round_zero(workload)]
 
 
-def unrefused(outdir: Path) -> list[str]:
-    """The requests below the energy floor that did not exit 5."""
-    codes = json.loads((outdir / EXIT_CODES).read_text(encoding="utf-8"))
+def unrefused(codes: dict) -> list[str]:
+    """The requests below the energy floor that did not exit 5, given one
+    side's exit codes."""
     return [prefix for prefix, kind, _ in _round_zero("trace")
             if kind == "unreachable" and codes[prefix] != EXIT_NO_SOLUTION]
 
@@ -150,6 +157,33 @@ def _numbers(path: Path) -> list[float]:
     return values
 
 
+def _skeleton(path: Path):
+    """What must not move for a difference to count as numbers only: a
+    report with each float blanked, or a CSV's header and row count."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        lines = text.splitlines()
+        return lines[:1], len(lines)
+
+    def blank(node):
+        if isinstance(node, dict):
+            return {k: blank(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [blank(v) for v in node]
+        return None if isinstance(node, float) else node
+
+    return blank(json.loads(text))
+
+
+def numbers_only(parent: Path, change: Path, codes: list[dict]) -> bool:
+    """Whether two versions of an output differ only in their floats."""
+    prefix = parent.name.partition(".")[0]
+    return (parent.exists() and change.exists() and parent.name != EXIT_CODES
+            and parent.suffix in (".csv", ".json")
+            and codes[0].get(prefix) == codes[1].get(prefix)
+            and _skeleton(parent) == _skeleton(change))
+
+
 def _gap(x: float, y: float) -> tuple[float, float]:
     """``|x - y|`` and that over ``1 + |x|``; NaN against a number is infinite."""
     if x == y or (math.isnan(x) and math.isnan(y)):
@@ -187,15 +221,22 @@ def main(argv=None) -> int:
         outdirs[side] = args.workdir / f"{side}-{sha[:12]}-out"
         run_side(tree, outdirs[side], cmds)
     compared, diff = differences(outdirs["parent"], outdirs["change"])
+    codes = [json.loads((outdirs[side] / EXIT_CODES).read_text(encoding="utf-8"))
+             for side in SIDES]
+    kinds = {"numbers only": 0, "structure": 0}
     for name in diff:
         paths = [outdirs[side] / name for side in SIDES]
+        kind = "numbers only" if numbers_only(*paths, codes) else "structure"
+        kinds[kind] += 1
         detail = f" ({largest_difference(*paths)})" if all(p.exists() for p in paths) else ""
-        print(f"differs: {name}{detail}")
-    bad = [(side, prefix) for side in SIDES for prefix in unrefused(outdirs[side])]
+        print(f"differs: {name} [{kind}]{detail}")
+    bad = [(side, prefix) for side, side_codes in zip(SIDES, codes)
+           for prefix in unrefused(side_codes)]
     for side, prefix in bad:
         print(f"not exit 5 on the {side} side: {prefix}")
     print(f"{len(cmds)} commands; {len(diff)} of {compared} files differ "
-          f"({outdirs['parent']} vs {outdirs['change']})")
+          f"({outdirs['parent']} vs {outdirs['change']}): "
+          f"{kinds['numbers only']} numbers only, {kinds['structure']} structure")
     return 1 if diff or bad else 0
 
 
