@@ -63,7 +63,7 @@ TOL_HIGH_ORDER = 1e-8   # products of five or more factors
 _MAX_DRAW_FACTOR = 100  # sampler gives up after this many draws per request
 MAX_SAMPLE_POINTS = 1_000_000  # a larger request is refused before any allocation
 # run_suite evaluates a larger batch in chunks of this many points, so the
-# gradients kept on a batch (about 2.7 KB a point at TTW 17/12) stay bounded.
+# gradients kept on a batch (a few KB a point at high order) stay bounded.
 CHUNK_POINTS = 100_000
 
 
@@ -489,17 +489,13 @@ def run_identity(ident: IdentitySpec, batch: PhaseBatch, start: int = 0) -> Iden
     )
 
 
-def _is_batch_error(result: IdentityResult) -> bool:
-    return bool(result.errors) and not result.errors[0].startswith("point ")
-
-
 def _merge(a: IdentityResult, b: IdentityResult) -> IdentityResult:
     """One identity's results on two consecutive chunks as one result, the
     one a single pass over both would give: a batch error in either is the
     only error; otherwise the residual is the larger and the errors join."""
     samples, seconds = a.samples + b.samples, a.seconds + b.seconds
     for r in (a, b):
-        if _is_batch_error(r):
+        if r.errors and not r.errors[0].startswith("point "):
             return replace(r, samples=samples, seconds=seconds)
     max_res = max(a.max_residual, b.max_residual)
     errors = a.errors + b.errors
