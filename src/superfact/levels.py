@@ -3,12 +3,17 @@
 ``trace`` starts its trajectory where the Hamiltonian ``H``, the sector
 integral ``I2`` and one higher-order constant (``X`` or ``Y``) take given
 values.  :func:`solve_levels` finds such a point by damped Gauss-Newton from
-the 81 quartile points of the default box.  The starts run as lanes of one
+the 81 quartile points of the default box.  The starts run as lanes of a
 batch: each iteration takes every lane's Jacobian from one
 :func:`~superfact.phase.gradient_batch` pass per integral (compiled
-reverse sweep) and tries all step halvings of every lane in one evaluation.  Lanes
-never interact, so the answer is the one a start-by-start search gives: the
-lowest-index start, in grid order, that reaches the tolerance.
+reverse sweep) and tries all step halvings of every lane in one evaluation.
+The batch runs in two blocks: the first :data:`FIRST_BLOCK` valid starts,
+then the rest only when none of those reaches the tolerance.  Lanes never
+interact, so the answer is the one a start-by-start search gives: the
+lowest-index start, in grid order, that reaches the tolerance.  A winner in
+the first block has every lower-index lane in that block, and when the
+first block has no winner, the second gives the lowest winning index among
+the rest.
 
 Before any search, a request is refused when its sector level or its energy
 lies below the floor that the factorization proves (:func:`_below_floor`):
@@ -46,6 +51,11 @@ MAX_ITERATIONS = 60
 #: Step lengths tried per step: ``2**-k`` for ``k < HALVINGS``.
 HALVINGS = 25
 
+#: Valid starts searched before the others: one ``(q1, q2)`` cell with all
+#: nine momentum starts, which holds the winner of nearly every reachable
+#: request.
+FIRST_BLOCK = 9
+
 _GRID_FRACTIONS = (0.25, 0.5, 0.75)
 _LAMBDAS = 0.5 ** np.arange(HALVINGS)
 
@@ -56,7 +66,8 @@ class LevelSearch:
     the manifest and never in a byte-reproducible report.
 
     ``valid_starts`` counts the grid starts inside the walls with finite
-    levels; ``iterations`` the Gauss-Newton steps the batch took;
+    levels; ``iterations`` the Gauss-Newton steps the batch took, summed
+    over the blocks that ran (a search that finds no point runs both);
     ``winning_start`` is the grid index of the returned lane, ``None``
     when no lane reached the tolerance.
     """
@@ -145,10 +156,9 @@ class _Levels:
         self.targets = targets
         self.scale = 1.0 + np.abs(targets)
 
-    def _evaluate(self, fn, z: np.ndarray) -> np.ndarray:
-        """``fn(observable, batch)`` for each level observable at states
-        ``z``, stacked along a new first axis."""
-        batch = PhaseBatch.from_arrays(*z.T)
+    def _evaluate(self, fn, batch: PhaseBatch) -> np.ndarray:
+        """``fn(observable, batch)`` for each level observable, stacked
+        along a new first axis."""
         return np.stack([fn(obs, batch) for obs in self.observables])
 
     def error(self, f: np.ndarray) -> np.ndarray:
@@ -158,17 +168,19 @@ class _Levels:
         """Level residuals ``(n, 3)`` at states ``(n, 4)`` and the mask of
         usable states: inside the domain walls, sector integral above the
         positivity floor, and every value finite."""
-        ok = domain_mask(self.spec, PhaseBatch.from_arrays(*z.T), DELTA_MARGIN)
+        batch = PhaseBatch.from_arrays(*z.T)
+        ok = domain_mask(self.spec, batch, DELTA_MARGIN)
         f = np.full((len(z), 3), np.nan)
         if ok.any():
-            vals = self._evaluate(lambda obs, b: eval_batch(obs, b).real, z[ok])
+            vals = self._evaluate(lambda obs, b: eval_batch(obs, b).real, batch[ok])
             f[ok] = vals.T - self.targets
         return f, ok & np.isfinite(f).all(axis=1)
 
     def steps(self, z: np.ndarray, f: np.ndarray):
         """Minimum-norm least-squares Gauss-Newton steps ``(n, 4)`` and the
         mask of lanes whose Jacobian and step are finite."""
-        jac = self._evaluate(lambda obs, b: gradient_batch(obs, b)[1].real, z)
+        batch = PhaseBatch.from_arrays(*z.T)
+        jac = self._evaluate(lambda obs, b: gradient_batch(obs, b)[1].real, batch)
         jac = jac.transpose(2, 0, 1)
         ok = np.isfinite(jac).all(axis=(1, 2))
         step = np.full(z.shape, np.nan)
@@ -191,6 +203,35 @@ class _Levels:
         k = better.argmax(axis=1)
         rows = np.arange(n)
         return trials[rows, k], f[rows, k], trial_err[rows, k], better.any(axis=1)
+
+
+def _run_lanes(levels: _Levels, z: np.ndarray, f: np.ndarray, err: np.ndarray):
+    """Damped Gauss-Newton on lanes with states ``z``, residuals ``f`` and
+    errors ``err``, updated in place.  Returns the lowest lane that reaches
+    the tolerance (``None`` if none does) and the steps taken."""
+    active = np.ones(len(z), dtype=bool)
+    winner = None
+    iterations = 0
+    for it in range(MAX_ITERATIONS + 1):
+        hit = active & (err <= LEVEL_TOLERANCE)
+        active &= ~hit
+        if hit.any() and (winner is None or hit.argmax() < winner):
+            winner = int(hit.argmax())
+        # A lower-index lane that is still running could yet win.
+        if winner is not None and not active[:winner].any():
+            break
+        if it == MAX_ITERATIONS or not active.any():
+            break
+        iterations += 1
+        idx = np.flatnonzero(active)
+        step, ok = levels.steps(z[idx], f[idx])
+        active[idx[~ok]] = False
+        idx, step = idx[ok], step[ok]
+        z_new, f_new, err_new, moved = levels.line_search(z[idx], err[idx], step)
+        active[idx[~moved]] = False
+        idx = idx[moved]
+        z[idx], f[idx], err[idx] = z_new[moved], f_new[moved], err_new[moved]
+    return winner, iterations
 
 
 def solve_levels(spec: SystemSpec, sym_name: str, targets):
@@ -242,28 +283,14 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
         lanes = np.flatnonzero(ok)
         z, f = starts[ok], f[ok]
         err = levels.error(f)
-        active = np.ones(len(lanes), dtype=bool)
-        winner = None
         iterations = 0
-        for it in range(MAX_ITERATIONS + 1):
-            hit = active & (err <= LEVEL_TOLERANCE)
-            active &= ~hit
-            if hit.any() and (winner is None or hit.argmax() < winner):
-                winner = int(hit.argmax())
-            # A lower-index lane that is still running could yet win.
-            if winner is not None and not active[:winner].any():
+        # The blocks are views, so each lane's final state lands in z, f, err.
+        for block in (slice(0, FIRST_BLOCK), slice(FIRST_BLOCK, None)):
+            winner, steps = _run_lanes(levels, z[block], f[block], err[block])
+            iterations += steps
+            if winner is not None:
+                winner += block.start
                 break
-            if it == MAX_ITERATIONS or not active.any():
-                break
-            iterations += 1
-            idx = np.flatnonzero(active)
-            step, ok = levels.steps(z[idx], f[idx])
-            active[idx[~ok]] = False
-            idx, step = idx[ok], step[ok]
-            z_new, f_new, err_new, moved = levels.line_search(z[idx], err[idx], step)
-            active[idx[~moved]] = False
-            idx = idx[moved]
-            z[idx], f[idx], err[idx] = z_new[moved], f_new[moved], err_new[moved]
     search = LevelSearch(
         valid_starts=len(lanes),
         iterations=iterations,

@@ -171,6 +171,64 @@ def test_unreachable_levels_report_best_residual(family):
     assert LEVEL_TOLERANCE < best < math.inf
 
 
+# Block sizes of the two-block search: one lane first, the default, and one
+# block of all 81 starts (a single batch).
+BLOCKS = (1, levels.FIRST_BLOCK, 81)
+
+
+def _by_block(monkeypatch, run):
+    """``run()`` once per block size of :data:`BLOCKS`."""
+    out = []
+    for block in BLOCKS:
+        monkeypatch.setattr(levels, "FIRST_BLOCK", block)
+        out.append(run())
+    return out
+
+
+@pytest.mark.parametrize(
+    "family, gamma, sym_name, point, start",
+    [
+        ("euclidean", "2", "X", SEED_POINTS["euclidean"], None),
+        ("sphere", "2", "X", SEED_POINTS["sphere"], None),
+        ("ttw", "2", "X", SEED_POINTS["ttw"], None),
+        # Won by a start after the first, inside and after the default block.
+        ("ttw", "7/5", "Y", PhasePoint(0.8, 1.3, 0.5, -1.3), 5),
+        ("ttw", "7/5", "Y", PhasePoint(0.774, 1.292, 0.456, -1.257), 17),
+    ],
+)
+def test_block_size_leaves_found_point_unchanged(
+    family, gamma, sym_name, point, start, monkeypatch
+):
+    spec = spec_for(family, gamma)
+    hi = higher_integral(spec, point)
+    targets = [hamiltonian(spec, point), second_integral(spec, point),
+               hi.x_real if sym_name == "X" else hi.y_real]
+
+    def run():
+        z, residual, search = solve_levels(spec, sym_name, targets)
+        return z.tobytes(), residual, search.winning_start, search.valid_starts
+
+    results = _by_block(monkeypatch, run)
+    assert results[0] == results[1] == results[2]
+    if start is not None:
+        assert results[0][2] == start
+
+
+@pytest.mark.parametrize("gamma", ["2", "3/2", "7/5"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_block_size_leaves_failed_search_unchanged(family, gamma, monkeypatch):
+    spec = spec_for(family, gamma)
+    targets = _unreachable(spec, family)
+
+    def run():
+        with pytest.raises(NoSolution, match="best residual") as info:
+            solve_levels(spec, "X", targets)
+        return str(info.value), info.value.search.valid_starts
+
+    results = _by_block(monkeypatch, run)
+    assert results[0] == results[1] == results[2]
+
+
 @pytest.mark.parametrize(
     "family, second, message",
     [

@@ -17,13 +17,20 @@ commands in one process, writing into its own output directory under
 - the first round of the benchmark's ``flow`` workload at seeds 1-3: per
   spec, two ``integrate`` commands from energy-stratified starts;
 - the first round of the benchmark's ``trace`` workload at seeds 1-3: per
-  spec, one request on reachable levels and two below the energy floor.
+  spec, one request on reachable levels and two below the energy floor;
+- ``trace`` on levels above both floors that no start reaches (failed
+  searches), per family at gamma 2, 3/2 and 7/5: ``H`` and ``I2`` of an
+  in-domain point, and ``X`` ten times ``|X+|`` there.
 
 Every output file but the manifests (they carry wall-clock timestamps) is
 compared byte for byte, and so are the exit codes; each request below the
-floor must also exit 5 on both sides.  The script prints each file that
-differs or exists on one side only, and each such request that did not
-exit 5, and exits 1 if there is any; it exits 0 when all match.
+floor and each failed search must also exit 5 on both sides, and a failed
+search's manifest ``message`` (it gives the best residual) must match byte
+for byte.  The script prints each file or message that differs, each file
+that exists on one side only, and each such request that did not exit 5,
+and exits 1 if there is any; it exits 0 when all match.  For information it
+also prints each side's ``level_search`` seconds and iterations of every
+failed search.
 
 A differing file is marked "numbers only" when just its floating-point
 numbers moved: a report keeps its keys, verdicts, strings and integers (the
@@ -48,6 +55,7 @@ sys.dont_write_bytecode = True  # the imports below leave no caches in the tree
 from bench_pairs import ROOT, SIDES, export  # noqa: E402
 
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+import superfact as sf  # noqa: E402
 import workloads  # noqa: E402
 from superfact.cli import EXIT_NO_SOLUTION  # noqa: E402
 
@@ -60,6 +68,13 @@ README_EXAMPLES = (
                "--beta", "0.7", "--energy", "12", "--second", "4",
                "--symmetry", "X=1.5", "--plane", "xy"]),
 )
+# In-domain points whose H and I2, with X = 10 |X+|, no start reaches.
+FAILED_SEARCH_POINTS = {
+    "euclidean": (0.5, -0.3, 0.4, 0.7),
+    "sphere": (0.4, -0.3, 0.5, 0.2),
+    "ttw": (1.2, 0.7, 0.3, -0.4),
+}
+FAILED_SEARCH_GAMMAS = ("2", "3/2", "7/5")
 EXIT_CODES = "exit_codes.json"
 
 # Runs in a fresh interpreter per side: argv[1] is the side's source tree,
@@ -85,6 +100,22 @@ def _round_zero(workload: str) -> list[tuple[str, str, list[str]]]:
     return out
 
 
+def failed_searches() -> list[tuple[str, list[str]]]:
+    """``(output prefix, argv)`` of the ``trace`` requests whose level
+    search runs every start and gives up."""
+    out = []
+    for gamma in FAILED_SEARCH_GAMMAS:
+        for family, coords in FAILED_SEARCH_POINTS.items():
+            spec = workloads.make_spec(family, gamma)
+            point = sf.PhasePoint(*coords)
+            h, i2 = sf.hamiltonian(spec, point), sf.second_integral(spec, point)
+            x = 10 * abs(sf.higher_integral(spec, point).x_plus)
+            argv = ["trace", *workloads.spec_argv(family, gamma), f"--energy={h!r}",
+                    f"--second={i2!r}", f"--symmetry=X={x!r}", "--plane", "xy"]
+            out.append((f"failed-{family}-{gamma.replace('/', '_')}", argv))
+    return out
+
+
 def commands() -> list[tuple[str, list[str]]]:
     """``(output prefix, argv)`` of every command both sides run."""
     runs = [(family, gamma, seed) for family, gamma in workloads.specs_for("certify")
@@ -95,15 +126,34 @@ def commands() -> list[tuple[str, list[str]]]:
                 "--samples", str(workloads.VERIFY_SAMPLES), "--seed", str(seed)]
         out.append((f"verify-{family}-{gamma.replace('/', '_')}-s{seed}", argv))
     out += [(prefix, argv) for prefix, argv in README_EXAMPLES]
-    return out + [(prefix, argv) for workload in ("flow", "trace")
-                  for prefix, _, argv in _round_zero(workload)]
+    out += [(prefix, argv) for workload in ("flow", "trace")
+            for prefix, _, argv in _round_zero(workload)]
+    return out + failed_searches()
 
 
 def unrefused(codes: dict) -> list[str]:
-    """The requests below the energy floor that did not exit 5, given one
-    side's exit codes."""
-    return [prefix for prefix, kind, _ in _round_zero("trace")
-            if kind == "unreachable" and codes[prefix] != EXIT_NO_SOLUTION]
+    """The requests below the energy floor and the failed searches that did
+    not exit 5, given one side's exit codes."""
+    prefixes = [prefix for prefix, kind, _ in _round_zero("trace") if kind == "unreachable"]
+    prefixes += [prefix for prefix, _ in failed_searches()]
+    return [prefix for prefix in prefixes if codes[prefix] != EXIT_NO_SOLUTION]
+
+
+def failed_search_messages(outdirs: dict) -> list[str]:
+    """Print each side's level-search seconds and iterations of every failed
+    search; return those whose manifest messages differ."""
+    out = []
+    for prefix, _ in failed_searches():
+        paths = [outdirs[side] / f"{prefix}.manifest.json" for side in SIDES]
+        manifests = [json.loads(p.read_text(encoding="utf-8")) if p.exists() else {}
+                     for p in paths]
+        searches = [m.get("level_search", {}) for m in manifests]
+        print(f"failed search {prefix}: " + "; ".join(
+            f"{side} {s.get('seconds', math.nan) * 1e3:.1f} ms, "
+            f"{s.get('iterations')} iterations" for side, s in zip(SIDES, searches)))
+        if manifests[0].get("message") != manifests[1].get("message"):
+            out.append(prefix)
+    return out
 
 
 def run_side(tree: Path, outdir: Path, cmds) -> None:
@@ -234,10 +284,13 @@ def main(argv=None) -> int:
            for prefix in unrefused(side_codes)]
     for side, prefix in bad:
         print(f"not exit 5 on the {side} side: {prefix}")
+    messages = failed_search_messages(outdirs)
+    for prefix in messages:
+        print(f"manifest message differs: {prefix}")
     print(f"{len(cmds)} commands; {len(diff)} of {compared} files differ "
           f"({outdirs['parent']} vs {outdirs['change']}): "
           f"{kinds['numbers only']} numbers only, {kinds['structure']} structure")
-    return 1 if diff or bad else 0
+    return 1 if diff or bad or messages else 0
 
 
 if __name__ == "__main__":
