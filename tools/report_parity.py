@@ -28,9 +28,13 @@ floor and each failed search must also exit 5 on both sides, and a failed
 search's manifest ``message`` (it gives the best residual) must match byte
 for byte.  The script prints each file or message that differs, each file
 that exists on one side only, and each such request that did not exit 5,
-and exits 1 if there is any; it exits 0 when all match.  For information it
-also prints each side's ``level_search`` seconds and iterations of every
-failed search.
+and exits 1 if there is any; it exits 0 when all match.
+
+For information it also times the failed searches: in each of
+``TIMING_ROUNDS`` rounds, alternating which side goes first, each side runs
+every failed search once to compile its observables and once more timed, in
+a fresh interpreter.  It prints each side's median ``level_search``
+seconds, their ratio and the iterations.
 
 A differing file is marked "numbers only" when just its floating-point
 numbers moved: a report keeps its keys, verdicts, strings and integers (the
@@ -47,6 +51,7 @@ import argparse
 import filecmp
 import json
 import math
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +80,7 @@ FAILED_SEARCH_POINTS = {
     "ttw": (1.2, 0.7, 0.3, -0.4),
 }
 FAILED_SEARCH_GAMMAS = ("2", "3/2", "7/5")
+TIMING_ROUNDS = 5
 EXIT_CODES = "exit_codes.json"
 
 # Runs in a fresh interpreter per side: argv[1] is the side's source tree,
@@ -139,21 +145,38 @@ def unrefused(codes: dict) -> list[str]:
     return [prefix for prefix in prefixes if codes[prefix] != EXIT_NO_SOLUTION]
 
 
-def failed_search_messages(outdirs: dict) -> list[str]:
-    """Print each side's level-search seconds and iterations of every failed
-    search; return those whose manifest messages differ."""
-    out = []
-    for prefix, _ in failed_searches():
-        paths = [outdirs[side] / f"{prefix}.manifest.json" for side in SIDES]
-        manifests = [json.loads(p.read_text(encoding="utf-8")) if p.exists() else {}
-                     for p in paths]
-        searches = [m.get("level_search", {}) for m in manifests]
-        print(f"failed search {prefix}: " + "; ".join(
-            f"{side} {s.get('seconds', math.nan) * 1e3:.1f} ms, "
-            f"{s.get('iterations')} iterations" for side, s in zip(SIDES, searches)))
-        if manifests[0].get("message") != manifests[1].get("message"):
-            out.append(prefix)
-    return out
+def _manifest(outdir: Path, prefix: str) -> dict:
+    path = outdir / f"{prefix}.manifest.json"
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+
+
+def differing_messages(outdirs: dict) -> list[str]:
+    """The failed searches whose manifest messages differ between the sides."""
+    return [prefix for prefix, _ in failed_searches()
+            if _manifest(outdirs["parent"], prefix).get("message")
+            != _manifest(outdirs["change"], prefix).get("message")]
+
+
+def time_failed_searches(trees: dict, workdir: Path) -> None:
+    """Print each side's median level-search seconds and the iterations of
+    every failed search, over ``TIMING_ROUNDS`` alternating rounds."""
+    searches = failed_searches()
+    cmds = [(f"warm-{prefix}", argv) for prefix, argv in searches] + searches
+    seconds = {(side, prefix): [] for side in SIDES for prefix, _ in searches}
+    iterations = {}
+    for r in range(TIMING_ROUNDS):
+        for side in SIDES[::1 if r % 2 == 0 else -1]:
+            outdir = workdir / f"{side}-timing-{r}"
+            run_side(trees[side], outdir, cmds)
+            for prefix, _ in searches:
+                search = _manifest(outdir, prefix).get("level_search", {})
+                seconds[side, prefix].append(search.get("seconds", math.nan))
+                iterations[side, prefix] = search.get("iterations")
+    for prefix, _ in searches:
+        ms = [statistics.median(seconds[side, prefix]) * 1e3 for side in SIDES]
+        print(f"failed search {prefix}: parent {ms[0]:.1f} ms, change {ms[1]:.1f} ms "
+              f"(x{ms[1] / ms[0]:.2f}), iterations {iterations['parent', prefix]} "
+              f"vs {iterations['change', prefix]}")
 
 
 def run_side(tree: Path, outdir: Path, cmds) -> None:
@@ -265,11 +288,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cmds = commands()
-    outdirs = {}
+    outdirs, trees = {}, {}
     for side in SIDES:
-        sha, tree = export(getattr(args, side), args.workdir, side)
+        sha, trees[side] = export(getattr(args, side), args.workdir, side)
         outdirs[side] = args.workdir / f"{side}-{sha[:12]}-out"
-        run_side(tree, outdirs[side], cmds)
+        run_side(trees[side], outdirs[side], cmds)
     compared, diff = differences(outdirs["parent"], outdirs["change"])
     codes = [json.loads((outdirs[side] / EXIT_CODES).read_text(encoding="utf-8"))
              for side in SIDES]
@@ -284,9 +307,10 @@ def main(argv=None) -> int:
            for prefix in unrefused(side_codes)]
     for side, prefix in bad:
         print(f"not exit 5 on the {side} side: {prefix}")
-    messages = failed_search_messages(outdirs)
+    messages = differing_messages(outdirs)
     for prefix in messages:
         print(f"manifest message differs: {prefix}")
+    time_failed_searches(trees, args.workdir)
     print(f"{len(cmds)} commands; {len(diff)} of {compared} files differ "
           f"({outdirs['parent']} vs {outdirs['change']}): "
           f"{kinds['numbers only']} numbers only, {kinds['structure']} structure")
