@@ -46,22 +46,14 @@ from .systems import (
     Family,
     SystemSpec,
     characteristic_period,
-    default_box,
     domain_description,
-    geodesic_polar,
+    gamma_bound,
+    plane_coordinates,
     to_internal,
 )
-from .verification import (
-    IdentityResult,
-    build_suite,
-    independence_report,
-    run_suite,
-    sample_points,
-)
+from .verification import INDEPENDENCE_FRACTION, IdentityResult, verify_system
 
 SEED_ENV_VAR = "SUPERFACT_SEED"
-INDEPENDENCE_FRACTION = 0.99
-INDEPENDENCE_POINTS = 200
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -87,7 +79,7 @@ def _catalog_entries() -> list[dict]:
             "hamiltonian": "H = p_y^2/2 + omega^2 y^2/2 + gamma^2 * Hxi",
             "second_integral": "Hxi = p_xi^2/2 + omega^2 xi^2/(2 gamma^2)",
             "parameters": {"omega": "> 0", "gamma": "m/n, integers m, n >= 1"},
-            "gamma_bound": "gamma > 0",
+            "gamma_bound": f"gamma {gamma_bound(Family.EUCLIDEAN)}",
             "domain": domain_description(Family.EUCLIDEAN),
             "characteristic_period": "2 pi / omega",
             "special_cases": [
@@ -101,8 +93,8 @@ def _catalog_entries() -> list[dict]:
             "coordinates": "internal (xi, y, p_xi, p_y) with xi = gamma x",
             "hamiltonian": "H = p_y^2/2 + gamma^2 * Hxi / cos^2 y - omega^2/2",
             "second_integral": "Hxi = p_xi^2/2 + omega^2/(2 gamma^2 cos^2 xi)",
-            "parameters": {"omega": "> 0", "gamma": "m/n >= 1/2"},
-            "gamma_bound": "gamma >= 1/2",
+            "parameters": {"omega": "> 0", "gamma": f"m/n {gamma_bound(Family.SPHERE)}"},
+            "gamma_bound": f"gamma {gamma_bound(Family.SPHERE)}",
             "domain": domain_description(Family.SPHERE),
             "characteristic_period": "2 pi / omega",
             "special_cases": [
@@ -119,11 +111,11 @@ def _catalog_entries() -> list[dict]:
             " + beta^2/sin^2 theta",
             "parameters": {
                 "omega": "> 0",
-                "gamma": "m/n >= 1/4",
+                "gamma": f"m/n {gamma_bound(Family.TTW)}",
                 "alpha": "real (angular barrier strength)",
                 "beta": "real (angular barrier strength)",
             },
-            "gamma_bound": "gamma >= 1/4",
+            "gamma_bound": f"gamma {gamma_bound(Family.TTW)}",
             "domain": domain_description(Family.TTW),
             "characteristic_period": "pi / omega",
             "special_cases": [
@@ -271,77 +263,43 @@ def _failure_cause(result: IdentityResult) -> str:
     return "; ".join(causes)
 
 
-def _verify_timing(clock: list[float], results) -> dict:
-    """The manifest's ``timing`` block from the clock readings at the
-    start and after sampling, the suite, the independence survey and the
-    report.  An identity's seconds include the gradients it is the first
-    to take on the batch."""
-    stages = ("sample_s", "suite_s", "independence_s", "write_s")
-    timing = {name: b - a for name, a, b in zip(stages, clock, clock[1:])}
-    timing["identities_s"] = {r.label: r.seconds for r in results}
-    timing["slowest_identity"] = max(results, key=lambda r: r.seconds).label
-    return timing
-
-
 def cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     seed = _resolve_seed(args)
     if args.samples < 1:
         raise _ConfigError("--samples must be at least 1")
     started = _utc_now()
-    box = default_box(spec)
-    clock = [time.perf_counter()]
     try:
-        points = sample_points(spec, box, args.samples, seed)
+        report = verify_system(spec, args.samples, seed)
     except SamplerExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    clock.append(time.perf_counter())
-    suite = build_suite(spec)
-    report = run_suite(spec, suite, points, seed=seed, box=box)
-    clock.append(time.perf_counter())
-
-    indep_points = points[:INDEPENDENCE_POINTS]
-    independence = {
-        "with_X": independence_report(spec, indep_points, "with_X"),
-        "with_Y": independence_report(spec, indep_points, "with_Y"),
-    }
-    clock.append(time.perf_counter())
-    indep_ok = all(
-        block["fraction_full"] >= INDEPENDENCE_FRACTION
-        for block in independence.values()
-    )
-    overall = report.passed and indep_ok
-
-    payload = report.to_json_dict()
-    payload["independence"] = independence
-    payload["summary"] = {"pass": overall}
-
+    t0 = time.perf_counter()
     report_path = f"{args.out}.report.json"
-    _write_json(report_path, payload)
-    clock.append(time.perf_counter())
+    _write_json(report_path, report.to_json_dict())
+    timing = {**report.timing, "write_s": time.perf_counter() - t0}
     manifest_path = _write_manifest(
         args.out,
         "verify",
         spec,
-        {"samples": args.samples, "box": box.to_json_dict()},
+        {"samples": args.samples, "box": report.box.to_json_dict()},
         seed,
         [report_path],
         started,
-        extra={"timing": _verify_timing(clock, report.identities)},
+        extra={"timing": timing},
     )
 
     worst = max((r.max_residual for r in report.identities), default=0.0)
-    status = "PASS" if overall else "FAIL"
+    status = "PASS" if report.passed else "FAIL"
     print(
         f"verify {spec.family.value} gamma={spec.gamma}: {status} "
-        f"({len(report.identities)} identities, {len(points)} points, "
+        f"({len(report.identities)} identities, {report.samples} points, "
         f"max residual {worst:.3e})"
     )
     for r in report.identities:
         if not r.passed:
             print(f"  FAIL {r.label}: {_failure_cause(r)}")
-    for name, block in independence.items():
+    for name, block in report.independence.items():
         if block["fraction_full"] < INDEPENDENCE_FRACTION:
             cause = ""
             if block["non_finite"]:
@@ -354,7 +312,7 @@ def cmd_verify(args) -> int:
             )
     print(f"report: {report_path}")
     print(f"manifest: {manifest_path}")
-    return EXIT_OK if overall else EXIT_IDENTITY_FAILURE
+    return EXIT_OK if report.passed else EXIT_IDENTITY_FAILURE
 
 
 # ---------- integrate ----------
@@ -440,12 +398,7 @@ def _initial_point(spec: SystemSpec, args) -> PhasePoint:
     return point
 
 
-def _csv_rows(
-    spec: SystemSpec,
-    traj: Trajectory,
-    external_angle: bool,
-    extra: tuple[list[str], np.ndarray] | None,
-):
+def _csv_rows(spec: SystemSpec, traj: Trajectory, external_angle: bool, plane: str | None):
     header = ["t", "q1", "q2", "p1", "p2", "H", "I2", "X", "Y"]
     columns = [
         traj.t,
@@ -461,11 +414,9 @@ def _csv_rows(
     if external_angle:
         header.append("phi")
         columns.append(traj.states[:, 1] / spec.gamma.value)
-    if extra is not None:
-        names, arr = extra
-        header.extend(names)
-        for k in range(arr.shape[1]):
-            columns.append(arr[:, k])
+    if plane:
+        header += ["r", "theta"] if plane == "rtheta" else ["x", "y"]
+        columns += plane_coordinates(spec, traj.states[:, 0], traj.states[:, 1], plane)
     return header, columns
 
 
@@ -475,33 +426,6 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
         fh.write(",".join(header) + "\n")
         for i in range(n):
             fh.write(",".join(f"{float(col[i]):.17g}" for col in columns) + "\n")
-
-
-def _projection(spec: SystemSpec, traj: Trajectory, plane: str):
-    """Extra plotting columns: polar ``(r, theta)`` or Cartesian ``(x, y)``
-    in external coordinates."""
-    q1 = traj.states[:, 0]
-    q2 = traj.states[:, 1]
-    g = spec.gamma.value
-    fam = spec.family
-    if plane == "rtheta":
-        if fam is Family.TTW:
-            r, th = q1, q2
-        elif fam is Family.EUCLIDEAN:
-            x = q1 / g
-            r = np.hypot(x, q2)
-            th = np.arctan2(q2, x)
-        else:
-            pairs = [geodesic_polar(spec, traj.point(i)) for i in range(len(traj))]
-            r = np.array([p[0] for p in pairs])
-            th = np.array([p[1] for p in pairs])
-        return ["r", "theta"], np.column_stack([r, th])
-    if plane == "xy":
-        if fam is Family.TTW:
-            phi = q2 / g
-            return ["x", "y"], np.column_stack([q1 * np.cos(phi), q1 * np.sin(phi)])
-        return ["x", "y"], np.column_stack([q1 / g, q2])
-    raise _ConfigError(f"unknown plane {plane!r}")
 
 
 def _run_integration(
@@ -543,8 +467,7 @@ def _run_integration(
         )
         return EXIT_STEP_FAILURE
 
-    extra_cols = _projection(spec, traj, plane) if plane else None
-    header, columns = _csv_rows(spec, traj, external_angle, extra_cols)
+    header, columns = _csv_rows(spec, traj, external_angle, plane)
     _write_csv(csv_path, header, columns)
 
     report: dict = {
@@ -755,7 +678,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--plane",
         choices=["rtheta", "xy"],
         default=None,
-        help="append 2D projection columns for plotting",
+        help="append external plotting columns: x, y or polar r, theta "
+        "(geodesic polar on the sphere)",
     )
     _add_integration_arguments(p_tr)
     p_tr.add_argument("--out", default="trace", help="output path prefix")

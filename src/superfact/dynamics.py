@@ -363,16 +363,15 @@ class Solution:
     """What :func:`solve_ivp` returns.
 
     ``t`` holds the sample times reached (up to the event when one fired)
-    and ``y`` the states there, shape ``(len(t), 4)``.  ``status`` is 0
-    when the run reached its last sample and 1 when ``event = (k, time,
-    state)`` names the event function that fired.  ``nfev`` counts the
+    and ``y`` the states there, shape ``(len(t), 4)``; ``event = (k, time,
+    state)`` names the event function that fired, or is ``None`` when the
+    run reached its last sample.  ``nfev`` counts the
     field evaluations: 2 to start, 12 per accepted or rejected step and 3
     per step that holds a sample or an event.
     """
 
     t: np.ndarray
     y: np.ndarray
-    status: int
     event: tuple[int, float, np.ndarray] | None
     nfev: int
     steps_accepted: int
@@ -469,7 +468,7 @@ def solve_ivp(field, y0, t_eval, *, rtol, atol, max_step, events=()) -> Solution
                                coefficients.reshape(len(records), -1, 4)[owners])
     else:
         states = np.empty((0, 4))
-    return Solution(ts, states, 0 if fired is None else 1, fired, nfev, accepted, rejected)
+    return Solution(ts, states, fired, nfev, accepted, rejected)
 
 
 # ---------- sampling helpers ----------

@@ -65,15 +65,6 @@ class DualComplex:
 
     # ---------- arithmetic ----------
 
-    @staticmethod
-    def _coerce(x):
-        return x if isinstance(x, DualComplex) else DualComplex(x, 0.0)
-
-    # The non-dual branches below spell out the coerced expressions verbatim
-    # (an implicit zero dual part) instead of wrapping the operand, so the
-    # hot paths skip a _coerce call and an allocation without changing a bit
-    # of the arithmetic.
-
     def __add__(self, other):
         if isinstance(other, DualComplex):
             return DualComplex(self.val + other.val, self.eps + other.eps)

@@ -245,6 +245,13 @@ def domain_description(family: Family) -> str:
     return " and ".join(parts) or "all of R^4"
 
 
+def gamma_bound(family: Family) -> str:
+    """The family's least ``gamma`` as a relation, read off its floor:
+    ``>= 1/2`` on the sphere, ``> 0`` where every positive ratio is allowed."""
+    m, n = _GAMMA_FLOOR[family]
+    return f">= {m}/{n}" if m else "> 0"
+
+
 def wall_mask(family: Family, q, margin: float) -> np.ndarray:
     """Elementwise over arrays ``q = (q1, q2)``: every wall of ``family``
     is cleared by more than ``margin``."""
@@ -318,19 +325,37 @@ def to_external(spec: SystemSpec, internal: PhasePoint) -> PhasePoint:
     return PhasePoint(internal.q1 / g, internal.q2, g * internal.p1, internal.p2)
 
 
-def geodesic_polar(spec: SystemSpec, internal: PhasePoint):
-    """Sphere only: geodesic polar ``(r, phi)`` of the configuration point.
+def plane_coordinates(spec: SystemSpec, q1, q2, plane: str):
+    """External plotting coordinates of the internal positions ``(q1, q2)``,
+    floats or arrays.
 
-    Read-only reporting helper; nothing downstream consumes it.
+    ``plane="xy"`` gives Cartesian ``(x, y)`` (the chart's ``(x, y)`` on the
+    sphere) and ``plane="rtheta"`` polar ``(r, theta)``: ``theta`` is the
+    external angle ``phi = q2/gamma`` for TTW, and on the sphere ``(r,
+    theta)`` are geodesic polar coordinates about ``x = y = 0``.
     """
+    if plane not in ("xy", "rtheta"):
+        raise ValueError(f"unknown plane {plane!r}")
+    g = spec.gamma.value
+    if spec.family is Family.TTW:
+        r, phi = q1, q2 / g
+        return (r, phi) if plane == "rtheta" else (r * np.cos(phi), r * np.sin(phi))
+    x, y = q1 / g, q2
+    if plane == "xy":
+        return x, y
+    if spec.family is Family.EUCLIDEAN:
+        return np.hypot(x, y), np.arctan2(y, x)
+    return np.arccos(np.cos(x) * np.cos(y)), np.arctan2(np.sin(y), np.sin(x) * np.cos(y))
+
+
+def geodesic_polar(spec: SystemSpec, internal: PhasePoint):
+    """Sphere only: geodesic polar ``(r, phi)`` of the configuration point,
+    :func:`plane_coordinates` at one point inside the chart."""
     if spec.family is not Family.SPHERE:
         raise UnsupportedError("geodesic polar coordinates are sphere-only")
     _require_in_domain(spec, internal)
-    x = internal.q1 / spec.gamma.value
-    y = internal.q2
-    r = math.acos(math.cos(x) * math.cos(y))
-    phi = math.atan2(math.sin(y), math.sin(x) * math.cos(y))
-    return r, phi
+    r, phi = plane_coordinates(spec, internal.q1, internal.q2, "rtheta")
+    return float(r), float(phi)
 
 
 # ---------- observables ----------

@@ -65,6 +65,10 @@ MAX_SAMPLE_POINTS = 1_000_000  # a larger request is refused before any allocati
 # run_suite evaluates a larger batch in chunks of this many points, so the
 # gradients kept on a batch (a few KB a point at high order) stay bounded.
 CHUNK_POINTS = 100_000
+# verify_system surveys the gradient ranks on this many of its points, and a
+# triple is independent when at least this fraction of them has full rank.
+INDEPENDENCE_POINTS = 200
+INDEPENDENCE_FRACTION = 0.99
 
 
 def symmetry_tolerance(spec: SystemSpec) -> float:
@@ -114,17 +118,29 @@ class IdentityResult:
 
 @dataclass(frozen=True)
 class BracketReport:
-    """Outcome of running a suite over one sampled batch."""
+    """Outcome of running a suite over one sampled batch and, from
+    :func:`verify_system`, of the independence survey: one
+    :func:`independence_report` block per triple."""
 
     spec: SystemSpec
     seed: int | None
     box: DomainBox | None
     samples: int
     identities: tuple[IdentityResult, ...]
+    independence: dict[str, dict] | None = None
+    # Wall seconds of each stage of verify_system and of each identity; they
+    # vary from run to run, so they are left out of the report and of
+    # comparisons.
+    timing: dict = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.identities)
+        """Every identity passes and every surveyed triple has full rank on
+        at least :data:`INDEPENDENCE_FRACTION` of its points."""
+        blocks = (self.independence or {}).values()
+        return all(r.passed for r in self.identities) and all(
+            b["fraction_full"] >= INDEPENDENCE_FRACTION for b in blocks
+        )
 
     def result(self, label: str) -> IdentityResult:
         for r in self.identities:
@@ -133,7 +149,7 @@ class BracketReport:
         raise KeyError(label)
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "spec": self.spec.to_json_dict(),
             "seed": self.seed,
             "box": self.box.to_json_dict() if self.box is not None else None,
@@ -141,6 +157,9 @@ class BracketReport:
             "identities": [r.to_json_dict() for r in self.identities],
             "summary": {"pass": self.passed},
         }
+        if self.independence is not None:
+            out["independence"] = self.independence
+        return out
 
 
 # JSON shape of a full verification report (suite plus independence survey).
@@ -539,10 +558,32 @@ def verify_system(
     seed: int = 0,
     box: DomainBox | None = None,
 ) -> BracketReport:
-    """Sample points and run the full suite in one call."""
+    """Certify one system: sample ``count`` points of ``box`` (default: the
+    family's default box), run the full suite over them and survey the
+    independence of ``(H, I2, X)`` and ``(H, I2, Y)`` on the first
+    :data:`INDEPENDENCE_POINTS`.  The report passes when both hold.
+
+    Its ``timing`` holds the seconds spent sampling (``sample_s``), in the
+    suite (``suite_s``) and in the survey (``independence_s``), each
+    identity's seconds (``identities_s``; an identity's include the
+    gradients it is the first to take on the batch) and the slowest
+    identity.  Raises what :func:`sample_points` raises.
+    """
     box = box if box is not None else default_box(spec)
+    clock = [time.perf_counter()]
     points = sample_points(spec, box, count, seed)
-    return run_suite(spec, None, points, seed=seed, box=box)
+    clock.append(time.perf_counter())
+    report = run_suite(spec, None, points, seed=seed, box=box)
+    clock.append(time.perf_counter())
+    survey = points[:INDEPENDENCE_POINTS]
+    independence = {which: independence_report(spec, survey, which)
+                    for which in ("with_X", "with_Y")}
+    clock.append(time.perf_counter())
+    stages = ("sample_s", "suite_s", "independence_s")
+    timing = {name: b - a for name, a, b in zip(stages, clock, clock[1:])}
+    timing["identities_s"] = {r.label: r.seconds for r in report.identities}
+    timing["slowest_identity"] = max(report.identities, key=lambda r: r.seconds).label
+    return replace(report, independence=independence, timing=timing)
 
 
 # ---------- functional independence ----------

@@ -25,6 +25,7 @@ from superfact import (
     second_integral,
 )
 
+from superfact import systems, verification
 from superfact.systems import WALLS, Wall
 
 from _oracles import spec_for
@@ -83,6 +84,20 @@ def test_catalog_domains_come_from_the_walls(capsys, monkeypatch):
     assert cli.main(["catalog", "--family", "ttw", "--json"]) == 0
     [ttw] = json.loads(capsys.readouterr().out)["families"]
     assert ttw["domain"] == "r > 0 and 0 < theta < 6pi/16"
+
+
+def test_catalog_gamma_bounds_come_from_the_floors(capsys, monkeypatch):
+    assert cli.main(["catalog", "--json"]) == 0
+    families = json.loads(capsys.readouterr().out)["families"]
+    assert [e["gamma_bound"] for e in families] == [
+        "gamma > 0", "gamma >= 1/2", "gamma >= 1/4",
+    ]
+    assert [e["parameters"]["gamma"] for e in families[1:]] == ["m/n >= 1/2", "m/n >= 1/4"]
+    monkeypatch.setitem(systems._GAMMA_FLOOR, Family.SPHERE, (2, 3))
+    assert cli.main(["catalog", "--family", "sphere", "--json"]) == 0
+    [sphere] = json.loads(capsys.readouterr().out)["families"]
+    assert sphere["gamma_bound"] == "gamma >= 2/3"
+    assert sphere["parameters"]["gamma"] == "m/n >= 2/3"
 
 
 def test_catalog_unknown_family(capsys):
@@ -204,7 +219,7 @@ def test_verify_identity_failure_exit(tmp_path, monkeypatch, capsys):
             ),
         )
 
-    monkeypatch.setattr("superfact.cli.build_suite", doomed_suite)
+    monkeypatch.setattr("superfact.verification.build_suite", doomed_suite)
     code = cli.main(
         ["verify", "--system", "euclidean", "--gamma", "1", "--samples", "20",
          "--seed", "0", "--out", "bad"]
@@ -213,6 +228,31 @@ def test_verify_identity_failure_exit(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out and "forced.failure" in out
     payload = json.loads((tmp_path / "bad.report.json").read_text())
+    assert payload["summary"]["pass"] is False
+
+
+def test_verify_fails_on_an_independence_shortfall(tmp_path, monkeypatch, capsys):
+    """A rank survey below INDEPENDENCE_FRACTION fails the library report and
+    the command alike, while every identity passes."""
+    monkeypatch.chdir(tmp_path)
+    survey = verification.independence_report
+
+    def short(*args, **kwargs):
+        block = survey(*args, **kwargs)
+        return {**block, "fraction_full": verification.INDEPENDENCE_FRACTION / 2}
+
+    monkeypatch.setattr(verification, "independence_report", short)
+    report = verification.verify_system(spec_for("euclidean", "2"), count=50, seed=3)
+    assert all(r.passed for r in report.identities)
+    assert set(report.independence) == {"with_X", "with_Y"}
+    assert report.passed is False
+    assert report.to_json_dict()["summary"]["pass"] is False
+    code = cli.main(["verify", "--system", "euclidean", "--gamma", "2", "--samples", "50",
+                     "--seed", "3", "--out", "short"])
+    assert code == 1
+    assert "  FAIL independence with_X: fraction 0.495\n" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "short.report.json").read_text())
+    assert all(r["pass"] for r in payload["identities"])
     assert payload["summary"]["pass"] is False
 
 
@@ -337,6 +377,39 @@ def test_integrate_circle_csv(tmp_path, monkeypatch, capsys):
     manifest = json.loads((tmp_path / "orbit.manifest.json").read_text())
     assert manifest["status"] == "completed"
     assert manifest["outputs"] == ["orbit.csv", "orbit.report.json"]
+
+
+def _closure_run(argv, capsys):
+    code = cli.main(["integrate", "--system", "euclidean", *argv, "--out", "c"])
+    assert code == 0
+    closure = json.loads(Path("c.report.json").read_text())["closure"]
+    return closure, capsys.readouterr().out
+
+
+def test_integrate_closure_at_a_stationary_start(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    closure, out = _closure_run(["--gamma", "1", "--q0", "0,0", "--p0", "0,0",
+                                 "--t-end", "1", "--closure-eps", "1e-4"], capsys)
+    assert "closure: stationary point\n" in out
+    assert closure["closed"] is True and closure["period"] is None
+
+
+def test_integrate_closure_undetermined_on_a_short_span(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    closure, out = _closure_run(["--gamma", "1", "--q0", "1,0", "--p0", "0,1",
+                                 "--t-end", "1", "--closure-eps", "1e-4"], capsys)
+    assert closure["closed"] is None
+    assert "extend t_end" in closure["reason"]
+    assert f"closure: undetermined ({closure['reason']})\n" in out
+
+
+def test_integrate_closure_open_at_this_span(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    closure, out = _closure_run(["--gamma", "141/100", "--q0", "1,0", "--p0", "0,1",
+                                 "--t-end", "25", "--closure-eps", "1e-4"], capsys)
+    assert closure["closed"] is False
+    assert closure["return_distance"] > 1e-4
+    assert f"closure: open at this span (best return {closure['return_distance']:.3e})\n" in out
 
 
 def test_integrate_external_frame(tmp_path, monkeypatch):
@@ -719,6 +792,42 @@ def test_trace_rediscovers_levels(tmp_path, monkeypatch, capsys):
     header, rows = _read_csv(tmp_path / "lv.csv")
     assert header[-2:] == ["x", "y"]
     assert len(rows) > 0
+
+
+def _plane_levels(family):
+    """Reachable trace levels per family: those of an in-domain point on the
+    plane, the sphere levels of the tests below, and the README's TTW."""
+    if family == "euclidean":
+        spec, point = spec_for("euclidean", "2"), PhasePoint(0.5, -0.3, 0.4, 0.7)
+        levels = (hamiltonian(spec, point), second_integral(spec, point),
+                  higher_integral(spec, point).x_real)
+        return ["--system", "euclidean", "--gamma", "2"], levels
+    if family == "sphere":
+        return (["--system", "sphere", "--gamma", "3/2"],
+                (0.4739364112484795, 0.3869453568468833, -0.0054487168913519395))
+    return (["--system", "ttw", "--gamma", "2", "--alpha", "1.1", "--beta", "0.7"],
+            (12.0, 4.0, 1.5))
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_trace_rtheta_columns_are_external_polar(tmp_path, monkeypatch, family):
+    monkeypatch.chdir(tmp_path)
+    spec_args, (h, i2, x) = _plane_levels(family)
+    columns = {}
+    for plane in ("xy", "rtheta"):
+        code = cli.main(["trace", *spec_args, f"--energy={h!r}", f"--second={i2!r}",
+                         f"--symmetry=X={x!r}", "--t-end", "2", "--plane", plane,
+                         "--out", plane])
+        assert code == 0
+        header, rows = _read_csv(tmp_path / f"{plane}.csv")
+        columns.update({name: _column(header, rows, name) for name in header[-2:]})
+    r, theta = columns["r"], columns["theta"]
+    if family == "sphere":
+        np.testing.assert_allclose(np.cos(r), np.cos(columns["x"]) * np.cos(columns["y"]),
+                                   rtol=0, atol=1e-14)
+    else:
+        np.testing.assert_allclose(r * np.cos(theta), columns["x"], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(r * np.sin(theta), columns["y"], rtol=0, atol=1e-14)
 
 
 def test_trace_infeasible_levels(tmp_path, monkeypatch, capsys):

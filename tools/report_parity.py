@@ -20,7 +20,10 @@ commands in one process, writing into its own output directory under
   spec, one request on reachable levels and two below the energy floor;
 - ``trace`` on levels above both floors that no start reaches (failed
   searches), per family at gamma 2, 3/2 and 7/5: ``H`` and ``I2`` of an
-  in-domain point, and ``X`` ten times ``|X+|`` there.
+  in-domain point, and ``X`` ten times ``|X+|`` there;
+- one reachable ``trace --plane rtheta`` per family: the README's TTW
+  levels, and ``H``, ``I2`` and ``X`` of the euclidean point above at
+  gamma 2 and of the sphere point at gamma 3/2.
 
 Every output file but the manifests (they carry wall-clock timestamps) is
 compared byte for byte, and so are the exit codes; each request below the
@@ -80,6 +83,8 @@ FAILED_SEARCH_POINTS = {
     "ttw": (1.2, 0.7, 0.3, -0.4),
 }
 FAILED_SEARCH_GAMMAS = ("2", "3/2", "7/5")
+# Specs whose failed-search point, on its own X level, is traced in polar.
+PROJECTION_SPECS = (("euclidean", "2"), ("sphere", "3/2"))
 TIMING_ROUNDS = 5
 EXIT_CODES = "exit_codes.json"
 
@@ -106,19 +111,35 @@ def _round_zero(workload: str) -> list[tuple[str, str, list[str]]]:
     return out
 
 
+def _point_trace(family: str, gamma: str, plane: str, reachable: bool) -> list[str]:
+    """``trace`` argv on ``H`` and ``I2`` of ``FAILED_SEARCH_POINTS[family]``
+    and on its own ``X`` when ``reachable``, else ``X`` ten times ``|X+|``."""
+    spec = workloads.make_spec(family, gamma)
+    point = sf.PhasePoint(*FAILED_SEARCH_POINTS[family])
+    h, i2 = sf.hamiltonian(spec, point), sf.second_integral(spec, point)
+    pair = sf.higher_integral(spec, point)
+    x = pair.x_real if reachable else 10 * abs(pair.x_plus)
+    return ["trace", *workloads.spec_argv(family, gamma), f"--energy={h!r}",
+            f"--second={i2!r}", f"--symmetry=X={x!r}", "--plane", plane]
+
+
 def failed_searches() -> list[tuple[str, list[str]]]:
     """``(output prefix, argv)`` of the ``trace`` requests whose level
     search runs every start and gives up."""
-    out = []
-    for gamma in FAILED_SEARCH_GAMMAS:
-        for family, coords in FAILED_SEARCH_POINTS.items():
-            spec = workloads.make_spec(family, gamma)
-            point = sf.PhasePoint(*coords)
-            h, i2 = sf.hamiltonian(spec, point), sf.second_integral(spec, point)
-            x = 10 * abs(sf.higher_integral(spec, point).x_plus)
-            argv = ["trace", *workloads.spec_argv(family, gamma), f"--energy={h!r}",
-                    f"--second={i2!r}", f"--symmetry=X={x!r}", "--plane", "xy"]
-            out.append((f"failed-{family}-{gamma.replace('/', '_')}", argv))
+    return [(f"failed-{family}-{gamma.replace('/', '_')}",
+             _point_trace(family, gamma, "xy", reachable=False))
+            for gamma in FAILED_SEARCH_GAMMAS for family in FAILED_SEARCH_POINTS]
+
+
+def projections() -> list[tuple[str, list[str]]]:
+    """``(output prefix, argv)`` of one reachable ``trace --plane rtheta``
+    per family: the README's TTW levels, and the levels of the euclidean and
+    sphere failed-search points with their own ``X``."""
+    level = dict(README_EXAMPLES)["level"]
+    out = [("rtheta-ttw-2", [*level[:-1], "rtheta"])]
+    for family, gamma in PROJECTION_SPECS:
+        out.append((f"rtheta-{family}-{gamma.replace('/', '_')}",
+                    _point_trace(family, gamma, "rtheta", reachable=True)))
     return out
 
 
@@ -134,7 +155,7 @@ def commands() -> list[tuple[str, list[str]]]:
     out += [(prefix, argv) for prefix, argv in README_EXAMPLES]
     out += [(prefix, argv) for workload in ("flow", "trace")
             for prefix, _, argv in _round_zero(workload)]
-    return out + failed_searches()
+    return out + failed_searches() + projections()
 
 
 def unrefused(codes: dict) -> list[str]:
