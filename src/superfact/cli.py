@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    METHODS,
     IntegratorControls,
     Trajectory,
     detect_closure,
@@ -335,13 +334,6 @@ def _add_integration_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-step", type=float, default=None, dest="max_step")
     parser.add_argument("--sample-dt", type=float, default=None, dest="sample_dt")
     parser.add_argument(
-        "--method",
-        choices=METHODS,
-        default=IntegratorControls.method,
-        help="integrator (default: %(default)s)",
-    )
-    parser.add_argument("--fixed-dt", type=float, default=None, dest="fixed_dt")
-    parser.add_argument(
         "--closure-eps",
         type=float,
         default=None,
@@ -359,8 +351,6 @@ def _integration_settings(spec: SystemSpec, args):
             abs_tol=args.abs_tol,
             max_step=args.max_step,
             sample_dt=args.sample_dt,
-            method=args.method,
-            fixed_dt=args.fixed_dt,
         )
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
@@ -376,34 +366,26 @@ def _integration_settings(spec: SystemSpec, args):
         "abs_tol": controls.abs_tol,
         "max_step": controls.max_step,
         "sample_dt": controls.sample_dt,
-        "fixed_dt": controls.fixed_dt,
-        "method": controls.method,
         "closure_eps": args.closure_eps,
     }
     return controls, t_end, run_args
 
 
-def _initial_point(spec: SystemSpec, args) -> PhasePoint:
-    q0 = _parse_pair(args.q0, "--q0")
-    p0 = _parse_pair(args.p0, "--p0")
-    if args.external:
-        try:
-            return to_internal(spec, PhasePoint(q0[0], q0[1], p0[0], p0[1]))
-        except (DomainError, ValueError) as exc:
-            raise _ConfigError(f"initial point invalid: {exc}") from exc
+def _initial_point(spec: SystemSpec, q0, p0, external: bool) -> PhasePoint:
     try:
         point = PhasePoint(q0[0], q0[1], p0[0], p0[1])
-    except ValueError as exc:
+        return to_internal(spec, point) if external else point
+    except (DomainError, ValueError) as exc:
         raise _ConfigError(f"initial point invalid: {exc}") from exc
-    return point
 
 
 def _csv_rows(spec: SystemSpec, traj: Trajectory, external_angle: bool, plane: str | None):
     header = ["t", "q1", "q2", "p1", "p2", "H", "I2", "X", "Y"]
+    q1, q2 = traj.states[:, 0], traj.states[:, 1]
     columns = [
         traj.t,
-        traj.states[:, 0],
-        traj.states[:, 1],
+        q1,
+        q2,
         traj.states[:, 2],
         traj.states[:, 3],
         traj.energy,
@@ -413,10 +395,10 @@ def _csv_rows(spec: SystemSpec, traj: Trajectory, external_angle: bool, plane: s
     ]
     if external_angle:
         header.append("phi")
-        columns.append(traj.states[:, 1] / spec.gamma.value)
+        columns.append(plane_coordinates(spec, q1, q2, "rtheta")[1])
     if plane:
         header += ["r", "theta"] if plane == "rtheta" else ["x", "y"]
-        columns += plane_coordinates(spec, traj.states[:, 0], traj.states[:, 1], plane)
+        columns += plane_coordinates(spec, q1, q2, plane)
     return header, columns
 
 
@@ -474,7 +456,7 @@ def _run_integration(
         "spec": spec.to_json_dict(),
         "initial_internal": list(initial.as_array()),
         "t_end": t_end,
-        "method": controls.method,
+        "method": "dop853",
         "samples": len(traj),
         "status": "breach" if breach_info else "completed",
     }
@@ -546,10 +528,11 @@ def _run_integration(
 def cmd_integrate(args) -> int:
     spec = _resolve_spec(args)
     controls, t_end, run_args = _integration_settings(spec, args)
-    initial = _initial_point(spec, args)
+    q0, p0 = _parse_pair(args.q0, "--q0"), _parse_pair(args.p0, "--p0")
+    initial = _initial_point(spec, q0, p0, args.external)
     run_args.update(
-        q0=list(_parse_pair(args.q0, "--q0")),
-        p0=list(_parse_pair(args.p0, "--p0")),
+        q0=list(q0),
+        p0=list(p0),
         frame="external" if args.external else "internal",
         external_angle=bool(args.external_angle),
     )

@@ -1,25 +1,22 @@
 """Trajectory integration with conservation monitoring and closure detection.
 
-Integration happens in internal coordinates.  Two integrators are offered:
-the adaptive 8th-order Dormand-Prince pair DOP853 for production accuracy
-and a hand-rolled fixed-step implicit midpoint rule as a
-structure-preserving cross-check.  Both watch the walls of the family's
-chart (:data:`~superfact.systems.WALLS`) and stop with a
+Integration happens in internal coordinates with the adaptive 8th-order
+Dormand-Prince pair DOP853.  It watches the walls of the family's chart
+(:data:`~superfact.systems.WALLS`) and stops with a
 :class:`~superfact.errors.DomainBreach` carrying the partial trajectory when
 the state reaches a wall's safety margin; the message names the wall.
 
-Both drive the same vector field: the Hamiltonian's gradient compiled once
-per system into straight-line float code
-(:func:`~superfact.phase.compiled_gradient`), so one evaluation is about a
-microsecond of plain float arithmetic.  DOP853 runs as straight-line float
-code too: its step and dense output are generated once per process from
-the tableau of ``scipy.integrate.DOP853`` (:func:`solve_ivp`), and the
-driver around them takes the steps scipy's ``solve_ivp`` would take, with
-the same step-size control, interpolant and event location.  Every
-sampled state gets the energy, the sector integral, and the real constants
-``X``/``Y`` attached so drift can be audited after the fact, and the
-trajectory records its vector-field evaluations and its accepted and
-rejected steps.
+The vector field is the Hamiltonian's gradient compiled once per system
+into straight-line float code (:func:`~superfact.phase.compiled_gradient`),
+so one evaluation is about a microsecond of plain float arithmetic.  DOP853
+runs as straight-line float code too: its step and dense output are
+generated once per process from the tableau of ``scipy.integrate.DOP853``
+(:func:`solve_ivp`), and the driver around them takes the steps scipy's
+``solve_ivp`` would take, with the same step-size control, interpolant and
+event location.  Every sampled state gets the energy, the sector integral,
+and the real constants ``X``/``Y`` attached so drift can be audited after
+the fact, and the trajectory records its vector-field evaluations and its
+accepted and rejected steps.
 """
 
 from __future__ import annotations
@@ -47,10 +44,6 @@ from .systems import (
     second_integral_observable,
 )
 
-_FIXED_POINT_TOL = 1e-13
-_FIXED_POINT_MAX_ITER = 50
-
-METHODS = ("dop853", "midpoint")
 MAX_SAMPLE_INTERVALS = 1_000_000  # a finer grid is refused before any allocation
 
 
@@ -59,29 +52,21 @@ MAX_SAMPLE_INTERVALS = 1_000_000  # a finer grid is refused before any allocatio
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Integration knobs; ``None`` fields are resolved from the system's
+    """DOP853 knobs; ``None`` fields are resolved from the system's
     characteristic period ``T``: ``max_step = T/10``, ``sample_dt = T/200``,
-    ``fixed_dt = sample_dt/10``, ``breach_margin`` = half the sampling margin.
-
-    ``method`` is ``"dop853"`` (the default adaptive 8(5,3) Dormand-Prince
-    pair) or ``"midpoint"`` (fixed-step implicit midpoint, driven by
-    ``fixed_dt``).
+    ``breach_margin`` = half the sampling margin.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float | None = None
     sample_dt: float | None = None
-    method: str = "dop853"
-    fixed_dt: float | None = None
     breach_margin: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        for name in ("max_step", "sample_dt", "fixed_dt", "breach_margin"):
+        for name in ("max_step", "sample_dt", "breach_margin"):
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive when given")
@@ -95,8 +80,7 @@ class Trajectory:
     ``second``, ``sym_x`` and ``sym_y`` are the matching series of ``H``,
     the sector integral, and the real constants of motion.
     ``rhs_evaluations`` counts the vector-field calls the integrator made,
-    ``steps_accepted`` and ``steps_rejected`` its steps (the midpoint rule
-    counts its substeps and rejects none).
+    ``steps_accepted`` and ``steps_rejected`` its steps.
     """
 
     t: np.ndarray
@@ -114,9 +98,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def point(self, i: int) -> PhasePoint:
-        return PhasePoint(*self.states[i])
 
 
 @dataclass(frozen=True)
@@ -530,7 +511,7 @@ def _build_trajectory(spec, initial, controls, t, states, counts=(0, 0, 0)) -> T
     )
 
 
-# ---------- integrators ----------
+# ---------- integration ----------
 
 
 def _integrate_adaptive(spec, y0, ts, controls, max_step, margin):
@@ -554,60 +535,6 @@ def _integrate_adaptive(spec, y0, ts, controls, max_step, margin):
     return t_out, y_out, (t_best, y_best, WALLS[spec.family][k]), counts
 
 
-def _midpoint_step(field, t, y, h):
-    """One implicit midpoint step solved by fixed-point iteration.
-
-    Returns the new state and the number of vector-field evaluations."""
-    t_mid = t + h / 2
-    f = np.array(field(*y.tolist()))
-    if not np.isfinite(f).all():
-        raise StepFailure(f"vector field not evaluable at t={t:.6g}")
-    z = y + (h / 2) * f
-    for sweep in range(_FIXED_POINT_MAX_ITER):
-        f = np.array(field(*z.tolist()))
-        if not np.isfinite(f).all():
-            raise StepFailure(f"vector field not evaluable near t={t_mid:.6g}")
-        z_new = y + (h / 2) * f
-        delta = np.max(np.abs(z_new - z))
-        z = z_new
-        if delta <= _FIXED_POINT_TOL * (1.0 + np.max(np.abs(z))):
-            return 2.0 * z - y, sweep + 2
-    raise StepFailure(
-        f"midpoint iteration did not converge within {_FIXED_POINT_MAX_ITER} "
-        f"sweeps at t={t:.6g}"
-    )
-
-
-def _integrate_midpoint(spec, y0, ts, controls, fixed_dt, margin):
-    field = _rhs_function(spec)
-    events = _breach_events(spec, margin)
-    nfev = 0
-    steps = 0
-    t_out = [0.0]
-    y_out = [np.asarray(y0, dtype=float)]
-    y = np.asarray(y0, dtype=float)
-    for i in range(len(ts) - 1):
-        span = ts[i + 1] - ts[i]
-        n_sub = max(1, int(math.ceil(span / fixed_dt - 1e-9)))
-        h = span / n_sub
-        t = ts[i]
-        for _ in range(n_sub):
-            y, calls = _midpoint_step(field, t, y, h)
-            nfev += calls
-            steps += 1
-            t += h
-            for k, event in enumerate(events):
-                if not event(t, y) > 0:
-                    t_out.append(t)
-                    y_out.append(y)
-                    return t_out, y_out, (t, y, WALLS[spec.family][k]), (nfev, steps, 0)
-        # Land exactly on the sample time to keep the grid drift-free.
-        t = ts[i + 1]
-        t_out.append(t)
-        y_out.append(y)
-    return t_out, y_out, None, (nfev, steps, 0)
-
-
 def integrate(
     spec: SystemSpec,
     initial: PhasePoint,
@@ -628,7 +555,6 @@ def integrate(
     period = characteristic_period(spec)
     max_step = controls.max_step if controls.max_step is not None else period / 10
     sample_dt = sample_interval(spec, t_end, controls)
-    fixed_dt = controls.fixed_dt if controls.fixed_dt is not None else sample_dt / 10
     margin = (
         controls.breach_margin
         if controls.breach_margin is not None
@@ -645,15 +571,9 @@ def integrate(
         )
 
     ts = _sample_times(t_end, sample_dt)
-    y0 = initial.as_array()
-    if controls.method == "dop853":
-        t_out, y_out, breach, counts = _integrate_adaptive(
-            spec, y0, ts, controls, max_step, margin
-        )
-    else:
-        t_out, y_out, breach, counts = _integrate_midpoint(
-            spec, y0, ts, controls, fixed_dt, margin
-        )
+    t_out, y_out, breach, counts = _integrate_adaptive(
+        spec, initial.as_array(), ts, controls, max_step, margin
+    )
 
     traj = _build_trajectory(spec, initial, controls, t_out, y_out, counts)
     if breach is not None:

@@ -14,7 +14,6 @@ import pytest
 from superfact import (
     Family,
     IdentitySpec,
-    IntegratorControls,
     PhasePoint,
     TOL_POLY,
     cli,
@@ -520,47 +519,8 @@ def test_integrate_immediate_breach_header_only_csv(tmp_path, monkeypatch):
     assert report["breach"]["time"] == 0.0
 
 
-def test_integrate_step_failure_writes_nothing(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    code = cli.main(
-        [
-            "integrate",
-            "--system", "sphere",
-            "--gamma", "1",
-            "--q0", "0.3,0.2",
-            "--p0", "1.5,-0.8",
-            "--t-end", "10.0",
-            "--method", "midpoint",
-            "--sample-dt", "10.0",
-            "--fixed-dt", "10.0",
-            "--out", "giant",
-        ]
-    )
-    assert code == 4
-    assert "error" in capsys.readouterr().err
-    assert not (tmp_path / "giant.csv").exists()
-    assert not (tmp_path / "giant.report.json").exists()
-
-
-def test_integrate_step_failure_writes_a_manifest(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code = cli.main(
-        [
-            "integrate", "--system", "sphere", "--gamma", "1",
-            "--q0", "0.3,0.2", "--p0", "1.5,-0.8", "--t-end", "10",
-            "--method", "midpoint", "--sample-dt", "10", "--fixed-dt", "10",
-            "--out", "giant",
-        ]
-    )
-    assert code == 4
-    assert [p.name for p in tmp_path.iterdir()] == ["giant.manifest.json"]
-    manifest = json.loads((tmp_path / "giant.manifest.json").read_text())
-    assert manifest["status"] == "step_failure"
-    assert "did not converge" in manifest["message"]
-    assert manifest["outputs"] == []
-
-
-def test_integrate_adaptive_step_failure_writes_a_manifest(tmp_path, monkeypatch):
+def _nan_after_the_initial_step(monkeypatch):
+    """Patch the vector field so that DOP853's step size collapses."""
     compiled = dynamics._rhs_function
 
     def nan_after_the_initial_step(spec):
@@ -576,6 +536,10 @@ def test_integrate_adaptive_step_failure_writes_a_manifest(tmp_path, monkeypatch
         return patched
 
     monkeypatch.setattr(dynamics, "_rhs_function", nan_after_the_initial_step)
+
+
+def test_integrate_adaptive_step_failure_writes_a_manifest(tmp_path, monkeypatch, capsys):
+    _nan_after_the_initial_step(monkeypatch)
     monkeypatch.chdir(tmp_path)
     code = cli.main(
         [
@@ -585,6 +549,9 @@ def test_integrate_adaptive_step_failure_writes_a_manifest(tmp_path, monkeypatch
         ]
     )
     assert code == 4
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "stuck.csv").exists()
+    assert not (tmp_path / "stuck.report.json").exists()
     assert [p.name for p in tmp_path.iterdir()] == ["stuck.manifest.json"]
     manifest = json.loads((tmp_path / "stuck.manifest.json").read_text())
     assert manifest["status"] == "step_failure"
@@ -593,28 +560,6 @@ def test_integrate_adaptive_step_failure_writes_a_manifest(tmp_path, monkeypatch
     assert "at t=0: the step size fell to " in message
     step = float(message.split("fell to ")[1].split(",")[0])
     assert 0 < step < 1e-322
-
-
-def test_integrate_midpoint_completes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code = cli.main(
-        [
-            "integrate",
-            "--system", "euclidean",
-            "--gamma", "2",
-            "--q0", "0,0",
-            "--p0", "0.5,1",
-            "--t-end", f"{TWO_PI}",
-            "--method", "midpoint",
-            "--sample-dt", f"{TWO_PI / 50}",
-            "--fixed-dt", f"{TWO_PI / 1000}",
-            "--out", "mid",
-        ]
-    )
-    assert code == 0
-    report = json.loads((tmp_path / "mid.report.json").read_text())
-    assert report["method"] == "midpoint"
-    assert report["drift"]["H"]["relative_drift"] <= 1e-4
 
 
 def test_integrate_default_method_is_dop853(tmp_path, monkeypatch):
@@ -637,7 +582,13 @@ def test_integrate_default_method_is_dop853(tmp_path, monkeypatch):
     assert report["drift"]["H"]["relative_drift"] <= 1e-8
 
 
-def test_integrate_unknown_method_exits_2(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "option",
+    [["--method", "leapfrog"], ["--method", "midpoint"], ["--method", "dop853"],
+     ["--fixed-dt", "0.1"]],
+    ids=["method=leapfrog", "method=midpoint", "method=dop853", "fixed-dt=0.1"],
+)
+def test_integrate_unknown_method_exits_2(tmp_path, monkeypatch, option):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc_info:
         cli.main(
@@ -647,7 +598,7 @@ def test_integrate_unknown_method_exits_2(tmp_path, monkeypatch):
                 "--gamma", "1",
                 "--q0", "1,0",
                 "--p0", "0,1",
-                "--method", "leapfrog",
+                *option,
             ]
         )
     assert exc_info.value.code == 2
@@ -720,13 +671,11 @@ def test_integrate_outputs_byte_identical_across_processes(tmp_path):
         ).read_bytes()
 
 
-@pytest.mark.parametrize("method", ["dop853", "midpoint"])
-def test_integrate_rhs_evaluations_in_manifest_only(tmp_path, monkeypatch, method):
+def test_integrate_rhs_evaluations_in_manifest_only(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     base = [
         "integrate", "--system", "sphere", "--gamma", "3/2",
         "--q0", "0.4,-0.3", "--p0", "0.2,0.5", "--t-end", "2.0",
-        "--method", method, "--fixed-dt", "0.01",
     ]
     assert cli.main(base + ["--out", "runa"]) == 0
     assert cli.main(base + ["--out", "runb"]) == 0
@@ -737,12 +686,7 @@ def test_integrate_rhs_evaluations_in_manifest_only(tmp_path, monkeypatch, metho
     report = (tmp_path / "runa.report.json").read_text()
     assert "integrator" not in report and "rhs_evaluations" not in report
     spec = spec_for("sphere", "3/2")
-    traj = integrate(
-        spec,
-        PhasePoint(0.4, -0.3, 0.2, 0.5),
-        2.0,
-        IntegratorControls(method=method, fixed_dt=0.01),
-    )
+    traj = integrate(spec, PhasePoint(0.4, -0.3, 0.2, 0.5), 2.0)
     manifest = json.loads((tmp_path / "runa.manifest.json").read_text())
     assert manifest["integrator"] == {
         "rhs_evaluations": traj.rhs_evaluations,
@@ -949,6 +893,29 @@ def test_trace_manifest_span_covers_the_level_search(tmp_path, monkeypatch):
     assert (finished - started).total_seconds() >= manifest["level_search"]["seconds"]
 
 
+def test_trace_step_failure_writes_a_manifest(tmp_path, monkeypatch, capsys):
+    _nan_after_the_initial_step(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        [
+            "trace", "--system", "sphere", "--gamma", "3/2",
+            "--energy", "0.4739364112484795", "--second", "0.3869453568468833",
+            "--symmetry", "X=-0.0054487168913519395", "--out", "stuck",
+        ]
+    )
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert "levels matched" in out
+    assert "error" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["stuck.manifest.json"]
+    manifest = json.loads((tmp_path / "stuck.manifest.json").read_text())
+    assert manifest["status"] == "step_failure"
+    assert manifest["outputs"] == []
+    assert "the step size fell to " in manifest["message"]
+    assert manifest["level_search"]["winning_start"] == 0
+    assert len(manifest["args"]["solution_point"]) == 4
+
+
 def test_trace_outputs_byte_identical_search_in_manifest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     base = [
@@ -1042,15 +1009,11 @@ def test_trace_manifest_records_every_integration_option(tmp_path, monkeypatch):
             "trace", "--system", "sphere", "--gamma", "3/2",
             "--energy", "0.4739364112484795", "--second", "0.3869453568468833",
             "--symmetry", "X=-0.0054487168913519395", "--t-end", "0.01",
-            "--max-step", "0.005", "--fixed-dt", "0.001", "--out", "t",
+            "--max-step", "0.005", "--out", "t",
         ]
     )
     assert code == 0
     run_args = json.loads((tmp_path / "t.manifest.json").read_text())["args"]
     assert run_args["max_step"] == 0.005
-    assert run_args["fixed_dt"] == 0.001
-    integrate_args = {
-        "t_end", "rel_tol", "abs_tol", "max_step", "sample_dt", "fixed_dt",
-        "method", "closure_eps",
-    }
+    integrate_args = {"t_end", "rel_tol", "abs_tol", "max_step", "sample_dt", "closure_eps"}
     assert integrate_args <= set(run_args)

@@ -206,33 +206,6 @@ def test_time_reversal_adaptive():
     np.testing.assert_allclose(recovered, initial.as_array(), atol=1e-6)
 
 
-def test_time_reversal_midpoint_is_symmetric():
-    spec = spec_for("sphere", "2")
-    initial = PhasePoint(0.2, -0.15, 0.4, 0.3)
-    controls = IntegratorControls(
-        method="midpoint", sample_dt=TWO_PI / 50, fixed_dt=TWO_PI / 500
-    )
-    fwd = integrate(spec, initial, TWO_PI, controls)
-    turn = PhasePoint(*fwd.states[-1] * np.array([1.0, 1.0, -1.0, -1.0]))
-    back = integrate(spec, turn, TWO_PI, controls)
-    recovered = back.states[-1] * np.array([1.0, 1.0, -1.0, -1.0])
-    np.testing.assert_allclose(recovered, initial.as_array(), atol=1e-8)
-
-
-def test_midpoint_tracks_closed_form():
-    spec = spec_for("euclidean", "2")
-    controls = IntegratorControls(
-        method="midpoint", sample_dt=TWO_PI / 100, fixed_dt=TWO_PI / 2000
-    )
-    traj = integrate(spec, PhasePoint(0.0, 0.0, 0.5, 1.0), TWO_PI, controls)
-    t = traj.t
-    expected = np.column_stack(
-        [np.sin(2 * t), np.sin(t), 0.5 * np.cos(2 * t), np.cos(t)]
-    )
-    np.testing.assert_allclose(traj.states, expected, atol=1e-3)
-    assert drift_report(traj).entry("H").relative_drift <= 1e-4
-
-
 # ---------- sampling grid ----------
 
 
@@ -253,15 +226,11 @@ def test_sample_grid_multiples_plus_endpoint():
 
 def test_controls_validation():
     with pytest.raises(ValueError):
-        IntegratorControls(method="leapfrog")
-    with pytest.raises(ValueError):
         IntegratorControls(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorControls(abs_tol=-1e-9)
     with pytest.raises(ValueError):
         IntegratorControls(sample_dt=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorControls(fixed_dt=0.0)
     with pytest.raises(ValueError):
         IntegratorControls(breach_margin=0.0)
 
@@ -304,32 +273,18 @@ def test_midrun_breach_adaptive():
     assert breach.state.q1 == pytest.approx(wall, abs=1e-6)
 
 
-def test_midrun_breach_midpoint():
-    spec = spec_for("sphere", "1")
-    controls = IntegratorControls(method="midpoint", breach_margin=0.5, fixed_dt=0.002)
-    with pytest.raises(DomainBreach) as exc_info:
-        integrate(spec, PhasePoint(0.0, 0.0, 2.0, 0.0), 3.0, controls)
-    breach = exc_info.value
-    assert breach.time > 0.0
-    assert breach.trajectory is not None
-    assert breach.state.q1 >= math.pi / 2 - 0.5 - 1e-9
-
-
 @pytest.mark.parametrize(
     "family,start,wall",
     [("sphere", (0.0, 0.0, 2.0, 0.0), "xi = pi/2"), ("ttw", (1.0, 0.7, -4.0, 0.0), "r = 0")],
 )
-def test_both_integrators_name_the_same_wall(family, start, wall):
-    spec = spec_for(family, "1")
-    for method in dynamics.METHODS:
-        controls = IntegratorControls(method=method, breach_margin=0.5, fixed_dt=0.002)
-        with pytest.raises(DomainBreach) as exc_info:
-            integrate(spec, PhasePoint(*start), 3.0, controls)
-        assert str(exc_info.value).endswith(f": wall {wall}"), method
+def test_breach_names_the_wall(family, start, wall):
+    controls = IntegratorControls(breach_margin=0.5)
+    with pytest.raises(DomainBreach) as exc_info:
+        integrate(spec_for(family, "1"), PhasePoint(*start), 3.0, controls)
+    assert str(exc_info.value).endswith(f": wall {wall}")
 
 
-@pytest.mark.parametrize("method", ["dop853", "midpoint"])
-def test_trajectory_counts_rhs_evaluations(monkeypatch, method):
+def test_trajectory_counts_rhs_evaluations(monkeypatch):
     calls = []
     compiled = dynamics._rhs_function
 
@@ -344,16 +299,8 @@ def test_trajectory_counts_rhs_evaluations(monkeypatch, method):
 
     monkeypatch.setattr(dynamics, "_rhs_function", counting)
     spec = spec_for("ttw", "3/2")
-    controls = IntegratorControls(method=method, fixed_dt=0.01)
-    traj = integrate(spec, PhasePoint(1.2, 0.8, -0.4, 0.6), 2.0, controls)
+    traj = integrate(spec, PhasePoint(1.2, 0.8, -0.4, 0.6), 2.0)
     assert traj.rhs_evaluations == len(calls) > 0
-
-
-def test_step_failure_midpoint_giant_step():
-    spec = spec_for("sphere", "1")
-    controls = IntegratorControls(method="midpoint", sample_dt=10.0, fixed_dt=10.0)
-    with pytest.raises(StepFailure):
-        integrate(spec, PhasePoint(0.3, 0.2, 1.5, -0.8), 10.0, controls)
 
 
 # ---------- the generated DOP853 stepper against scipy ----------
@@ -454,13 +401,6 @@ def test_dop853_evaluation_count_follows_its_steps(monkeypatch, family, start, c
     steps = traj.steps_accepted + traj.steps_rejected
     assert traj.rhs_evaluations == 2 + 12 * steps + 3 * len(dense_calls)
     assert 0 < len(dense_calls) <= traj.steps_accepted
-
-
-def test_midpoint_counts_its_substeps():
-    controls = IntegratorControls(method="midpoint", sample_dt=0.5, fixed_dt=0.1)
-    traj = integrate(spec_for("euclidean", "2"), PhasePoint(0.0, 0.0, 0.5, 1.0), 2.0, controls)
-    assert traj.steps_accepted == 20
-    assert traj.steps_rejected == 0
 
 
 def test_step_failure_adaptive_names_the_time_and_step(monkeypatch):

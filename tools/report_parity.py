@@ -23,15 +23,19 @@ commands in one process, writing into its own output directory under
   in-domain point, and ``X`` ten times ``|X+|`` there;
 - one reachable ``trace --plane rtheta`` per family: the README's TTW
   levels, and ``H``, ``I2`` and ``X`` of the euclidean point above at
-  gamma 2 and of the sphere point at gamma 3/2.
+  gamma 2 and of the sphere point at gamma 3/2;
+- one ``integrate`` per wall that runs into it within ``t = 3`` (the
+  sphere's ``xi``, ``y`` and the TTW ``theta = pi/2``, ``theta = 0``,
+  ``r = 0``), and one TTW ``integrate --external-angle``.
 
 Every output file but the manifests (they carry wall-clock timestamps) is
 compared byte for byte, and so are the exit codes; each request below the
-floor and each failed search must also exit 5 on both sides, and a failed
-search's manifest ``message`` (it gives the best residual) must match byte
-for byte.  The script prints each file or message that differs, each file
-that exists on one side only, and each such request that did not exit 5,
-and exits 1 if there is any; it exits 0 when all match.
+floor and each failed search must also exit 5 on both sides, each run into
+a wall exit 3, and a failed search's manifest ``message`` (it gives the
+best residual) must match byte for byte.  The script prints each file or
+message that differs, each file that exists on one side only, and each
+such request that did not exit as expected, and exits 1 if there is any;
+it exits 0 when all match.
 
 For information it also times the failed searches: in each of
 ``TIMING_ROUNDS`` rounds, alternating which side goes first, each side runs
@@ -65,7 +69,7 @@ from bench_pairs import ROOT, SIDES, export  # noqa: E402
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import superfact as sf  # noqa: E402
 import workloads  # noqa: E402
-from superfact.cli import EXIT_NO_SOLUTION  # noqa: E402
+from superfact.cli import EXIT_BREACH, EXIT_NO_SOLUTION  # noqa: E402
 
 SEEDS = (1, 2, 3)
 HIGH_ORDER = (("sphere", "141/100", 7), ("ttw", "141/100", 7))
@@ -85,6 +89,23 @@ FAILED_SEARCH_POINTS = {
 FAILED_SEARCH_GAMMAS = ("2", "3/2", "7/5")
 # Specs whose failed-search point, on its own X level, is traced in polar.
 PROJECTION_SPECS = (("euclidean", "2"), ("sphere", "3/2"))
+# One run into each wall (its label in the prefix), and the TTW external angle.
+SPHERE_1 = ["--system", "sphere", "--gamma", "1"]
+
+
+def _ttw_argv(gamma: str, barrier: str) -> list[str]:
+    return ["--system", "ttw", "--gamma", gamma, "--alpha", barrier, "--beta", barrier]
+
+
+BREACH_RUNS = (
+    ("breach-sphere-xi", [*SPHERE_1, "--q0", "0,0", "--p0", "45,0"]),
+    ("breach-sphere-y", [*SPHERE_1, "--q0", "0,0", "--p0", "0,45"]),
+    ("breach-ttw-theta-pi_2", [*_ttw_argv("1", "0.05"), "--q0", "1.0,0.7", "--p0", "0,3"]),
+    ("breach-ttw-theta-0", [*_ttw_argv("2", "0.05"), "--q0", "1.0,0.7", "--p0", "0,-3"]),
+    ("breach-ttw-r", [*_ttw_argv("1", "0.01"), "--q0", "1.0,0.7", "--p0=-4,0"]),
+)
+EXTERNAL_ANGLE = ("phi-ttw-3_2", [*workloads.spec_argv("ttw", "3/2"), "--q0", "1.2,0.8",
+                                  "--p0=-0.4,0.6", "--external-angle"])
 TIMING_ROUNDS = 5
 EXIT_CODES = "exit_codes.json"
 
@@ -155,15 +176,27 @@ def commands() -> list[tuple[str, list[str]]]:
     out += [(prefix, argv) for prefix, argv in README_EXAMPLES]
     out += [(prefix, argv) for workload in ("flow", "trace")
             for prefix, _, argv in _round_zero(workload)]
-    return out + failed_searches() + projections()
+    out += failed_searches() + projections()
+    return out + [(prefix, ["integrate", *argv, "--t-end", "3"])
+                  for prefix, argv in (*BREACH_RUNS, EXTERNAL_ANGLE)]
 
 
-def unrefused(codes: dict) -> list[str]:
-    """The requests below the energy floor and the failed searches that did
-    not exit 5, given one side's exit codes."""
-    prefixes = [prefix for prefix, kind, _ in _round_zero("trace") if kind == "unreachable"]
-    prefixes += [prefix for prefix, _ in failed_searches()]
-    return [prefix for prefix in prefixes if codes[prefix] != EXIT_NO_SOLUTION]
+def expected_exits() -> dict[str, int]:
+    """The exit code of each command whose code is known in advance: 5 for
+    the requests below the energy floor and the failed searches, 3 for the
+    runs into a wall."""
+    out = {prefix: EXIT_NO_SOLUTION for prefix, kind, _ in _round_zero("trace")
+           if kind == "unreachable"}
+    out.update((prefix, EXIT_NO_SOLUTION) for prefix, _ in failed_searches())
+    out.update((prefix, EXIT_BREACH) for prefix, _ in BREACH_RUNS)
+    return out
+
+
+def unexpected(codes: dict) -> list[tuple[str, int]]:
+    """``(prefix, expected code)`` of each command in :func:`expected_exits`
+    that exited otherwise, given one side's exit codes."""
+    return [(prefix, code) for prefix, code in expected_exits().items()
+            if codes[prefix] != code]
 
 
 def _manifest(outdir: Path, prefix: str) -> dict:
@@ -324,10 +357,10 @@ def main(argv=None) -> int:
         kinds[kind] += 1
         detail = f" ({largest_difference(*paths)})" if all(p.exists() for p in paths) else ""
         print(f"differs: {name} [{kind}]{detail}")
-    bad = [(side, prefix) for side, side_codes in zip(SIDES, codes)
-           for prefix in unrefused(side_codes)]
-    for side, prefix in bad:
-        print(f"not exit 5 on the {side} side: {prefix}")
+    bad = [(side, prefix, code) for side, side_codes in zip(SIDES, codes)
+           for prefix, code in unexpected(side_codes)]
+    for side, prefix, code in bad:
+        print(f"not exit {code} on the {side} side: {prefix}")
     messages = differing_messages(outdirs)
     for prefix in messages:
         print(f"manifest message differs: {prefix}")
