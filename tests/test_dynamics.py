@@ -277,7 +277,7 @@ def test_midrun_breach_adaptive():
     "family,start,wall",
     [("sphere", (0.0, 0.0, 2.0, 0.0), "xi = pi/2"), ("ttw", (1.0, 0.7, -4.0, 0.0), "r = 0")],
 )
-def test_breach_names_the_wall(family, start, wall):
+def test_both_integrators_name_the_same_wall(family, start, wall):
     controls = IntegratorControls(breach_margin=0.5)
     with pytest.raises(DomainBreach) as exc_info:
         integrate(spec_for(family, "1"), PhasePoint(*start), 3.0, controls)
