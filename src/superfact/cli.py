@@ -50,7 +50,7 @@ from .systems import (
     plane_coordinates,
     to_internal,
 )
-from .verification import INDEPENDENCE_FRACTION, IdentityResult, verify_system
+from .verification import INDEPENDENCE_FRACTION, verify_system
 
 SEED_ENV_VAR = "SUPERFACT_SEED"
 
@@ -248,20 +248,6 @@ def _write_manifest(
 # ---------- verify ----------
 
 
-def _failure_cause(result: IdentityResult) -> str:
-    """Why an identity failed: its points that were not finite, an error of
-    the whole batch, or a residual above the tolerance."""
-    flagged = sum(e.startswith("point ") for e in result.errors)
-    causes = [e for e in result.errors if not e.startswith("point ")]
-    if flagged:
-        causes.insert(0, f"{flagged} of {result.samples} points not finite")
-    if result.max_residual > result.tolerance:
-        causes.append(
-            f"max residual {result.max_residual:.3e} > tol {result.tolerance:.1e}"
-        )
-    return "; ".join(causes)
-
-
 def cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     seed = _resolve_seed(args)
@@ -297,7 +283,7 @@ def cmd_verify(args) -> int:
     )
     for r in report.identities:
         if not r.passed:
-            print(f"  FAIL {r.label}: {_failure_cause(r)}")
+            print(f"  FAIL {r.label}: {r.failure_cause()}")
     for name, block in report.independence.items():
         if block["fraction_full"] < INDEPENDENCE_FRACTION:
             cause = ""

@@ -514,27 +514,6 @@ def _build_trajectory(spec, initial, controls, t, states, counts=(0, 0, 0)) -> T
 # ---------- integration ----------
 
 
-def _integrate_adaptive(spec, y0, ts, controls, max_step, margin):
-    sol = solve_ivp(
-        _rhs_function(spec),
-        y0,
-        ts,
-        rtol=controls.rel_tol,
-        atol=controls.abs_tol,
-        max_step=max_step,
-        events=_breach_events(spec, margin),
-    )
-    counts = (sol.nfev, sol.steps_accepted, sol.steps_rejected)
-    if sol.event is None:
-        return sol.t, sol.y, None, counts
-    k, t_best, y_best = sol.event
-    t_out, y_out = sol.t, sol.y
-    if not len(t_out) or t_best > t_out[-1] + 1e-15:
-        t_out = np.append(t_out, t_best)
-        y_out = np.vstack([y_out, y_best])
-    return t_out, y_out, (t_best, y_best, WALLS[spec.family][k]), counts
-
-
 def integrate(
     spec: SystemSpec,
     initial: PhasePoint,
@@ -570,21 +549,30 @@ def integrate(
             trajectory=_build_trajectory(spec, initial, controls, [], []),
         )
 
-    ts = _sample_times(t_end, sample_dt)
-    t_out, y_out, breach, counts = _integrate_adaptive(
-        spec, initial.as_array(), ts, controls, max_step, margin
+    sol = solve_ivp(
+        _rhs_function(spec),
+        initial.as_array(),
+        _sample_times(t_end, sample_dt),
+        rtol=controls.rel_tol,
+        atol=controls.abs_tol,
+        max_step=max_step,
+        events=_breach_events(spec, margin),
     )
-
-    traj = _build_trajectory(spec, initial, controls, t_out, y_out, counts)
-    if breach is not None:
-        t_b, y_b, wall = breach
-        raise DomainBreach(
-            f"trajectory reached the safety margin at t={t_b:.6g}: wall {wall.label}",
-            time=float(t_b),
-            state=PhasePoint(*y_b),
-            trajectory=traj,
-        )
-    return traj
+    counts = (sol.nfev, sol.steps_accepted, sol.steps_rejected)
+    if sol.event is None:
+        return _build_trajectory(spec, initial, controls, sol.t, sol.y, counts)
+    k, t_b, y_b = sol.event
+    t_out, y_out = sol.t, sol.y
+    if not len(t_out) or t_b > t_out[-1] + 1e-15:
+        t_out = np.append(t_out, t_b)
+        y_out = np.vstack([y_out, y_b])
+    raise DomainBreach(
+        f"trajectory reached the safety margin at t={t_b:.6g}: "
+        f"wall {WALLS[spec.family][k].label}",
+        time=float(t_b),
+        state=PhasePoint(*y_b),
+        trajectory=_build_trajectory(spec, initial, controls, t_out, y_out, counts),
+    )
 
 
 # ---------- conservation audit ----------

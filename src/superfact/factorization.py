@@ -25,13 +25,15 @@ full phase-space function (a square root of the sector integral), never as
 a frozen number, so its derivatives chain through every bracket.
 
 Each pair is written once, as a :class:`FactorPair` record
-(:func:`factor_pairs`) holding its whole algebra: its two factors, its
+(:func:`factor_pairs`) holding its whole algebra: its two factors (the
+minus one is the plus one with the sign of ``i`` flipped), its
 factorization ``plus * minus + lam = target`` (and the constant the target
 equals, where it is one), its rotation along the flow, its rotation under
-its sector integral and the mutual bracket ``{minus, plus}``.  The identity
-suite (:mod:`~superfact.verification`) generates every pair identity from
-the records, and the pointwise :func:`ladder`, :func:`shift` and
-:func:`shift_ttw` evaluate them at a point.
+its sector integral and the mutual bracket ``{minus, plus}``.  The records
+are the only place each factor is written: the per-factor builders read
+them, the identity suite (:mod:`~superfact.verification`) generates every
+pair identity from them, and the pointwise :func:`ladder`, :func:`shift`
+and :func:`shift_ttw` evaluate them at a point.
 """
 
 from __future__ import annotations
@@ -131,135 +133,184 @@ class IntegralPair:
     y_real: float
 
 
-# ---------- observable builders ----------
+# ---------- factor pairs ----------
 #
-# Each builder is cached per spec, so one spec always yields the same
-# observables and their compiled gradient code (phase.gradient_batch) is
-# built once.  The bound keeps every spec of a benchmark workload (at
-# most 23).
+# One constructor per family writes its pairs, and factor_pairs caches them
+# per spec, so a spec's observables and their compiled gradient code
+# (phase.gradient_batch) are built once; the bound keeps every spec of a
+# benchmark workload (at most 23).  The per-factor builders read the records.
 
 
-@functools.lru_cache(maxsize=64)
-def ladder_observables(spec: SystemSpec):
-    """``(B+, B-)`` as observables over the first separated sector."""
+def _conjugate(make, unit: complex, name: str):
+    """``(name+, name-)`` as observables: ``make(unit)`` is the plus
+    factor, ``unit`` its imaginary unit, and ``make(-unit)`` the minus."""
+    return Observable(make(unit), f"{name}+"), Observable(make(-unit), f"{name}-")
+
+
+def _euclidean_pairs(spec: SystemSpec) -> tuple[FactorPair, ...]:
     w = spec.omega
     g = spec.gamma.value
-    fam = spec.family
-    if fam is Family.EUCLIDEAN:
-        k = w / (g * math.sqrt(2.0))
+    i2 = second_integral_observable(spec)
+    hy = euclid_y_sector_observable(spec)
+    k_ladder = w / (g * math.sqrt(2.0))
+    k_shift = w * _SQH
 
-        def plus(q1, q2, p1, p2):
-            return (-1j * _SQH) * p1 + k * q1
+    def ladder(unit):
+        return lambda q1, q2, p1, p2: (unit * _SQH) * p1 + k_ladder * q1
 
-        def minus(q1, q2, p1, p2):
-            return (1j * _SQH) * p1 + k * q1
+    def shift(unit):
+        return lambda q1, q2, p1, p2: (unit * _SQH) * p2 - k_shift * q2
 
-    elif fam is Family.SPHERE:
-        sector = second_integral_observable(spec).fn
-
-        def plus(q1, q2, p1, p2):
-            root = sc.sqrt(sector(q1, q2, p1, p2))
-            return (-1j * _SQH) * (sc.cos(q1) * p1) + root * sc.sin(q1)
-
-        def minus(q1, q2, p1, p2):
-            root = sc.sqrt(sector(q1, q2, p1, p2))
-            return (1j * _SQH) * (sc.cos(q1) * p1) + root * sc.sin(q1)
-
-    else:
-        sector = second_integral_observable(spec).fn
-        d = spec.beta * spec.beta - spec.alpha * spec.alpha
-
-        def plus(q1, q2, p1, p2):
-            root = sc.sqrt(sector(q1, q2, p1, p2))
-            return 1j * (sc.sin(2 * q2) * p2) + root * sc.cos(2 * q2) + d / root
-
-        def minus(q1, q2, p1, p2):
-            root = sc.sqrt(sector(q1, q2, p1, p2))
-            return -1j * (sc.sin(2 * q2) * p2) + root * sc.cos(2 * q2) + d / root
-
-    return Observable(plus, "B+"), Observable(minus, "B-")
+    # Each sector rotates its pair at the constant of its mutual bracket.
+    k_b, k_a = Coefficient(-1j * w / g), Coefficient(1j * w)
+    return (
+        FactorPair("B", "ladder", *_conjugate(ladder, -1j, "B"), None, i2,
+                   Coefficient(-1j * g * w), sector=i2, sector_rate=k_b, mutual=k_b),
+        FactorPair("A", "shift", *_conjugate(shift, -1j, "A"), None, hy, k_a,
+                   sector=hy, sector_rate=k_a, mutual=k_a),
+    )
 
 
-@functools.lru_cache(maxsize=64)
-def sphere_ladder_target_observable(spec: SystemSpec) -> Observable:
-    """The sphere quantity the ladder pair factorizes:
-    ``cos^2(xi) * (p_xi^2 / 2 - Hxi)``, identically ``-omega^2/(2 gamma^2)``."""
-    if spec.family is not Family.SPHERE:
-        raise UnsupportedError("ladder target of this form is sphere-only")
-    sector = second_integral_observable(spec).fn
-
-    def fn(q1, q2, p1, p2):
-        c = sc.cos(q1)
-        return (c * c) * (p1 * p1 / 2 - sector(q1, q2, p1, p2))
-
-    return Observable(fn, "hxi")
-
-
-@functools.lru_cache(maxsize=64)
-def shift_observables(spec: SystemSpec):
-    """``(A+, A-)`` for the flat and spherical families."""
+def _sphere_pairs(spec: SystemSpec) -> tuple[FactorPair, ...]:
     w = spec.omega
     g = spec.gamma.value
-    fam = spec.family
-    if fam is Family.EUCLIDEAN:
-        k = w * _SQH
+    i2 = second_integral_observable(spec)
+    sector = i2.fn
+    eps = epsilon_observable(spec)
+    eps_fn = eps.fn
+    k = g * _SQH
 
-        def plus(q1, q2, p1, p2):
-            return (-1j * _SQH) * p2 - k * q2
-
-        def minus(q1, q2, p1, p2):
-            return (1j * _SQH) * p2 - k * q2
-
-    elif fam is Family.SPHERE:
-        eps_fn = epsilon_observable(spec).fn
-        k = g * _SQH
-
-        def plus(q1, q2, p1, p2):
-            return (-1j * _SQH) * p2 - k * eps_fn(q1, q2, p1, p2) * sc.tan(q2)
-
-        def minus(q1, q2, p1, p2):
-            return (1j * _SQH) * p2 - k * eps_fn(q1, q2, p1, p2) * sc.tan(q2)
-
-    else:
-        raise UnsupportedError("use ttw_shift_observables for the ttw family")
-    return Observable(plus, "A+"), Observable(minus, "A-")
-
-
-@functools.lru_cache(maxsize=64)
-def ttw_shift_observables(spec: SystemSpec) -> MappingProxyType:
-    """All TTW shift observables keyed ``a1+ a1- a2+ a2- A+ A-``, as a
-    read-only mapping (one spec's mapping is shared by every caller).
-
-    ``a1``/``a2`` are the mixed radial pairs; the pure pair combines them as
-    ``A+ = a1+ * a2-``, ``A- = a1- * a2+``.
-    """
-    if spec.family is not Family.TTW:
-        raise UnsupportedError("mixed shifts are ttw-only")
-    w = spec.omega
-    g = spec.gamma.value
-    eps_fn = epsilon_observable(spec).fn
-
-    def make(sign_p, sign_s):
+    def ladder(unit):
         def fn(q1, q2, p1, p2):
-            return (
-                (sign_p * 1j) * p1 + w * q1 + sign_s * g * eps_fn(q1, q2, p1, p2) / q1
-            )
+            root = sc.sqrt(sector(q1, q2, p1, p2))
+            return (unit * _SQH) * (sc.cos(q1) * p1) + root * sc.sin(q1)
 
         return fn
 
-    a1p = Observable(make(-1.0, -1.0), "a1+")
-    a1m = Observable(make(+1.0, -1.0), "a1-")
-    a2p = Observable(make(-1.0, +1.0), "a2+")
-    a2m = Observable(make(+1.0, +1.0), "a2-")
-    pure_p = Observable(
-        lambda q1, q2, p1, p2: a1p.fn(q1, q2, p1, p2) * a2m.fn(q1, q2, p1, p2), "A+"
+    def shift(unit):
+        return lambda q1, q2, p1, p2: (
+            (unit * _SQH) * p2 - k * eps_fn(q1, q2, p1, p2) * sc.tan(q2)
+        )
+
+    def ladder_target(q1, q2, p1, p2):
+        c = sc.cos(q1)
+        return (c * c) * (p1 * p1 / 2 - sector(q1, q2, p1, p2))
+
+    def angular(q1, q2, p1, p2):
+        c = sc.cos(q2)
+        return eps_fn(q1, q2, p1, p2) / (c * c)
+
+    def lam_b(q1, q2, p1, p2):
+        return -sector(q1, q2, p1, p2)
+
+    def lam_a(q1, q2, p1, p2):
+        return (2 * g * g * sector(q1, q2, p1, p2) - w * w) / 2
+
+    rate = Observable(angular, "E/cos^2(y)")
+    k_b = Coefficient(-1j, (eps,))
+    rate_a = Coefficient(1j * g, (rate,))
+    return (
+        FactorPair("B", "ladder", *_conjugate(ladder, -1j, "B"),
+                   Observable(lam_b, "-Hxi"), Observable(ladder_target, "hxi"),
+                   Coefficient(-1j * g * g, (rate,)),
+                   sector=i2, sector_rate=k_b, mutual=k_b,
+                   target_const=-w * w / (2 * g * g)),
+        FactorPair("A", "shift", *_conjugate(shift, -1j, "A"),
+                   Observable(lam_a, "lam_A"), hamiltonian_observable(spec),
+                   rate_a, mutual=rate_a),
     )
-    pure_m = Observable(
-        lambda q1, q2, p1, p2: a1m.fn(q1, q2, p1, p2) * a2p.fn(q1, q2, p1, p2), "A-"
+
+
+def _ttw_pairs(spec: SystemSpec) -> tuple[FactorPair, ...]:
+    w = spec.omega
+    g = spec.gamma.value
+    a2b2 = spec.alpha * spec.alpha + spec.beta * spec.beta
+    d = spec.beta * spec.beta - spec.alpha * spec.alpha
+    i2 = second_integral_observable(spec)
+    sector = i2.fn
+    h = hamiltonian_observable(spec)
+    h_fn = h.fn
+    eps = epsilon_observable(spec)
+    eps_fn = eps.fn
+
+    def ladder(unit):
+        def fn(q1, q2, p1, p2):
+            root = sc.sqrt(sector(q1, q2, p1, p2))
+            return unit * (sc.sin(2 * q2) * p2) + root * sc.cos(2 * q2) + d / root
+
+        return fn
+
+    def mixed(sign):
+        """The mixed radial pair ``a1`` (``sign`` -1) or ``a2`` (+1)."""
+
+        def make(unit):
+            return lambda q1, q2, p1, p2: (
+                unit * p1 + w * q1 + sign * g * eps_fn(q1, q2, p1, p2) / q1
+            )
+
+        return make
+
+    a1, a2 = mixed(-1.0), mixed(1.0)
+
+    def pure(unit):
+        # A+ = a1+ * a2-, A- = a1- * a2+.
+        f1, f2 = a1(unit), a2(-unit)
+        return lambda q1, q2, p1, p2: f1(q1, q2, p1, p2) * f2(q1, q2, p1, p2)
+
+    def radial(q1, q2, p1, p2):
+        return eps_fn(q1, q2, p1, p2) / (q1 * q1)
+
+    def lam_b(q1, q2, p1, p2):
+        return 2 * a2b2 - (d * d) / sector(q1, q2, p1, p2)
+
+    def ladder_gap(q1, q2, p1, p2):
+        s = sector(q1, q2, p1, p2)
+        return 1.0 - (d * d) / (s * s)
+
+    def lam_a1(q1, q2, p1, p2):
+        return 2 * w * g * eps_fn(q1, q2, p1, p2)
+
+    def lam_a2(q1, q2, p1, p2):
+        return -2 * w * g * eps_fn(q1, q2, p1, p2)
+
+    def rate_a1(q1, q2, p1, p2):
+        return w + g * radial(q1, q2, p1, p2)
+
+    def rate_a2(q1, q2, p1, p2):
+        return w - g * radial(q1, q2, p1, p2)
+
+    def pure_target(q1, q2, p1, p2):
+        hv = h_fn(q1, q2, p1, p2)
+        return hv * hv - 4 * w * w * g * g * sector(q1, q2, p1, p2)
+
+    rate = Observable(radial, "E/r^2")
+    gap = Observable(ladder_gap, "1-d^2/Htheta^2")
+    return (
+        FactorPair("B", "ladder", *_conjugate(ladder, 1j, "B"),
+                   Observable(lam_b, "lam_B"), i2,
+                   Coefficient(-4j * g * g, (rate,)),
+                   sector=i2, sector_rate=Coefficient(-4j, (eps,)),
+                   mutual=Coefficient(-4j, (eps, gap))),
+        FactorPair("a1", "shift1", *_conjugate(a1, -1j, "a1"),
+                   Observable(lam_a1, "lam_a1"), h,
+                   Coefficient(-2j, (Observable(rate_a1, "w+gE/r^2"),))),
+        FactorPair("a2", "shift2", *_conjugate(a2, -1j, "a2"),
+                   Observable(lam_a2, "lam_a2"), h,
+                   Coefficient(-2j, (Observable(rate_a2, "w-gE/r^2"),))),
+        # The pure pair has no additive constant: its product is
+        # H^2 - 4 omega^2 gamma^2 Htheta.
+        FactorPair("A", "pure_shift", *_conjugate(pure, -1j, "A"), None,
+                   Observable(pure_target, "H^2-4w^2g^2Htheta"),
+                   Coefficient(-4j * g, (rate,)),
+                   mutual=Coefficient(-8j * g, (rate, h))),
     )
-    return MappingProxyType(
-        {"a1+": a1p, "a1-": a1m, "a2+": a2p, "a2-": a2m, "A+": pure_p, "A-": pure_m}
-    )
+
+
+_FAMILY_PAIRS = {
+    Family.EUCLIDEAN: _euclidean_pairs,
+    Family.SPHERE: _sphere_pairs,
+    Family.TTW: _ttw_pairs,
+}
 
 
 @functools.lru_cache(maxsize=64)
@@ -273,106 +324,43 @@ def factor_pairs(spec: SystemSpec) -> MappingProxyType:
     ladder pair rotates under the sector it factorizes, and so does the
     plane's shift pair; the curved shift pairs have no sector integral of
     their own."""
-    w = spec.omega
-    g = spec.gamma.value
-    fam = spec.family
-    i2 = second_integral_observable(spec)
-    sector = i2.fn
-    bp, bm = ladder_observables(spec)
-    if fam is Family.EUCLIDEAN:
-        ap, am = shift_observables(spec)
-        hy = euclid_y_sector_observable(spec)
-        # Each sector rotates its pair at the constant of its mutual bracket.
-        k_b, k_a = Coefficient(-1j * w / g), Coefficient(1j * w)
-        pairs = (
-            FactorPair("B", "ladder", bp, bm, None, i2, Coefficient(-1j * g * w),
-                       sector=i2, sector_rate=k_b, mutual=k_b),
-            FactorPair("A", "shift", ap, am, None, hy, k_a,
-                       sector=hy, sector_rate=k_a, mutual=k_a),
-        )
-    elif fam is Family.SPHERE:
-        ap, am = shift_observables(spec)
-        eps = epsilon_observable(spec)
-        eps_fn = eps.fn
-
-        def angular(q1, q2, p1, p2):
-            c = sc.cos(q2)
-            return eps_fn(q1, q2, p1, p2) / (c * c)
-
-        def lam_b(q1, q2, p1, p2):
-            return -sector(q1, q2, p1, p2)
-
-        def lam_a(q1, q2, p1, p2):
-            return (2 * g * g * sector(q1, q2, p1, p2) - w * w) / 2
-
-        rate = Observable(angular, "E/cos^2(y)")
-        k_b = Coefficient(-1j, (eps,))
-        rate_a = Coefficient(1j * g, (rate,))
-        pairs = (
-            FactorPair("B", "ladder", bp, bm, Observable(lam_b, "-Hxi"),
-                       sphere_ladder_target_observable(spec),
-                       Coefficient(-1j * g * g, (rate,)),
-                       sector=i2, sector_rate=k_b, mutual=k_b,
-                       target_const=-w * w / (2 * g * g)),
-            FactorPair("A", "shift", ap, am, Observable(lam_a, "lam_A"),
-                       hamiltonian_observable(spec), rate_a, mutual=rate_a),
-        )
-    else:
-        a2b2 = spec.alpha * spec.alpha + spec.beta * spec.beta
-        d = spec.beta * spec.beta - spec.alpha * spec.alpha
-        h = hamiltonian_observable(spec)
-        h_fn = h.fn
-        eps = epsilon_observable(spec)
-        eps_fn = eps.fn
-        shifts = ttw_shift_observables(spec)
-
-        def radial(q1, q2, p1, p2):
-            return eps_fn(q1, q2, p1, p2) / (q1 * q1)
-
-        def lam_b(q1, q2, p1, p2):
-            return 2 * a2b2 - (d * d) / sector(q1, q2, p1, p2)
-
-        def ladder_gap(q1, q2, p1, p2):
-            s = sector(q1, q2, p1, p2)
-            return 1.0 - (d * d) / (s * s)
-
-        def lam_a1(q1, q2, p1, p2):
-            return 2 * w * g * eps_fn(q1, q2, p1, p2)
-
-        def lam_a2(q1, q2, p1, p2):
-            return -2 * w * g * eps_fn(q1, q2, p1, p2)
-
-        def rate_a1(q1, q2, p1, p2):
-            return w + g * radial(q1, q2, p1, p2)
-
-        def rate_a2(q1, q2, p1, p2):
-            return w - g * radial(q1, q2, p1, p2)
-
-        def pure_target(q1, q2, p1, p2):
-            hv = h_fn(q1, q2, p1, p2)
-            return hv * hv - 4 * w * w * g * g * sector(q1, q2, p1, p2)
-
-        rate = Observable(radial, "E/r^2")
-        gap = Observable(ladder_gap, "1-d^2/Htheta^2")
-        pairs = (
-            FactorPair("B", "ladder", bp, bm, Observable(lam_b, "lam_B"), i2,
-                       Coefficient(-4j * g * g, (rate,)),
-                       sector=i2, sector_rate=Coefficient(-4j, (eps,)),
-                       mutual=Coefficient(-4j, (eps, gap))),
-            FactorPair("a1", "shift1", shifts["a1+"], shifts["a1-"],
-                       Observable(lam_a1, "lam_a1"), h,
-                       Coefficient(-2j, (Observable(rate_a1, "w+gE/r^2"),))),
-            FactorPair("a2", "shift2", shifts["a2+"], shifts["a2-"],
-                       Observable(lam_a2, "lam_a2"), h,
-                       Coefficient(-2j, (Observable(rate_a2, "w-gE/r^2"),))),
-            # The pure pair has no additive constant: its product is
-            # H^2 - 4 omega^2 gamma^2 Htheta.
-            FactorPair("A", "pure_shift", shifts["A+"], shifts["A-"], None,
-                       Observable(pure_target, "H^2-4w^2g^2Htheta"),
-                       Coefficient(-4j * g, (rate,)),
-                       mutual=Coefficient(-8j * g, (rate, h))),
-        )
+    pairs = _FAMILY_PAIRS[spec.family](spec)
     return MappingProxyType({pair.name: pair for pair in pairs})
+
+
+def ladder_observables(spec: SystemSpec):
+    """``(B+, B-)`` as observables over the first separated sector."""
+    pair = factor_pairs(spec)["B"]
+    return pair.plus, pair.minus
+
+
+def sphere_ladder_target_observable(spec: SystemSpec) -> Observable:
+    """The sphere quantity the ladder pair factorizes:
+    ``cos^2(xi) * (p_xi^2 / 2 - Hxi)``, identically ``-omega^2/(2 gamma^2)``."""
+    if spec.family is not Family.SPHERE:
+        raise UnsupportedError("ladder target of this form is sphere-only")
+    return factor_pairs(spec)["B"].target
+
+
+def shift_observables(spec: SystemSpec):
+    """``(A+, A-)`` for the flat and spherical families."""
+    if spec.family is Family.TTW:
+        raise UnsupportedError("use ttw_shift_observables for the ttw family")
+    pair = factor_pairs(spec)["A"]
+    return pair.plus, pair.minus
+
+
+def ttw_shift_observables(spec: SystemSpec) -> MappingProxyType:
+    """All TTW shift observables keyed ``a1+ a1- a2+ a2- A+ A-``, as a
+    read-only mapping.
+
+    ``a1``/``a2`` are the mixed radial pairs; the pure pair combines them as
+    ``A+ = a1+ * a2-``, ``A- = a1- * a2+``.
+    """
+    if spec.family is not Family.TTW:
+        raise UnsupportedError("mixed shifts are ttw-only")
+    pairs = [factor_pairs(spec)[name] for name in ("a1", "a2", "A")]
+    return MappingProxyType({f.label: f for pair in pairs for f in (pair.plus, pair.minus)})
 
 
 @functools.lru_cache(maxsize=64)
@@ -447,12 +435,5 @@ def shift_ttw(spec: SystemSpec, point: PhasePoint) -> TtwShift:
 def higher_integral(spec: SystemSpec, point: PhasePoint) -> IntegralPair:
     """Evaluate the conjugate constants of motion and their real parts."""
     _require_factor_domain(spec, point)
-    xp_obs, xm_obs, _, _ = higher_integral_observables(spec)
-    xp = xp_obs(point)
-    xm = xm_obs(point)
-    return IntegralPair(
-        x_plus=xp,
-        x_minus=xm,
-        x_real=((xp + xm) / 2).real,
-        y_real=((xp - xm) / 2j).real,
-    )
+    xp, xm, x_real, y_real = higher_integral_observables(spec)
+    return IntegralPair(xp(point), xm(point), x_real(point).real, y_real(point).real)

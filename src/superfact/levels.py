@@ -36,8 +36,8 @@ from .systems import (
     DELTA_MARGIN,
     Family,
     SystemSpec,
+    _masked_sector,
     default_box,
-    domain_mask,
     hamiltonian_observable,
     second_integral_observable,
 )
@@ -169,11 +169,13 @@ class _Levels:
         usable states: inside the domain walls, sector integral above the
         positivity floor, and every value finite."""
         batch = PhaseBatch.from_arrays(*z.T)
-        ok = domain_mask(self.spec, batch, DELTA_MARGIN)
+        ok, i2 = _masked_sector(self.spec, batch, DELTA_MARGIN)
         f = np.full((len(z), 3), np.nan)
         if ok.any():
-            vals = self._evaluate(lambda obs, b: eval_batch(obs, b).real, batch[ok])
-            f[ok] = vals.T - self.targets
+            inside = batch[ok]
+            h, _, level = self.observables
+            vals = (eval_batch(h, inside).real, i2[ok], eval_batch(level, inside).real)
+            f[ok] = np.stack(vals).T - self.targets
         return f, ok & np.isfinite(f).all(axis=1)
 
     def steps(self, z: np.ndarray, f: np.ndarray):

@@ -105,6 +105,19 @@ class IdentityResult:
     # left out of the report and of comparisons.
     seconds: float = field(default=0.0, compare=False)
 
+    def failure_cause(self) -> str:
+        """Why the identity failed: its points that were not finite, an
+        error of the whole batch, or a residual above the tolerance."""
+        flagged = sum(map(_flags_a_point, self.errors))
+        causes = [e for e in self.errors if not _flags_a_point(e)]
+        if flagged:
+            causes.insert(0, f"{flagged} of {self.samples} points not finite")
+        if self.max_residual > self.tolerance:
+            causes.append(
+                f"max residual {self.max_residual:.3e} > tol {self.tolerance:.1e}"
+            )
+        return "; ".join(causes)
+
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
@@ -508,13 +521,19 @@ def run_identity(ident: IdentitySpec, batch: PhaseBatch, start: int = 0) -> Iden
     )
 
 
+def _flags_a_point(error: str) -> bool:
+    """Whether ``error`` is one of :func:`run_identity`'s ``point <i>: ...``
+    errors, not an error of the whole batch."""
+    return error.startswith("point ")
+
+
 def _merge(a: IdentityResult, b: IdentityResult) -> IdentityResult:
     """One identity's results on two consecutive chunks as one result, the
     one a single pass over both would give: a batch error in either is the
     only error; otherwise the residual is the larger and the errors join."""
     samples, seconds = a.samples + b.samples, a.seconds + b.seconds
     for r in (a, b):
-        if r.errors and not r.errors[0].startswith("point "):
+        if r.errors and not _flags_a_point(r.errors[0]):
             return replace(r, samples=samples, seconds=seconds)
     max_res = max(a.max_residual, b.max_residual)
     errors = a.errors + b.errors

@@ -220,7 +220,7 @@ def _breach_events(spec, margin):
 
 def integrate_adaptive_scipy(spec, y0, t_end, ts, controls, max_step, margin):
     """The library's former DOP853 driver on scipy's ``solve_ivp``: the
-    reference for ``dynamics._integrate_adaptive``.  Returns ``(t, states,
+    reference for ``dynamics.integrate``.  Returns ``(t, states,
     breach, nfev)`` with ``breach = (time, state, wall)`` or ``None``."""
     events = _breach_events(spec, margin)
     sol = solve_ivp(

@@ -307,27 +307,29 @@ def test_trajectory_counts_rhs_evaluations(monkeypatch):
 
 
 def _both_steppers(spec, start, t_end, controls=IntegratorControls()):
-    """``_integrate_adaptive`` and the scipy reference on one start, with
-    the controls resolved as :func:`integrate` resolves them."""
+    """:func:`integrate` and the scipy reference on one start, the
+    reference given the controls as :func:`integrate` resolves them.
+    Returns the :class:`DomainBreach` raised, or ``None``."""
     period = characteristic_period(spec)
     max_step = controls.max_step if controls.max_step is not None else period / 10
     ts = dynamics._sample_times(t_end, dynamics.sample_interval(spec, t_end, controls))
     margin = controls.breach_margin if controls.breach_margin is not None else DELTA_MARGIN / 2
     y0 = np.array(start, dtype=float)
-    t, states, breach, counts = dynamics._integrate_adaptive(
-        spec, y0, ts, controls, max_step, margin
-    )
+    try:
+        traj, breach = integrate(spec, PhasePoint(*y0), t_end, controls), None
+    except DomainBreach as exc:
+        traj, breach = exc.trajectory, exc
     ref_t, ref_states, ref_breach, ref_nfev = integrate_adaptive_scipy(
         spec, y0, t_end, ts, controls, max_step, margin
     )
-    assert counts[0] == ref_nfev
-    assert len(t) == len(ref_t)
+    assert traj.rhs_evaluations == ref_nfev
+    assert len(traj.t) == len(ref_t)
     ref_states = np.asarray(ref_states).reshape(-1, 4)
-    assert np.all(np.abs(states - ref_states) <= 1e-11 * (1.0 + np.abs(ref_states)))
+    assert np.all(np.abs(traj.states - ref_states) <= 1e-11 * (1.0 + np.abs(ref_states)))
     assert (breach is None) == (ref_breach is None)
     if breach is not None:
-        assert breach[2] == ref_breach[2]
-        assert abs(breach[0] - ref_breach[0]) <= 1e-12
+        assert str(breach).endswith(f": wall {ref_breach[2].label}")
+        assert abs(breach.time - ref_breach[0]) <= 1e-12
     return breach
 
 

@@ -16,6 +16,7 @@ from superfact import (
     build_suite,
     eval_batch,
     factor_pairs,
+    gradient_batch,
     hamiltonian,
     higher_integral,
     higher_integral_observables,
@@ -29,6 +30,7 @@ from superfact import (
     sphere_ladder_target_observable,
     ttw_shift_observables,
 )
+from superfact.phase import _batch_code
 from superfact.scalars import ipow
 
 from _oracles import bracket_value, narrow_box, spec_for
@@ -369,6 +371,45 @@ def test_unsupported_combinations():
         ttw_shift_observables(sphere)
     with pytest.raises(UnsupportedError):
         sphere_ladder_target_observable(euclid)
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_builders_return_the_records_own_observables(family):
+    # A spec no other test builds, so its factors are compiled here first.
+    spec = spec_for(family, "3/2", omega=1.37)
+    pairs = factor_pairs(spec)
+    factors = [f for pair in pairs.values() for f in (pair.plus, pair.minus)]
+    built = list(ladder_observables(spec))
+    if spec.family is Family.TTW:
+        shifts = ttw_shift_observables(spec)
+        assert list(shifts) == ["a1+", "a1-", "a2+", "a2-", "A+", "A-"]
+        built += list(shifts.values())
+    else:
+        built += list(shift_observables(spec))
+    if spec.family is Family.SPHERE:
+        assert sphere_ladder_target_observable(spec) is pairs["B"].target
+    assert len(built) == len(factors)
+    assert all(b is f for b, f in zip(built, factors))
+
+    misses = _batch_code.cache_info().misses
+    for observables in (factors, built):
+        batch = _sampled(spec, 5, seed=3)
+        for f in observables:
+            gradient_batch(f, batch)
+    assert _batch_code.cache_info().misses == misses + len(factors)
+
+
+@pytest.mark.parametrize("gamma", ["1", "3/2", "7/5"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_higher_integral_reads_its_observables(family, gamma):
+    spec = spec_for(family, gamma)
+    xp, xm, x_real, y_real = higher_integral_observables(spec)
+    batch = _sampled(spec, 20, seed=29)
+    for i in range(len(batch)):
+        pt = batch.point(i)
+        pair = higher_integral(spec, pt)
+        assert pair.x_plus == xp(pt) and pair.x_minus == xm(pt)
+        assert pair.x_real == x_real(pt).real and pair.y_real == y_real(pt).real
 
 
 def test_out_of_domain_raises():
