@@ -10,10 +10,13 @@ The vector field is the Hamiltonian's gradient compiled once per system
 into straight-line float code (:func:`~superfact.phase.compiled_gradient`),
 so one evaluation is about a microsecond of plain float arithmetic.  DOP853
 runs as straight-line float code too: its step and dense output are
-generated once per process from the tableau of ``scipy.integrate.DOP853``
-(:func:`solve_ivp`), and the driver around them takes the steps scipy's
+generated once per process from the tableau written out below
+(:class:`_Tableau`, double for double the one of ``scipy.integrate.DOP853``),
+and the driver around them (:func:`solve_ivp`) takes the steps scipy's
 ``solve_ivp`` would take, with the same step-size control, interpolant and
-event location.  Every sampled state gets the energy, the sector integral,
+event location.  scipy itself is imported only to locate a wall crossing
+with ``scipy.optimize.brentq``, so a run that stays inside the walls never
+loads it.  Every sampled state gets the energy, the sector integral,
 and the real constants ``X``/``Y`` attached so drift can be audited after
 the fact, and the trajectory records its vector-field evaluations and its
 accepted and rejected steps.
@@ -28,8 +31,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .errors import DomainBreach, DomainError, InsufficientSpan, StepFailure
 from .factorization import higher_integral_observables
@@ -196,6 +197,95 @@ def _breach_events(spec: SystemSpec, margin: float):
     ]
 
 
+# ---------- DOP853 tableau ----------
+
+
+def _table(width: int, rows: dict) -> np.ndarray:
+    """A read-only array of ``width`` columns that is zero but at
+    ``rows[i][j]``; its last row is the highest ``i``."""
+    out = np.zeros((max(rows) + 1, width))
+    for i, row in rows.items():
+        for j, value in row.items():
+            out[i, j] = value
+    out.setflags(write=False)
+    return out
+
+
+class _Tableau:
+    """The coefficients of DOP853 (Hairer-Norsett-Wanner, *Solving ODEs I*,
+    II.5), under the names of the attributes of ``scipy.integrate.DOP853``
+    and equal to them double for double; each literal is the ``repr`` of
+    the double.  ``A`` holds the twelve stages, ``B`` the 8th-order
+    weights, ``E3`` and ``E5`` the weights of the two error estimates,
+    ``A_EXTRA`` the three extra stages of the dense output and ``D`` the
+    weights of its four highest powers.
+    """
+
+    # Stages 1-11, then the 8th-order weights (row 12) and the dense output's
+    # extra stages (rows 13-15), as one lower-triangular tableau.
+    _EXTENDED = _table(16, {
+        1: {0: 0.05260015195876773},
+        2: {0: 0.0197250569845379, 1: 0.0591751709536137},
+        3: {0: 0.02958758547680685, 2: 0.08876275643042054},
+        4: {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+        5: {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+        6: {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+        7: {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+            5: -0.015319437748624402, 6: 0.008273789163814023},
+        8: {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+            5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+        9: {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+            5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+            8: -0.020331201708508627},
+        10: {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+            5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+            8: 2.4936055526796523, 9: -3.0467644718982196},
+        11: {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+            5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+            8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+        12: {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+            7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+            10: 0.20136540080403034, 11: 0.04471061572777259},
+        13: {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+            8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+            11: 0.007567897660545699, 12: -0.008298},
+        14: {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+            7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+            12: -0.00034046500868740456, 13: 0.1413124436746325},
+        15: {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+            7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+            13: 2.9475147891527724, 14: -9.15095847217987},
+    })
+    A, B, A_EXTRA = _EXTENDED[:12, :12], _EXTENDED[12, :12], _EXTENDED[13:]
+    _ERRORS = _table(13, {
+        0: {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+            7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+            10: 0.20136540080403034, 11: 0.02265179219836082},
+        1: {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+            7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+            10: 0.08192320648511571, 11: -0.022355307863886294},
+    })
+    E3, E5 = _ERRORS
+    D = _table(16, {
+        0: {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+            7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+            10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+            13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+        1: {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+            7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+            10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+            13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+        2: {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+            7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+            10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+            13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+        3: {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+            7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+            10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+            13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+    })
+
+
 # ---------- DOP853 stepper ----------
 
 # Step-size control of scipy's explicit Runge-Kutta solvers
@@ -224,7 +314,7 @@ def _stage(s: int, row) -> list[str]:
     return [f"k{s} = f({args})", f"{_names(f'k{s}')} = k{s}"]
 
 
-def _dop853_source() -> str:
+def _dop853_source(tableau=_Tableau) -> str:
     """Python source of one DOP853 step and its dense output on four floats.
 
     ``step(f, h, y, k0, rtol, atol)`` runs the stages of a step of size
@@ -237,13 +327,14 @@ def _dop853_source() -> str:
     and returns the 7 x 4 coefficients of the interpolant, row by row
     (scipy's ``DOP853._dense_output_impl``).
 
-    Every coefficient comes from the public attributes of
-    ``scipy.integrate.DOP853``; zero ones are skipped.
+    Every coefficient comes from ``tableau``'s ``A``, ``B``, ``E3``,
+    ``E5``, ``D`` and ``A_EXTRA`` (:class:`_Tableau` unless given); zero
+    ones are skipped.
     """
-    a, b, e3, e5, d = DOP853.A, DOP853.B, DOP853.E3, DOP853.E5, DOP853.D
+    a, b, e3, e5, d = tableau.A, tableau.B, tableau.E3, tableau.E5, tableau.D
     new = len(b)  # the stage at the new state, f_new
-    extra = range(new + 1, new + 1 + len(DOP853.A_EXTRA))
-    used = {s for row in (*d, *DOP853.A_EXTRA) for s in np.flatnonzero(row)}
+    extra = range(new + 1, new + 1 + len(tableau.A_EXTRA))
+    used = {s for row in (*d, *tableau.A_EXTRA) for s in np.flatnonzero(row)}
     kept = sorted(used - {0, new, *extra})
     unchecked = [s for s in range(len(e5)) if not e5[s] and not e3[s]]
     returns = f"({_names('n')}), k{new}, ({''.join(f'k{s}, ' for s in kept)})"
@@ -277,7 +368,7 @@ def _dop853_source() -> str:
     dense = [f"{_names(x)} = {x}" for x in ("y", "n", "k0", f"k{new}")]
     if kept:
         dense.append("[" + ", ".join(f"({_names(f'k{s}')})" for s in kept) + "] = kept")
-    for s, row in zip(extra, DOP853.A_EXTRA):
+    for s, row in zip(extra, tableau.A_EXTRA):
         dense += _stage(s, row[:s])
     dense += [f"d_{j} = n_{j} - y_{j}" for j in range(4)]
     rows = [
@@ -418,6 +509,10 @@ def solve_ivp(field, y0, t_eval, *, rtol, atol, max_step, events=()) -> Solution
             active = [k for k, (a, b) in enumerate(zip(g, g_new)) if a >= 0 and b <= 0]
             g = g_new
             if active:
+                # Importing scipy.optimize costs about half a second, so only
+                # a run that reaches a wall pays it.
+                from scipy.optimize import brentq
+
                 coefficients = dense(field, h, y_old, y, f_old, f, kept)
                 nfev += 3
                 args = (np.array([t_old]), np.array([h]), np.array([y_old]),

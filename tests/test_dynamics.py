@@ -1,5 +1,6 @@
 """Flow integration, drift auditing, and closed-orbit detection."""
 
+import json
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 import superfact
 from superfact import dynamics
@@ -145,6 +147,41 @@ def test_rhs_compiled_source_is_deterministic():
     assert outputs[0] == outputs[1]
     assert outputs[0].count("def gradient") == 3
     assert outputs[0].count("def step") == outputs[0].count("def dense") == 1
+
+
+_SCIPY_SCRIPT = """
+import json, sys
+import superfact, superfact.cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+seen = {"import": loaded()}
+codes = [superfact.cli.main(argv.split()) for argv in sys.argv[1:3]]
+seen["inside the walls"] = loaded()
+codes.append(superfact.cli.main(sys.argv[3].split()))
+seen["breach"] = loaded()
+print(json.dumps({"codes": codes, "loaded": seen}))
+"""
+
+
+def test_scipy_is_imported_only_to_locate_a_wall_crossing(tmp_path):
+    src = str(Path(superfact.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [
+            sys.executable, "-c", _SCIPY_SCRIPT,
+            "verify --system ttw --gamma 3/2 --alpha 1.1 --beta 0.7 --samples 50 --out v",
+            "integrate --system euclidean --gamma 2 --q0 1,0 --p0 0,1 --t-end 5 --out o",
+            "integrate --system sphere --gamma 1 --q0 0.3,0.2 --p0 45,0 --t-end 3 --out b",
+        ],
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 3]
+    assert result["loaded"]["import"] == []
+    assert result["loaded"]["inside the walls"] == []
+    assert "scipy.optimize" in result["loaded"]["breach"]
 
 
 # ---------- flows with known solutions ----------
@@ -304,6 +341,14 @@ def test_trajectory_counts_rhs_evaluations(monkeypatch):
 
 
 # ---------- the generated DOP853 stepper against scipy ----------
+
+
+def test_tableau_is_scipys_double_for_double():
+    for name in ("A", "B", "E3", "E5", "D", "A_EXTRA"):
+        ours, scipys = getattr(dynamics._Tableau, name), getattr(DOP853, name)
+        assert ours.shape == scipys.shape, name
+        assert np.array_equal(ours, scipys), name
+    assert dynamics._dop853_source() == dynamics._dop853_source(DOP853)
 
 
 def _both_steppers(spec, start, t_end, controls=IntegratorControls()):
