@@ -16,6 +16,9 @@ commands in one process, writing into its own output directory under
 - the ``integrate`` and ``trace`` examples of the README;
 - the first round of the benchmark's ``flow`` workload at seeds 1-3: per
   spec, two ``integrate`` commands from energy-stratified starts;
+- round 281 of the ``flow`` workload at seeds 1-10, the round a fast
+  30-second run reaches (300 ``integrate`` commands); it holds the seed-6
+  group-11 TTW 3/2 start whose ``Y`` drift exceeds the benchmark's check;
 - the first round of the benchmark's ``trace`` workload at seeds 1-3: per
   spec, one request on reachable levels and two below the energy floor;
 - ``trace`` on levels above both floors that no start reaches (failed
@@ -72,6 +75,8 @@ import workloads  # noqa: E402
 from superfact.cli import EXIT_BREACH, EXIT_NO_SOLUTION  # noqa: E402
 
 SEEDS = (1, 2, 3)
+FAST_FLOW_ROUND = 281
+FAST_FLOW_SEEDS = tuple(range(1, 11))
 HIGH_ORDER = (("sphere", "141/100", 7), ("ttw", "141/100", 7))
 README_EXAMPLES = (
     ("orbit", ["integrate", "--system", "euclidean", "--gamma", "2", "--q0", "1,0",
@@ -121,14 +126,15 @@ with open(sys.argv[2], "w", encoding="utf-8") as fh:
 """
 
 
-def _round_zero(workload: str) -> list[tuple[str, str, list[str]]]:
-    """``(output prefix, kind, argv)`` of round 0 of ``workload`` at each
-    seed, as ``perfbench/run.py`` builds it."""
+def _round(workload: str, rnd: int = 0, seeds=SEEDS) -> list[tuple[str, str, list[str]]]:
+    """``(output prefix, kind, argv)`` of round ``rnd`` of ``workload`` at
+    each seed, as ``perfbench/run.py`` builds it."""
     out = []
-    for seed in SEEDS:
+    for seed in seeds:
         for index in range(workloads.groups_per_round(workload)):
-            for k, cmd in enumerate(workloads.group(workload, seed, 0, index)):
-                out.append((f"{workload}-s{seed}-g{index}-{k}", cmd.kind, list(cmd.argv)))
+            for k, cmd in enumerate(workloads.group(workload, seed, rnd, index)):
+                out.append((f"{workload}-r{rnd}-s{seed}-g{index}-{k}", cmd.kind,
+                            list(cmd.argv)))
     return out
 
 
@@ -175,7 +181,9 @@ def commands() -> list[tuple[str, list[str]]]:
         out.append((f"verify-{family}-{gamma.replace('/', '_')}-s{seed}", argv))
     out += [(prefix, argv) for prefix, argv in README_EXAMPLES]
     out += [(prefix, argv) for workload in ("flow", "trace")
-            for prefix, _, argv in _round_zero(workload)]
+            for prefix, _, argv in _round(workload)]
+    out += [(prefix, argv) for prefix, _, argv in
+            _round("flow", FAST_FLOW_ROUND, FAST_FLOW_SEEDS)]
     out += failed_searches() + projections()
     return out + [(prefix, ["integrate", *argv, "--t-end", "3"])
                   for prefix, argv in (*BREACH_RUNS, EXTERNAL_ANGLE)]
@@ -185,7 +193,7 @@ def expected_exits() -> dict[str, int]:
     """The exit code of each command whose code is known in advance: 5 for
     the requests below the energy floor and the failed searches, 3 for the
     runs into a wall."""
-    out = {prefix: EXIT_NO_SOLUTION for prefix, kind, _ in _round_zero("trace")
+    out = {prefix: EXIT_NO_SOLUTION for prefix, kind, _ in _round("trace")
            if kind == "unreachable"}
     out.update((prefix, EXIT_NO_SOLUTION) for prefix, _ in failed_searches())
     out.update((prefix, EXIT_BREACH) for prefix, _ in BREACH_RUNS)
