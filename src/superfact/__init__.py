@@ -18,7 +18,6 @@ from .errors import (
     DomainError,
     InsufficientSpan,
     NoSolution,
-    PositivityError,
     SamplerExhausted,
     StepFailure,
     SuperfactError,
@@ -36,9 +35,6 @@ from .phase import (
     eval_batch,
     gradient,
     gradient_batch,
-    jacobian_rank,
-    partial_derivative,
-    poisson_bracket,
 )
 from .systems import (
     DELTA_MARGIN,
@@ -52,33 +48,22 @@ from .systems import (
     default_box,
     domain_check,
     domain_mask,
-    epsilon,
     epsilon_observable,
     euclid_y_sector_observable,
-    geodesic_polar,
     hamiltonian,
     hamiltonian_observable,
     higgs_potential_identity,
     second_integral,
     second_integral_observable,
-    to_external,
     to_internal,
 )
 from .factorization import (
     Coefficient,
     FactorPair,
-    FactorValue,
-    IntegralPair,
-    TtwShift,
     factor_pairs,
-    higher_integral,
     higher_integral_observables,
-    ladder,
     ladder_observables,
-    shift,
     shift_observables,
-    shift_ttw,
-    sphere_ladder_target_observable,
     ttw_shift_observables,
 )
 from .dynamics import (
@@ -89,7 +74,6 @@ from .dynamics import (
     Trajectory,
     detect_closure,
     drift_report,
-    hamilton_rhs,
     integrate,
 )
 from .verification import (
@@ -118,7 +102,6 @@ __all__ = [
     # errors
     "SuperfactError",
     "DomainError",
-    "PositivityError",
     "UnsupportedError",
     "SamplerExhausted",
     "DomainBreach",
@@ -132,14 +115,11 @@ __all__ = [
     "PhasePoint",
     "PhaseBatch",
     "Observable",
-    "partial_derivative",
-    "poisson_bracket",
     "bracket_observable",
     "gradient",
     "eval_batch",
     "gradient_batch",
     "bracket_batch",
-    "jacobian_rank",
     # systems
     "Family",
     "RationalGamma",
@@ -151,14 +131,11 @@ __all__ = [
     "domain_check",
     "domain_mask",
     "to_internal",
-    "to_external",
-    "geodesic_polar",
     "hamiltonian",
     "hamiltonian_observable",
     "second_integral",
     "second_integral_observable",
     "euclid_y_sector_observable",
-    "epsilon",
     "epsilon_observable",
     "higgs_potential_identity",
     "characteristic_period",
@@ -167,17 +144,9 @@ __all__ = [
     "Coefficient",
     "FactorPair",
     "factor_pairs",
-    "FactorValue",
-    "TtwShift",
-    "IntegralPair",
-    "ladder",
     "ladder_observables",
-    "shift",
     "shift_observables",
-    "shift_ttw",
     "ttw_shift_observables",
-    "sphere_ladder_target_observable",
-    "higher_integral",
     "higher_integral_observables",
     # dynamics
     "IntegratorControls",
@@ -185,7 +154,6 @@ __all__ = [
     "DriftEntry",
     "DriftReport",
     "ClosureResult",
-    "hamilton_rhs",
     "integrate",
     "drift_report",
     "detect_closure",

@@ -173,17 +173,6 @@ def _rhs_function(spec: SystemSpec):
     return field
 
 
-def hamilton_rhs(spec: SystemSpec, point: PhasePoint) -> np.ndarray:
-    """Time derivative ``(dq1, dq2, dp1, dp2)`` of the flow at a point."""
-    verdict = domain_check(spec, point, margin=0.0)
-    if not verdict:
-        raise DomainError(verdict.reason)
-    out = np.array(_rhs_function(spec)(point.q1, point.q2, point.p1, point.p2))
-    if not np.isfinite(out).all():
-        raise DomainError("vector field not finite at the requested point")
-    return out
-
-
 # ---------- breach monitoring ----------
 
 

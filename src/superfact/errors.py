@@ -10,10 +10,6 @@ class DomainError(SuperfactError):
     non-positive square-root argument, or a point beyond a domain guard."""
 
 
-class PositivityError(DomainError):
-    """A sector integral that must be positive was not (within tolerance)."""
-
-
 class UnsupportedError(SuperfactError):
     """Operation not defined for the requested Hamiltonian family."""
 

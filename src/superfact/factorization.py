@@ -31,9 +31,9 @@ factorization ``plus * minus + lam = target`` (and the constant the target
 equals, where it is one), its rotation along the flow, its rotation under
 its sector integral and the mutual bracket ``{minus, plus}``.  The records
 are the only place each factor is written: the per-factor builders read
-them, the identity suite (:mod:`~superfact.verification`) generates every
-pair identity from them, and the pointwise :func:`ladder`, :func:`shift`
-and :func:`shift_ttw` evaluate them at a point.
+them, and the identity suite (:mod:`~superfact.verification`) generates
+every pair identity from them.  They are evaluated like any observable,
+over a batch (:func:`~superfact.phase.eval_batch`).
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ from types import MappingProxyType
 
 from . import scalars as sc
 from .errors import UnsupportedError
-from .phase import Observable, PhasePoint
+from .phase import Observable
 from .systems import (
     Family,
     SystemSpec,
-    _positive_sector,
-    _require_in_domain,
     epsilon_observable,
     euclid_y_sector_observable,
     hamiltonian_observable,
@@ -58,25 +56,6 @@ from .systems import (
 )
 
 _SQH = 1.0 / math.sqrt(2.0)  # 1/sqrt(2)
-
-
-@dataclass(frozen=True)
-class FactorValue:
-    """One conjugate factor pair and its additive factorization constant."""
-
-    plus: complex
-    minus: complex
-    lam: float
-
-
-@dataclass(frozen=True)
-class TtwShift:
-    """The two mixed radial factor pairs and the pure shift pair built from
-    them (``pure.plus = a1.plus * a2.minus`` and conjugate)."""
-
-    a1: FactorValue
-    a2: FactorValue
-    pure: FactorValue
 
 
 @dataclass(frozen=True)
@@ -121,16 +100,6 @@ class FactorPair:
     sector_rate: Coefficient | None = None
     mutual: Coefficient | None = None
     target_const: complex | None = None
-
-
-@dataclass(frozen=True)
-class IntegralPair:
-    """The conjugate constants of motion and their real combinations."""
-
-    x_plus: complex
-    x_minus: complex
-    x_real: float
-    y_real: float
 
 
 # ---------- factor pairs ----------
@@ -334,14 +303,6 @@ def ladder_observables(spec: SystemSpec):
     return pair.plus, pair.minus
 
 
-def sphere_ladder_target_observable(spec: SystemSpec) -> Observable:
-    """The sphere quantity the ladder pair factorizes:
-    ``cos^2(xi) * (p_xi^2 / 2 - Hxi)``, identically ``-omega^2/(2 gamma^2)``."""
-    if spec.family is not Family.SPHERE:
-        raise UnsupportedError("ladder target of this form is sphere-only")
-    return factor_pairs(spec)["B"].target
-
-
 def shift_observables(spec: SystemSpec):
     """``(A+, A-)`` for the flat and spherical families."""
     if spec.family is Family.TTW:
@@ -393,47 +354,3 @@ def higher_integral_observables(spec: SystemSpec):
     )
     return x_plus, x_minus, x_real, y_real
 
-
-# ---------- pointwise operations ----------
-
-
-def _require_factor_domain(spec: SystemSpec, point: PhasePoint) -> None:
-    _require_in_domain(spec, point)
-    if spec.family is not Family.EUCLIDEAN:
-        _positive_sector(spec, point)
-
-
-def _pair_value(pair: FactorPair, point: PhasePoint) -> FactorValue:
-    lam = 0.0 if pair.lam is None else pair.lam(point).real
-    return FactorValue(pair.plus(point), pair.minus(point), lam)
-
-
-def ladder(spec: SystemSpec, point: PhasePoint) -> FactorValue:
-    """Evaluate the ladder pair and its factorization constant at a point
-    (the record ``factor_pairs(spec)["B"]``)."""
-    _require_factor_domain(spec, point)
-    return _pair_value(factor_pairs(spec)["B"], point)
-
-
-def shift(spec: SystemSpec, point: PhasePoint) -> FactorValue:
-    """Evaluate the shift pair for the flat or spherical family."""
-    if spec.family is Family.TTW:
-        raise UnsupportedError("ttw shifts are mixed; call shift_ttw instead")
-    _require_factor_domain(spec, point)
-    return _pair_value(factor_pairs(spec)["A"], point)
-
-
-def shift_ttw(spec: SystemSpec, point: PhasePoint) -> TtwShift:
-    """Evaluate the mixed and pure TTW shift pairs at a point."""
-    if spec.family is not Family.TTW:
-        raise UnsupportedError("shift_ttw applies to the ttw family only")
-    _require_factor_domain(spec, point)
-    pairs = factor_pairs(spec)
-    return TtwShift(*(_pair_value(pairs[name], point) for name in ("a1", "a2", "A")))
-
-
-def higher_integral(spec: SystemSpec, point: PhasePoint) -> IntegralPair:
-    """Evaluate the conjugate constants of motion and their real parts."""
-    _require_factor_domain(spec, point)
-    xp, xm, x_real, y_real = higher_integral_observables(spec)
-    return IntegralPair(xp(point), xm(point), x_real(point).real, y_real(point).real)

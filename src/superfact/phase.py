@@ -11,9 +11,10 @@ drops repeated subexpressions, and emits straight-line code that returns
 the value and the four partials from one reverse sweep.  On float64
 arrays, which numpy promotes to complex128 only at a complex constant,
 this code serves :func:`gradient_batch` and, through it, every bracket,
-pointwise gradient, level search and rank survey.  It is
-compiled once per observable, and the builders return one observable per
-spec, and a batch keeps each gradient taken on it.  Over 1000 default-box
+level search and rank survey; batches are the one evaluation path, and
+:func:`gradient` at a single point is a batch of one.  It is compiled once
+per observable, and the builders return one observable per spec, and a
+batch keeps each gradient taken on it.  Over 1000 default-box
 points the gradient of ``X`` costs 0.14 ms (euclidean 3/2) to 1.5 ms
 (TTW 17/12), against 0.4 ms to 9.6 ms for the forward-mode dual tower it
 replaced (2-core Xeon, numpy 2.4).  On floats, :func:`compiled_gradient`
@@ -39,7 +40,7 @@ from .scalars import Tape, _check_divisor, _require_positive
 
 COORDS = ("q1", "q2", "p1", "p2")
 
-#: Relative singular-value cutoff used by :func:`jacobian_rank`.
+#: Relative singular-value cutoff used by :func:`gradient_ranks`.
 RANK_TOL = 1e-8
 
 
@@ -61,22 +62,6 @@ class PhasePoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q1, self.q2, self.p1, self.p2], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "PhasePoint":
-        a = np.asarray(arr, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-
-def _coord_index(which) -> int:
-    if isinstance(which, (int, np.integer)):
-        if not 0 <= which <= 3:
-            raise ValueError(f"coordinate index out of range: {which}")
-        return int(which)
-    try:
-        return COORDS.index(which)
-    except ValueError:
-        raise ValueError(f"unknown coordinate {which!r}") from None
 
 
 @dataclass(frozen=True)
@@ -102,73 +87,6 @@ class Observable:
                 ) from exc
         return complex(out)
 
-    # Small composition algebra; handy for building product observables in
-    # checks without writing throwaway closures.
-    def _binary(self, other, op, sym):
-        if isinstance(other, Observable):
-            f, g = self.fn, other.fn
-            fn = lambda q1, q2, p1, p2: op(f(q1, q2, p1, p2), g(q1, q2, p1, p2))
-            label = f"({self.label}{sym}{other.label})"
-        else:
-            f, c = self.fn, other
-            fn = lambda q1, q2, p1, p2: op(f(q1, q2, p1, p2), c)
-            label = f"({self.label}{sym}{other!r})"
-        return Observable(fn, label)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b, "*")
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b, "+")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b, "-")
-
-    def __neg__(self):
-        f = self.fn
-        return Observable(lambda q1, q2, p1, p2: -f(q1, q2, p1, p2), f"(-{self.label})")
-
-
-# ---------- pointwise derivatives ----------
-
-
-def _wrap_domain(callable_, *args):
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            return callable_(*args)
-        except (ZeroDivisionError, FloatingPointError) as exc:
-            raise DomainError(f"singular evaluation: {exc}") from exc
-
-
-def _batch_of_one(point: PhasePoint) -> "PhaseBatch":
-    return PhaseBatch.from_arrays([point.q1], [point.q2], [point.p1], [point.p2])
-
-
-def partial_derivative(f: Observable, point: PhasePoint, which) -> complex:
-    """Exact partial derivative of ``f`` with respect to one coordinate."""
-    k = _coord_index(which)
-    return complex(gradient(f, point)[k])
-
-
-def poisson_bracket(f: Observable, g: Observable, point: PhasePoint) -> complex:
-    """Canonical Poisson bracket {f, g} evaluated at ``point``."""
-    return complex(_wrap_domain(bracket_batch, f, g, _batch_of_one(point))[0])
-
-
-def poisson_bracket_with_scale(f: Observable, g: Observable, point: PhasePoint):
-    """Bracket value together with the magnitude sum of its four terms.
-
-    The scale is the natural yardstick for residuals of brackets that should
-    cancel to zero: it measures how large the cancelling terms were.
-    """
-    val, scale = _wrap_domain(bracket_batch_with_scale, f, g, _batch_of_one(point))
-    return complex(val[0]), float(scale[0])
-
-
 @functools.lru_cache(maxsize=64)
 def bracket_observable(f: Observable, g: Observable) -> Observable:
     """The bracket {f, g} packaged as an observable, one per pair.
@@ -184,12 +102,6 @@ def bracket_observable(f: Observable, g: Observable) -> Observable:
         return fq1 * gp1 - fp1 * gq1 + fq2 * gp2 - fp2 * gq2
 
     return Observable(fn, f"{{{f.label},{g.label}}}")
-
-
-def gradient(f: Observable, point: PhasePoint) -> np.ndarray:
-    """Gradient (four partials) of ``f`` at ``point`` as a complex vector."""
-    _, grads = _wrap_domain(gradient_batch, f, _batch_of_one(point))
-    return grads[:, 0].copy()
 
 
 # ---------- compiled gradients ----------
@@ -370,13 +282,6 @@ class PhaseBatch:
     _gradients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_points(cls, points) -> "PhaseBatch":
-        arr = np.array([[p.q1, p.q2, p.p1, p.p2] for p in points], dtype=float)
-        if arr.size == 0:
-            arr = arr.reshape(0, 4)
-        return cls.from_arrays(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
-
-    @classmethod
     def from_arrays(cls, q1, q2, p1, p2) -> "PhaseBatch":
         for name, c in zip(COORDS, (q1, q2, p1, p2)):
             if np.iscomplexobj(c):
@@ -444,6 +349,19 @@ def gradient_batch(f: Observable, batch: PhaseBatch):
     return values, grads
 
 
+def gradient(f: Observable, point: PhasePoint) -> np.ndarray:
+    """The four partials of ``f`` at one point: :func:`gradient_batch` on a
+    batch of that point.  Raises :class:`~superfact.errors.DomainError` at a
+    singular evaluation."""
+    batch = PhaseBatch.from_arrays([point.q1], [point.q2], [point.p1], [point.p2])
+    with np.errstate(divide="raise", invalid="raise"):
+        try:
+            _, grads = gradient_batch(f, batch)
+        except (ZeroDivisionError, FloatingPointError) as exc:
+            raise DomainError(f"singular evaluation: {exc}") from exc
+    return grads[:, 0].copy()
+
+
 def bracket_batch_with_scale(f: Observable, g: Observable, batch: PhaseBatch):
     """Bracket values over a batch plus the per-point term-magnitude scale."""
     _, df = gradient_batch(f, batch)
@@ -482,17 +400,3 @@ def gradient_ranks(grads: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     svals = np.linalg.svd(unit, compute_uv=False)  # (n, k)
     lead = svals[:, :1]
     return np.where(lead[:, 0] > 0.0, np.sum(svals > tol * lead, axis=1), 0)
-
-
-def jacobian_rank(fs, point: PhasePoint, tol: float = RANK_TOL) -> int:
-    """Numerical rank of the Jacobian of real-valued observables at a point
-    (see :func:`gradient_ranks`).  Raises ``ValueError`` if any observable
-    has a non-negligible imaginary part at ``point``.
-    """
-    rows = []
-    for f in fs:
-        v = f(point)
-        if abs(v.imag) > tol * (1.0 + abs(v.real)):
-            raise ValueError(f"observable {f.label!r} is not real-valued at {point}")
-        rows.append(gradient(f, point).real)
-    return int(gradient_ranks(np.array(rows)[None], tol)[0])

@@ -17,7 +17,6 @@ from, so it is never collapsed to a float anywhere that matters.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import scalars as sc
-from .errors import DomainError, PositivityError, UnsupportedError
+from .errors import DomainError, UnsupportedError
 from .phase import Observable, PhaseBatch, PhasePoint, eval_batch
 
 #: Default distance kept from coordinate singularities when sampling (rad).
@@ -154,13 +153,6 @@ class SystemSpec:
             alpha=d.get("alpha"),
             beta=d.get("beta"),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemSpec":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -327,15 +319,6 @@ def to_internal(spec: SystemSpec, external: PhasePoint) -> PhasePoint:
     return internal
 
 
-def to_external(spec: SystemSpec, internal: PhasePoint) -> PhasePoint:
-    """Inverse of :func:`to_internal`."""
-    _require_in_domain(spec, internal)
-    g = spec.gamma.value
-    if spec.family is Family.TTW:
-        return PhasePoint(internal.q1, internal.q2 / g, internal.p1, g * internal.p2)
-    return PhasePoint(internal.q1 / g, internal.q2, g * internal.p1, internal.p2)
-
-
 def plane_coordinates(spec: SystemSpec, q1, q2, plane: str):
     """External plotting coordinates of the internal positions ``(q1, q2)``,
     floats or arrays.
@@ -357,16 +340,6 @@ def plane_coordinates(spec: SystemSpec, q1, q2, plane: str):
     if spec.family is Family.EUCLIDEAN:
         return np.hypot(x, y), np.arctan2(y, x)
     return np.arccos(np.cos(x) * np.cos(y)), np.arctan2(np.sin(y), np.sin(x) * np.cos(y))
-
-
-def geodesic_polar(spec: SystemSpec, internal: PhasePoint):
-    """Sphere only: geodesic polar ``(r, phi)`` of the configuration point,
-    :func:`plane_coordinates` at one point inside the chart."""
-    if spec.family is not Family.SPHERE:
-        raise UnsupportedError("geodesic polar coordinates are sphere-only")
-    _require_in_domain(spec, internal)
-    r, phi = plane_coordinates(spec, internal.q1, internal.q2, "rtheta")
-    return float(r), float(phi)
 
 
 # ---------- observables ----------
@@ -469,38 +442,14 @@ def epsilon_observable(spec: SystemSpec) -> Observable:
 # ---------- pointwise operations ----------
 
 
-def _eval_real(obs: Observable, point: PhasePoint) -> float:
-    return obs(point).real
-
-
 def hamiltonian(spec: SystemSpec, point: PhasePoint) -> float:
     _require_in_domain(spec, point)
-    return _eval_real(hamiltonian_observable(spec), point)
+    return hamiltonian_observable(spec)(point).real
 
 
 def second_integral(spec: SystemSpec, point: PhasePoint) -> float:
     _require_in_domain(spec, point)
-    return _eval_real(second_integral_observable(spec), point)
-
-
-def _positive_sector(spec: SystemSpec, point: PhasePoint) -> None:
-    """The one positivity guard of the pointwise API: the sector integral
-    under every square root must exceed :data:`DELTA_POS`."""
-    obs = second_integral_observable(spec)
-    i2 = _eval_real(obs, point)
-    if i2 <= DELTA_POS:
-        raise PositivityError(
-            f"{obs.label} = {i2:.3g} <= {DELTA_POS:g}; "
-            "E and the factor functions undefined"
-        )
-
-
-def epsilon(spec: SystemSpec, point: PhasePoint) -> float:
-    """Positive square root of the (doubled, on the sphere) sector integral."""
-    obs = epsilon_observable(spec)
-    _require_in_domain(spec, point)
-    _positive_sector(spec, point)
-    return _eval_real(obs, point)
+    return second_integral_observable(spec)(point).real
 
 
 def higgs_potential_identity(x, y):

@@ -20,6 +20,7 @@ from superfact import (
     Family,
     IdentityResult,
     Observable,
+    PhaseBatch,
     PhasePoint,
     RationalGamma,
     StepFailure,
@@ -134,6 +135,11 @@ def random_polynomial(rng, degree=3, terms=5, label="poly"):
 
 def random_point(rng, lo=-1.5, hi=1.5):
     return PhasePoint(*rng.uniform(lo, hi, size=4))
+
+
+def batch_of(*points):
+    """The phase points as one batch, in order."""
+    return PhaseBatch.from_arrays(*np.array([p.as_array() for p in points]).reshape(-1, 4).T)
 
 
 def _residuals(lhs, rhs, scale) -> np.ndarray:

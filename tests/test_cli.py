@@ -19,7 +19,7 @@ from superfact import (
     cli,
     dynamics,
     hamiltonian,
-    higher_integral,
+    higher_integral_observables,
     integrate,
     second_integral,
 )
@@ -707,7 +707,8 @@ def test_trace_rediscovers_levels(tmp_path, monkeypatch, capsys):
     seedpt = PhasePoint(0.5, -0.3, 0.4, 0.7)
     h0 = hamiltonian(spec, seedpt)
     i20 = second_integral(spec, seedpt)
-    x0 = higher_integral(spec, seedpt).x_real
+    x_real = higher_integral_observables(spec)[2]
+    x0 = x_real(seedpt).real
     code = cli.main(
         [
             "trace",
@@ -730,7 +731,7 @@ def test_trace_rediscovers_levels(tmp_path, monkeypatch, capsys):
     found = PhasePoint(*report["solution"]["internal"])
     assert hamiltonian(spec, found) == pytest.approx(h0, rel=1e-8, abs=1e-8)
     assert second_integral(spec, found) == pytest.approx(i20, rel=1e-8, abs=1e-8)
-    assert higher_integral(spec, found).x_real == pytest.approx(
+    assert x_real(found).real == pytest.approx(
         x0, rel=1e-8, abs=1e-8
     )
     header, rows = _read_csv(tmp_path / "lv.csv")
@@ -744,7 +745,7 @@ def _plane_levels(family):
     if family == "euclidean":
         spec, point = spec_for("euclidean", "2"), PhasePoint(0.5, -0.3, 0.4, 0.7)
         levels = (hamiltonian(spec, point), second_integral(spec, point),
-                  higher_integral(spec, point).x_real)
+                  higher_integral_observables(spec)[2](point).real)
         return ["--system", "euclidean", "--gamma", "2"], levels
     if family == "sphere":
         return (["--system", "sphere", "--gamma", "3/2"],

@@ -15,7 +15,6 @@ import superfact
 from superfact import dynamics
 from superfact import (
     DomainBreach,
-    DomainError,
     InsufficientSpan,
     IntegratorControls,
     PhasePoint,
@@ -24,7 +23,6 @@ from superfact import (
     default_box,
     detect_closure,
     drift_report,
-    hamilton_rhs,
     hamiltonian,
     integrate,
     sample_points,
@@ -41,28 +39,34 @@ def _flat_hamiltonian_fn(spec):
     return lambda q1, q2, p1, p2: hamiltonian(spec, PhasePoint(q1, q2, p1, p2))
 
 
+def _field(spec, point):
+    """The vector field that integrate runs, ``(dq1, dq2, dp1, dp2)`` at one
+    point."""
+    return np.array(dynamics._rhs_function(spec)(point.q1, point.q2, point.p1, point.p2))
+
+
 # ---------- vector field ----------
 
 
 def test_rhs_frozen_euclid():
     spec = spec_for("euclidean", "1")
     np.testing.assert_allclose(
-        hamilton_rhs(spec, PhasePoint(1.0, 0.0, 0.0, 0.0)), [0.0, 0.0, -1.0, 0.0]
+        _field(spec, PhasePoint(1.0, 0.0, 0.0, 0.0)), [0.0, 0.0, -1.0, 0.0]
     )
     spec2 = spec_for("euclidean", "2")
     np.testing.assert_allclose(
-        hamilton_rhs(spec2, PhasePoint(0.0, 0.0, 0.5, 1.0)), [2.0, 1.0, 0.0, 0.0]
+        _field(spec2, PhasePoint(0.0, 0.0, 0.5, 1.0)), [2.0, 1.0, 0.0, 0.0]
     )
 
 
 def test_rhs_equilibria():
     sphere = spec_for("sphere", "1")
     np.testing.assert_allclose(
-        hamilton_rhs(sphere, PhasePoint(0.0, 0.0, 0.0, 0.0)), np.zeros(4), atol=1e-15
+        _field(sphere, PhasePoint(0.0, 0.0, 0.0, 0.0)), np.zeros(4), atol=1e-15
     )
     ttw = spec_for("ttw", "1", alpha=1.0, beta=1.0)
     circular = PhasePoint(math.sqrt(2.0), math.pi / 4, 0.0, 0.0)
-    np.testing.assert_allclose(hamilton_rhs(ttw, circular), np.zeros(4), atol=1e-14)
+    np.testing.assert_allclose(_field(ttw, circular), np.zeros(4), atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -79,15 +83,19 @@ def test_rhs_matches_finite_differences(family, point):
     coords = (point.q1, point.q2, point.p1, point.p2)
     grad = [fd_partial(fn, coords, k) for k in range(4)]
     expected = np.array([grad[2], grad[3], -grad[0], -grad[1]], dtype=float)
-    rhs = hamilton_rhs(spec, point)
+    rhs = _field(spec, point)
     np.testing.assert_allclose(rhs, expected, rtol=1e-6, atol=1e-7)
 
 
 def test_rhs_rejects_outside_domain():
-    with pytest.raises(DomainError):
-        hamilton_rhs(spec_for("sphere", "1"), PhasePoint(1.6, 0.0, 0.0, 0.0))
-    with pytest.raises(DomainError):
-        hamilton_rhs(spec_for("ttw", "1"), PhasePoint(-0.5, 0.7, 0.0, 0.0))
+    """The field runs only from a start inside the walls: integrate refuses
+    one outside before it evaluates the field once."""
+    for spec, outside in ((spec_for("sphere", "1"), PhasePoint(1.6, 0.0, 0.0, 0.0)),
+                          (spec_for("ttw", "1"), PhasePoint(-0.5, 0.7, 0.0, 0.0))):
+        with pytest.raises(DomainBreach) as info:
+            integrate(spec, outside, 1.0)
+        assert info.value.time == 0.0
+        assert info.value.trajectory.rhs_evaluations == 0
 
 
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])

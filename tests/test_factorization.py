@@ -1,39 +1,38 @@
 """Factor functions: frozen values, product identities, conjugacy, guards."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from superfact import (
+    DELTA_POS,
     DomainError,
     Family,
     PhasePoint,
-    PositivityError,
     RationalGamma,
     SystemSpec,
     UnsupportedError,
     build_suite,
+    domain_mask,
     eval_batch,
     factor_pairs,
     gradient_batch,
     hamiltonian,
-    higher_integral,
+    hamiltonian_observable,
     higher_integral_observables,
-    ladder,
     ladder_observables,
     sample_points,
     second_integral,
-    shift,
+    second_integral_observable,
     shift_observables,
-    shift_ttw,
-    sphere_ladder_target_observable,
     ttw_shift_observables,
 )
 from superfact.phase import _batch_code
 from superfact.scalars import ipow
 
-from _oracles import bracket_value, narrow_box, spec_for
+from _oracles import batch_of, bracket_value, narrow_box, spec_for
 
 SQH = 1.0 / math.sqrt(2.0)
 
@@ -42,21 +41,36 @@ def _sampled(spec, count, seed):
     return sample_points(spec, narrow_box(spec.family.value), count, seed=seed)
 
 
+def _factors(spec, name, batch):
+    """The two factors of the pair ``name`` of ``factor_pairs(spec)`` over a
+    batch, and its additive constant (0 where the record has none)."""
+    pair = factor_pairs(spec)[name]
+    lam = 0.0 if pair.lam is None else eval_batch(pair.lam, batch).real
+    return SimpleNamespace(plus=eval_batch(pair.plus, batch),
+                           minus=eval_batch(pair.minus, batch), lam=lam)
+
+
+def _integrals(spec, batch):
+    """``X+``, ``X-`` and the real ``X`` and ``Y`` over a batch."""
+    xp, xm, x, y = (eval_batch(f, batch) for f in higher_integral_observables(spec))
+    return SimpleNamespace(x_plus=xp, x_minus=xm, x_real=x.real, y_real=y.real)
+
+
 # ---------- frozen values ----------
 
 
 def test_euclid_gamma1_frozen():
     spec = spec_for("euclidean", "1")
-    pt = PhasePoint(1.0, 0.0, 0.0, 1.0)
-    lad = ladder(spec, pt)
+    pt = batch_of(PhasePoint(1.0, 0.0, 0.0, 1.0))
+    lad = _factors(spec, "B", pt)
     assert lad.plus == pytest.approx(SQH)
     assert lad.minus == pytest.approx(SQH)
     assert lad.lam == 0.0
-    sh = shift(spec, pt)
+    sh = _factors(spec, "A", pt)
     assert sh.plus == pytest.approx(-1j * SQH)
     assert sh.minus == pytest.approx(1j * SQH)
     assert sh.lam == 0.0
-    pair = higher_integral(spec, pt)
+    pair = _integrals(spec, pt)
     assert pair.x_plus == pytest.approx(-0.5j)
     assert pair.x_minus == pytest.approx(0.5j)
     assert pair.x_real == pytest.approx(0.0, abs=1e-16)
@@ -65,8 +79,7 @@ def test_euclid_gamma1_frozen():
 
 def test_euclid_gamma2_frozen():
     spec = spec_for("euclidean", "2")
-    pt = PhasePoint(0.0, 0.0, 1.0, 1.0)
-    pair = higher_integral(spec, pt)
+    pair = _integrals(spec, batch_of(PhasePoint(0.0, 0.0, 1.0, 1.0)))
     assert pair.x_plus == pytest.approx(0.35355339059327373j)
     assert pair.y_real == pytest.approx(0.35355339059327373)
     assert pair.x_real == pytest.approx(0.0, abs=1e-16)
@@ -76,11 +89,11 @@ def test_sphere_origin_frozen():
     spec = spec_for("sphere", "1")
     pt = PhasePoint(0.0, 0.0, 0.0, 0.0)
     assert second_integral(spec, pt) == pytest.approx(0.5)
-    lad = ladder(spec, pt)
+    lad = _factors(spec, "B", batch_of(pt))
     assert lad.plus == pytest.approx(0.0)
     assert lad.minus == pytest.approx(0.0)
     assert lad.lam == pytest.approx(-0.5)
-    sh = shift(spec, pt)
+    sh = _factors(spec, "A", batch_of(pt))
     assert sh.plus == pytest.approx(0.0)
     assert sh.minus == pytest.approx(0.0)
     assert sh.lam == pytest.approx(0.0)
@@ -91,11 +104,12 @@ def test_ttw_equilibrium_frozen():
     pt = PhasePoint(math.sqrt(2.0), math.pi / 4, 0.0, 0.0)
     assert second_integral(spec, pt) == pytest.approx(4.0)
     assert hamiltonian(spec, pt) == pytest.approx(4.0)
-    lad = ladder(spec, pt)
+    lad = _factors(spec, "B", batch_of(pt))
     assert lad.plus == pytest.approx(0.0, abs=1e-15)
     assert lad.minus == pytest.approx(0.0, abs=1e-15)
     assert lad.lam == pytest.approx(4.0)
-    sh = shift_ttw(spec, pt)
+    sh = SimpleNamespace(**{name: _factors(spec, name, batch_of(pt)) for name in ("a1", "a2")},
+                         pure=_factors(spec, "A", batch_of(pt)))
     assert sh.a1.plus == pytest.approx(0.0, abs=1e-15)
     assert sh.a1.minus == pytest.approx(0.0, abs=1e-15)
     assert sh.a1.lam == pytest.approx(4.0)
@@ -109,7 +123,8 @@ def test_ttw_mixed_factors_frozen():
     pt = PhasePoint(1.0, math.pi / 4, 1.0, math.sqrt(0.75))
     assert second_integral(spec, pt) == pytest.approx(1.0)
     assert hamiltonian(spec, pt) == pytest.approx(3.0)
-    sh = shift_ttw(spec, pt)
+    sh = SimpleNamespace(**{name: _factors(spec, name, batch_of(pt)) for name in ("a1", "a2")},
+                         pure=_factors(spec, "A", batch_of(pt)))
     assert sh.a1.plus == pytest.approx(-1j)
     assert sh.a1.minus == pytest.approx(1j)
     assert sh.a2.plus == pytest.approx(2.0 - 1j)
@@ -127,19 +142,15 @@ def test_ttw_mixed_factors_frozen():
 def test_ladder_product_identity(family, gamma):
     spec = spec_for(family, gamma, omega=1.3)
     batch = _sampled(spec, 100, seed=5)
+    lad = _factors(spec, "B", batch)
+    product = lad.plus * lad.minus + lad.lam
     if spec.family is Family.SPHERE:
-        target = sphere_ladder_target_observable(spec)
+        expected = eval_batch(factor_pairs(spec)["B"].target, batch)
         fixed = -spec.omega ** 2 / (2 * spec.gamma.value ** 2)
-    for i in range(len(batch)):
-        pt = batch.point(i)
-        lad = ladder(spec, pt)
-        product = lad.plus * lad.minus + lad.lam
-        if spec.family is Family.SPHERE:
-            expected = target(pt)
-            assert abs(expected - fixed) <= 1e-12 * (1 + abs(fixed))
-        else:
-            expected = second_integral(spec, pt)
-        assert abs(product - expected) <= 1e-12 * (1 + abs(expected))
+        assert np.all(np.abs(expected - fixed) <= 1e-12 * (1 + abs(fixed)))
+    else:
+        expected = eval_batch(second_integral_observable(spec), batch)
+    assert np.all(np.abs(product - expected) <= 1e-12 * (1 + np.abs(expected)))
 
 
 def test_shift_product_identity_euclid():
@@ -148,39 +159,35 @@ def test_shift_product_identity_euclid():
     spec = spec_for("euclidean", "5/2", omega=0.9)
     hy = euclid_y_sector_observable(spec)
     batch = _sampled(spec, 100, seed=7)
-    for i in range(len(batch)):
-        pt = batch.point(i)
-        sh = shift(spec, pt)
-        product = sh.plus * sh.minus + sh.lam
-        assert abs(product - hy(pt)) <= 1e-12 * (1 + abs(hy(pt)))
+    sh = _factors(spec, "A", batch)
+    product = sh.plus * sh.minus + sh.lam
+    y_sector = eval_batch(hy, batch)
+    assert np.all(np.abs(product - y_sector) <= 1e-12 * (1 + np.abs(y_sector)))
 
 
 def test_shift_product_identity_sphere():
     spec = spec_for("sphere", "3/2", omega=1.1)
     batch = _sampled(spec, 100, seed=9)
-    for i in range(len(batch)):
-        pt = batch.point(i)
-        sh = shift(spec, pt)
-        product = sh.plus * sh.minus + sh.lam
-        h = hamiltonian(spec, pt)
-        assert abs(product - h) <= 1e-12 * (1 + abs(h))
+    sh = _factors(spec, "A", batch)
+    product = sh.plus * sh.minus + sh.lam
+    h = eval_batch(hamiltonian_observable(spec), batch)
+    assert np.all(np.abs(product - h) <= 1e-12 * (1 + np.abs(h)))
 
 
 def test_ttw_mixed_product_identities():
     spec = spec_for("ttw", "3/2", omega=1.2, alpha=0.8, beta=0.5)
     w2g2 = (spec.omega * spec.gamma.value) ** 2
     batch = _sampled(spec, 100, seed=11)
-    for i in range(len(batch)):
-        pt = batch.point(i)
-        sh = shift_ttw(spec, pt)
-        h = hamiltonian(spec, pt)
-        i2 = second_integral(spec, pt)
-        for pair in (sh.a1, sh.a2):
-            product = pair.plus * pair.minus + pair.lam
-            assert abs(product - h) <= 1e-12 * (1 + abs(h))
-        pure = sh.pure.plus * sh.pure.minus
-        expected = h * h - 4 * w2g2 * i2
-        assert abs(pure - expected) <= 1e-12 * (1 + abs(expected) + h * h)
+    h = eval_batch(hamiltonian_observable(spec), batch)
+    i2 = eval_batch(second_integral_observable(spec), batch)
+    for name in ("a1", "a2"):
+        pair = _factors(spec, name, batch)
+        product = pair.plus * pair.minus + pair.lam
+        assert np.all(np.abs(product - h) <= 1e-12 * (1 + np.abs(h)))
+    pure = _factors(spec, "A", batch)
+    product = pure.plus * pure.minus
+    expected = h * h - 4 * w2g2 * i2
+    assert np.all(np.abs(product - expected) <= 1e-12 * (1 + np.abs(expected) + h * h))
 
 
 @pytest.mark.parametrize("family,gamma", [("euclidean", "2"), ("sphere", "1/2"), ("ttw", "5/2")])
@@ -195,12 +202,10 @@ def test_conjugacy_at_real_points(family, gamma):
     plus_minus = list(zip(observables[::2], observables[1::2]))
     xp, xm, _, _ = higher_integral_observables(spec)
     plus_minus.append((xp, xm))
-    for i in range(len(batch)):
-        pt = batch.point(i)
-        for obs_p, obs_m in plus_minus:
-            vp, vm = obs_p(pt), obs_m(pt)
-            scale = 1.0 + abs(vp)
-            assert abs(vm - vp.conjugate()) <= 1e-15 * scale, (obs_p.label, obs_m.label)
+    for obs_p, obs_m in plus_minus:
+        vp, vm = eval_batch(obs_p, batch), eval_batch(obs_m, batch)
+        scale = 1.0 + np.abs(vp)
+        assert np.all(np.abs(vm - np.conj(vp)) <= 1e-15 * scale), (obs_p.label, obs_m.label)
 
 
 # ---------- phase cancellation ----------
@@ -278,14 +283,12 @@ def test_euclid_gamma1_reduction_formulas():
     spec = spec_for("euclidean", "1", omega=1.4)
     w = spec.omega
     batch = _sampled(spec, 200, seed=17)
-    for i in range(len(batch)):
-        pt = batch.point(i)
-        pair = higher_integral(spec, pt)
-        x_expected = -(pt.p1 * pt.p2 + w * w * pt.q1 * pt.q2) / 2
-        y_expected = -(w / 2) * (pt.q1 * pt.p2 - pt.q2 * pt.p1)
-        scale = 1 + abs(x_expected) + abs(y_expected)
-        assert abs(pair.x_real - x_expected) <= 1e-13 * scale
-        assert abs(pair.y_real - y_expected) <= 1e-13 * scale
+    pair = _integrals(spec, batch)
+    x_expected = -(batch.p1 * batch.p2 + w * w * batch.q1 * batch.q2) / 2
+    y_expected = -(w / 2) * (batch.q1 * batch.p2 - batch.q2 * batch.p1)
+    scale = 1 + np.abs(x_expected) + np.abs(y_expected)
+    assert np.all(np.abs(pair.x_real - x_expected) <= 1e-13 * scale)
+    assert np.all(np.abs(pair.y_real - y_expected) <= 1e-13 * scale)
 
 
 # ---------- composite consistency ----------
@@ -311,26 +314,18 @@ def test_higher_integral_pairs_ladder_with_minus_shift_ttw():
     spec = spec_for("ttw", "3/2")
     assert (spec.gamma.m, spec.gamma.n) == (3, 2)
     batch = _sampled(spec, 30, seed=23)
-    xp_obs, xm_obs, _, _ = higher_integral_observables(spec)
-    for i in range(len(batch)):
-        pt = batch.point(i)
-        lad = ladder(spec, pt)
-        sh = shift_ttw(spec, pt)
-        manual_plus = ipow(lad.plus, 2) * ipow(sh.pure.minus, 3)
-        manual_minus = ipow(lad.minus, 2) * ipow(sh.pure.plus, 3)
-        assert xp_obs(pt) == pytest.approx(manual_plus, rel=1e-13)
-        assert xm_obs(pt) == pytest.approx(manual_minus, rel=1e-13)
+    lad, pure = _factors(spec, "B", batch), _factors(spec, "A", batch)
+    pair = _integrals(spec, batch)
+    assert pair.x_plus == pytest.approx(ipow(lad.plus, 2) * ipow(pure.minus, 3), rel=1e-13)
+    assert pair.x_minus == pytest.approx(ipow(lad.minus, 2) * ipow(pure.plus, 3), rel=1e-13)
 
 
 def test_higher_integral_real_parts_from_conjugates():
     spec = spec_for("sphere", "2/3")
-    batch = _sampled(spec, 30, seed=29)
-    for i in range(len(batch)):
-        pt = batch.point(i)
-        pair = higher_integral(spec, pt)
-        assert pair.x_minus == pytest.approx(pair.x_plus.conjugate(), rel=1e-13)
-        assert pair.x_real == pytest.approx(pair.x_plus.real, rel=1e-12, abs=1e-13)
-        assert pair.y_real == pytest.approx(pair.x_plus.imag, rel=1e-12, abs=1e-13)
+    pair = _integrals(spec, _sampled(spec, 30, seed=29))
+    assert pair.x_minus == pytest.approx(np.conj(pair.x_plus), rel=1e-13)
+    assert pair.x_real == pytest.approx(pair.x_plus.real, rel=1e-12, abs=1e-13)
+    assert pair.y_real == pytest.approx(pair.x_plus.imag, rel=1e-12, abs=1e-13)
 
 
 # ---------- guards ----------
@@ -338,39 +333,33 @@ def test_higher_integral_real_parts_from_conjugates():
 
 def test_positivity_guard_ttw():
     spec = SystemSpec(Family.TTW, 1.0, RationalGamma(1), alpha=0.0, beta=0.0)
-    dead = PhasePoint(1.0, 0.7, 0.5, 0.0)  # angular sector carries no energy
-    with pytest.raises(PositivityError):
-        ladder(spec, dead)
-    with pytest.raises(PositivityError):
-        shift_ttw(spec, dead)
-    with pytest.raises(PositivityError):
-        higher_integral(spec, dead)
+    dead = batch_of(PhasePoint(1.0, 0.7, 0.5, 0.0))  # angular sector carries no energy
+    assert not domain_mask(spec, dead, 0.0).any()
+    pairs = factor_pairs(spec)
+    for f in (pairs["B"].plus, pairs["a1"].plus, pairs["A"].plus,
+              higher_integral_observables(spec)[0]):
+        with pytest.raises(DomainError):
+            eval_batch(f, dead)
 
 
 def test_positivity_guard_sphere():
+    # The sector integral is positive, 5e-13, but below DELTA_POS.
     spec = SystemSpec(Family.SPHERE, 1e-6, RationalGamma(1))
     pt = PhasePoint(0.0, 0.0, 0.0, 0.3)
-    with pytest.raises(PositivityError):
-        ladder(spec, pt)
-    with pytest.raises(PositivityError):
-        shift(spec, pt)
+    assert 0.0 < second_integral(spec, pt) <= DELTA_POS
+    assert not domain_mask(spec, batch_of(pt), 0.0).any()
 
 
 def test_unsupported_combinations():
     ttw = spec_for("ttw", "1")
     euclid = spec_for("euclidean", "1")
     sphere = spec_for("sphere", "1")
-    pt = PhasePoint(1.0, 0.7, 0.0, 0.5)
-    with pytest.raises(UnsupportedError):
-        shift(ttw, pt)
     with pytest.raises(UnsupportedError):
         shift_observables(ttw)
     with pytest.raises(UnsupportedError):
-        shift_ttw(euclid, pt)
+        ttw_shift_observables(euclid)
     with pytest.raises(UnsupportedError):
         ttw_shift_observables(sphere)
-    with pytest.raises(UnsupportedError):
-        sphere_ladder_target_observable(euclid)
 
 
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
@@ -386,8 +375,6 @@ def test_builders_return_the_records_own_observables(family):
         built += list(shifts.values())
     else:
         built += list(shift_observables(spec))
-    if spec.family is Family.SPHERE:
-        assert sphere_ladder_target_observable(spec) is pairs["B"].target
     assert len(built) == len(factors)
     assert all(b is f for b, f in zip(built, factors))
 
@@ -402,23 +389,22 @@ def test_builders_return_the_records_own_observables(family):
 @pytest.mark.parametrize("gamma", ["1", "3/2", "7/5"])
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
 def test_higher_integral_reads_its_observables(family, gamma):
+    """``X`` and ``Y`` are read off ``X+`` and ``X-`` bit for bit, and the
+    builder returns the same observables for the same spec."""
     spec = spec_for(family, gamma)
     xp, xm, x_real, y_real = higher_integral_observables(spec)
+    assert all(a is b for a, b in zip(higher_integral_observables(spec), (xp, xm, x_real, y_real)))
     batch = _sampled(spec, 20, seed=29)
-    for i in range(len(batch)):
-        pt = batch.point(i)
-        pair = higher_integral(spec, pt)
-        assert pair.x_plus == xp(pt) and pair.x_minus == xm(pt)
-        assert pair.x_real == x_real(pt).real and pair.y_real == y_real(pt).real
+    vp, vm = eval_batch(xp, batch), eval_batch(xm, batch)
+    np.testing.assert_array_equal(eval_batch(x_real, batch), (vp + vm) * 0.5)
+    np.testing.assert_array_equal(eval_batch(y_real, batch), (vp - vm) * (-0.5j))
 
 
 def test_out_of_domain_raises():
-    sphere = spec_for("sphere", "1")
-    outside = PhasePoint(1.7, 0.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        ladder(sphere, outside)
-    with pytest.raises(DomainError):
-        higher_integral(sphere, outside)
-    ttw = spec_for("ttw", "1")
-    with pytest.raises(DomainError):
-        shift_ttw(ttw, PhasePoint(-1.0, 0.7, 0.0, 0.5))
+    """A point beyond a wall is outside every batch the factors are
+    evaluated on, and the pointwise energy refuses it."""
+    for spec, outside in ((spec_for("sphere", "1"), PhasePoint(1.7, 0.0, 0.0, 0.0)),
+                          (spec_for("ttw", "1"), PhasePoint(-1.0, 0.7, 0.0, 0.5))):
+        assert not domain_mask(spec, batch_of(outside), 0.0).any()
+        with pytest.raises(DomainError):
+            hamiltonian(spec, outside)

@@ -23,7 +23,7 @@ from superfact import (
     gradient,
     hamiltonian,
     hamiltonian_observable,
-    higher_integral,
+    higher_integral_observables,
     sample_points,
     second_integral,
     second_integral_observable,
@@ -46,7 +46,7 @@ def _levels_at(spec, point):
         [
             hamiltonian(spec, point),
             second_integral(spec, point),
-            higher_integral(spec, point).x_real,
+            higher_integral_observables(spec)[2](point).real,
         ]
     )
 
@@ -159,7 +159,7 @@ def _unreachable(spec, family):
     ``I2`` of the family's seed point, and ``X`` ten times ``|X+|`` there."""
     point = SEED_POINTS[family]
     h, i2, _ = _levels_at(spec, point)
-    return [h, i2, 10 * abs(higher_integral(spec, point).x_plus)]
+    return [h, i2, 10 * abs(higher_integral_observables(spec)[0](point))]
 
 
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
@@ -200,9 +200,9 @@ def test_block_size_leaves_found_point_unchanged(
     family, gamma, sym_name, point, start, monkeypatch
 ):
     spec = spec_for(family, gamma)
-    hi = higher_integral(spec, point)
+    _, _, x_real, y_real = higher_integral_observables(spec)
     targets = [hamiltonian(spec, point), second_integral(spec, point),
-               hi.x_real if sym_name == "X" else hi.y_real]
+               (x_real if sym_name == "X" else y_real)(point).real]
 
     def run():
         z, residual, search = solve_levels(spec, sym_name, targets)

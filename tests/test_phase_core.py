@@ -16,9 +16,6 @@ from superfact import (
     eval_batch,
     gradient,
     gradient_batch,
-    jacobian_rank,
-    partial_derivative,
-    poisson_bracket,
     run_suite,
     sample_points,
 )
@@ -34,7 +31,7 @@ from superfact.phase import (
     _batch_code,
     bracket_batch_with_scale,
     compiled_gradient,
-    poisson_bracket_with_scale,
+    gradient_ranks,
 )
 from superfact.systems import (
     default_box,
@@ -46,6 +43,7 @@ from superfact.systems import (
 
 from _oracles import (
     _partials_scalar,
+    batch_of,
     bracket_value,
     fd_gradient,
     random_point,
@@ -61,37 +59,28 @@ P2 = Observable(lambda q1, q2, p1, p2: p2, "p2")
 
 def test_partial_derivative_frozen_example():
     f = Observable(lambda q1, q2, p1, p2: sc.sin(q2) * p2, "sin(q2)p2")
-    point = PhasePoint(0.0, math.pi / 6, 0.0, 2.0)
-    d = partial_derivative(f, point, "q2")
-    assert d == pytest.approx(math.sqrt(3.0), abs=1e-15)
-    assert partial_derivative(f, point, "p2") == pytest.approx(0.5, abs=1e-15)
-    assert partial_derivative(f, point, "q1") == 0.0
-
-
-def test_partial_derivative_by_index():
-    f = Observable(lambda q1, q2, p1, p2: q1 * q1, "q1^2")
-    point = PhasePoint(3.0, 0.0, 0.0, 0.0)
-    assert partial_derivative(f, point, 0) == 6.0
-    with pytest.raises(ValueError):
-        partial_derivative(f, point, 4)
-    with pytest.raises(ValueError):
-        partial_derivative(f, point, "z1")
+    _, grads = gradient_batch(f, batch_of(PhasePoint(0.0, math.pi / 6, 0.0, 2.0)))
+    assert grads[1, 0] == pytest.approx(math.sqrt(3.0), abs=1e-15)
+    assert grads[3, 0] == pytest.approx(0.5, abs=1e-15)
+    assert grads[0, 0] == 0.0
+    square = Observable(lambda q1, q2, p1, p2: q1 * q1, "q1^2")
+    assert gradient_batch(square, batch_of(PhasePoint(3.0, 0.0, 0.0, 0.0)))[1][0, 0] == 6.0
 
 
 def test_bracket_frozen_example():
     f = Observable(lambda q1, q2, p1, p2: q1 * p2, "q1p2")
     g = Observable(lambda q1, q2, p1, p2: q2 * p1, "q2p1")
-    val = poisson_bracket(f, g, PhasePoint(1.0, 2.0, 3.0, 4.0))
-    assert val == 5.0 + 0.0j
+    val = bracket_batch(f, g, batch_of(PhasePoint(1.0, 2.0, 3.0, 4.0)))
+    assert val[0] == 5.0 + 0.0j
 
 
 def test_canonical_pairs():
-    point = PhasePoint(0.3, -0.8, 1.2, 0.4)
-    assert poisson_bracket(Q1, P1, point) == 1.0
-    assert poisson_bracket(Q2, P2, point) == 1.0
-    assert poisson_bracket(Q1, P2, point) == 0.0
-    assert poisson_bracket(Q1, Q2, point) == 0.0
-    assert poisson_bracket(P1, P2, point) == 0.0
+    batch = batch_of(PhasePoint(0.3, -0.8, 1.2, 0.4))
+    assert bracket_batch(Q1, P1, batch)[0] == 1.0
+    assert bracket_batch(Q2, P2, batch)[0] == 1.0
+    assert bracket_batch(Q1, P2, batch)[0] == 0.0
+    assert bracket_batch(Q1, Q2, batch)[0] == 0.0
+    assert bracket_batch(P1, P2, batch)[0] == 0.0
 
 
 def test_antisymmetry():
@@ -101,20 +90,21 @@ def test_antisymmetry():
     for _ in range(50):
         f = random_polynomial(rng)
         g = random_polynomial(rng)
-        point = random_point(rng)
-        forward, scale = poisson_bracket_with_scale(f, g, point)
-        backward = poisson_bracket(g, f, point)
-        assert abs(forward + backward) <= 1e-13 * (1.0 + scale)
+        batch = batch_of(random_point(rng))
+        forward, scale = bracket_batch_with_scale(f, g, batch)
+        backward = bracket_batch(g, f, batch)
+        assert abs(forward[0] + backward[0]) <= 1e-13 * (1.0 + scale[0])
 
 
 def test_leibniz_rule():
     rng = np.random.default_rng(11)
     for _ in range(50):
         f, g, h = (random_polynomial(rng) for _ in range(3))
-        point = random_point(rng)
-        lhs = poisson_bracket(f, g * h, point)
-        t1 = poisson_bracket(f, g, point) * h(point)
-        t2 = g(point) * poisson_bracket(f, h, point)
+        gh = Observable(lambda *z, g=g, h=h: g.fn(*z) * h.fn(*z), "g*h")
+        batch = batch_of(random_point(rng))
+        lhs = bracket_batch(f, gh, batch)[0]
+        t1 = bracket_batch(f, g, batch)[0] * eval_batch(h, batch)[0]
+        t2 = eval_batch(g, batch)[0] * bracket_batch(f, h, batch)[0]
         assert abs(lhs - (t1 + t2)) <= 1e-10 * (1.0 + abs(t1) + abs(t2))
 
 
@@ -122,10 +112,10 @@ def test_jacobi_identity():
     rng = np.random.default_rng(13)
     for _ in range(25):
         f, g, h = (random_polynomial(rng, degree=2) for _ in range(3))
-        point = random_point(rng)
-        t1 = poisson_bracket(f, bracket_observable(g, h), point)
-        t2 = poisson_bracket(g, bracket_observable(h, f), point)
-        t3 = poisson_bracket(h, bracket_observable(f, g), point)
+        batch = batch_of(random_point(rng))
+        t1 = bracket_batch(f, bracket_observable(g, h), batch)[0]
+        t2 = bracket_batch(g, bracket_observable(h, f), batch)[0]
+        t3 = bracket_batch(h, bracket_observable(f, g), batch)[0]
         scale = 1.0 + abs(t1) + abs(t2) + abs(t3)
         assert abs(t1 + t2 + t3) <= 1e-9 * scale
 
@@ -137,7 +127,8 @@ def _nested_triples():
     # sin, cos, tan, sqrt and division under a nested dual level.
     for family in ("sphere", "ttw"):
         spec = spec_for(family, "3/2")
-        triple = (epsilon_observable(spec), Q1 + Q2, hamiltonian_observable(spec))
+        q1_plus_q2 = Observable(lambda q1, q2, p1, p2: q1 + q2, "q1+q2")
+        triple = (epsilon_observable(spec), q1_plus_q2, hamiltonian_observable(spec))
         batch = sample_points(spec, default_box(spec), 3, seed=4)
         for i in range(len(batch)):
             yield triple, batch.point(i)
@@ -155,13 +146,14 @@ def test_nested_brackets_are_differentiable():
         want = np.array(_partials_scalar(_dual_bracket_fn(f, g), coords))
         got = gradient(inner, point)
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.linalg.norm(want))
-        assert partial_derivative(inner, point, "p2") == got[3]
-        assert jacobian_rank([inner], point) == 1
+        batch = batch_of(point)
+        assert gradient_batch(inner, batch)[1][3, 0] == got[3]
+        assert _rank([inner], point) == 1
 
         outer = bracket_observable(g, h)
-        val, scale = poisson_bracket_with_scale(f, outer, point)
+        val, scale = bracket_batch_with_scale(f, outer, batch)
         want = bracket_value(f.fn, _dual_bracket_fn(g, h), coords)
-        assert abs(val - want) <= 1e-12 * (1.0 + scale)
+        assert abs(val[0] - want) <= 1e-12 * (1.0 + scale[0])
 
 
 def test_each_bracket_observable_compiles_once():
@@ -185,8 +177,8 @@ def test_bracket_matches_finite_difference():
         df = fd_gradient(f.fn, coords)
         dg = fd_gradient(g.fn, coords)
         fd = df[0] * dg[2] - df[2] * dg[0] + df[1] * dg[3] - df[3] * dg[1]
-        dual = poisson_bracket(f, g, point)
-        assert dual == pytest.approx(fd, rel=1e-5, abs=1e-5)
+        exact = bracket_batch(f, g, batch_of(point))[0]
+        assert exact == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
 @pytest.mark.parametrize("family,gamma", [("euclidean", "3/2"), ("sphere", "3/2"), ("ttw", "3/2")])
@@ -420,12 +412,20 @@ def test_bracket_batch_matches_pointwise():
         )
 
 
+def _rank(observables, point):
+    """Rank of the real Jacobian of ``observables`` at one point, from their
+    :func:`gradient_batch` rows."""
+    batch = batch_of(point)
+    rows = np.array([gradient_batch(f, batch)[1][:, 0].real for f in observables])
+    return int(gradient_ranks(rows[None])[0])
+
+
 def test_jacobian_rank_dependent_rows():
     two_q1 = Observable(lambda q1, q2, p1, p2: 2.0 * q1, "2q1")
     point = PhasePoint(0.4, 0.1, -0.2, 0.9)
-    assert jacobian_rank([Q1, two_q1], point) == 1
-    assert jacobian_rank([Q1, P1], point) == 2
-    assert jacobian_rank([Q1, Q2, P1, P2], point) == 4
+    assert _rank([Q1, two_q1], point) == 1
+    assert _rank([Q1, P1], point) == 2
+    assert _rank([Q1, Q2, P1, P2], point) == 4
 
 
 def test_jacobian_rank_frozen_example():
@@ -434,21 +434,14 @@ def test_jacobian_rank_frozen_example():
     h = hamiltonian_observable(spec)
     i2 = second_integral_observable(spec)
     _, _, x_real, _ = higher_integral_observables(spec)
-    assert jacobian_rank([h, i2, x_real], point) == 3
+    assert _rank([h, i2, x_real], point) == 3
     hy = euclid_y_sector_observable(spec)
-    assert jacobian_rank([h, i2, hy], point) == 2
-
-
-def test_jacobian_rank_rejects_complex_values():
-    spec = spec_for("euclidean", "1")
-    bp, _ = ladder_observables(spec)
-    with pytest.raises(ValueError):
-        jacobian_rank([bp], PhasePoint(0.5, 0.0, 1.0, 0.0))
+    assert _rank([h, i2, hy], point) == 2
 
 
 def test_jacobian_rank_zero_gradient():
     const = Observable(lambda q1, q2, p1, p2: 1.0, "one")
-    assert jacobian_rank([const], PhasePoint(0.0, 0.0, 0.0, 0.0)) == 0
+    assert _rank([const], PhasePoint(0.0, 0.0, 0.0, 0.0)) == 0
 
 
 def test_phasepoint_validation_and_arrays():
@@ -456,18 +449,18 @@ def test_phasepoint_validation_and_arrays():
         PhasePoint(float("nan"), 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         PhasePoint(float("inf"), 0.0, 0.0, 0.0)
-    p = PhasePoint.from_array([1.0, 2.0, 3.0, 4.0])
+    p = PhasePoint(1.0, 2.0, 3.0, 4.0)
     assert np.all(p.as_array() == [1.0, 2.0, 3.0, 4.0])
 
 
 def test_phasebatch_roundtrip_and_validation():
     pts = [PhasePoint(0.1, 0.2, 0.3, 0.4), PhasePoint(-1.0, 2.0, -3.0, 4.0)]
-    batch = PhaseBatch.from_points(pts)
+    batch = PhaseBatch.from_arrays(*np.array([p.as_array() for p in pts]).T)
     assert len(batch) == 2
     assert batch.point(1) == pts[1]
     with pytest.raises(ValueError):
         PhaseBatch.from_arrays(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2))
-    empty = PhaseBatch.from_points([])
+    empty = PhaseBatch.from_arrays([], [], [], [])
     assert len(empty) == 0
     assert {c.dtype for c in batch.arrays()} == {np.dtype(np.float64)}
     ints = PhaseBatch.from_arrays([1], [2], [3], [4])
@@ -476,22 +469,12 @@ def test_phasebatch_roundtrip_and_validation():
         PhaseBatch.from_arrays([0.5], [0.5], np.array([1.0 + 0j]), [0.5])
 
 
-def test_observable_composition_algebra():
-    point = PhasePoint(0.5, -0.3, 0.8, 1.1)
-    f, g = Q1 * P2, Q2 * Q2
-    assert (f + g)(point) == f(point) + g(point)
-    assert (f - g)(point) == f(point) - g(point)
-    assert (f * g)(point) == f(point) * g(point)
-    assert (2.0 * f)(point) == 2.0 * f(point)
-    assert (-f)(point) == -f(point)
-
-
 def test_observable_singularity_raises():
     inv = Observable(lambda q1, q2, p1, p2: 1.0 / q1, "1/q1")
     with pytest.raises(DomainError):
         inv(PhasePoint(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
-        poisson_bracket(inv, P1, PhasePoint(0.0, 0.0, 0.0, 0.0))
+        bracket_batch(inv, P1, batch_of(PhasePoint(0.0, 0.0, 0.0, 0.0)))
 
 
 # ---------- compiled gradients ----------

@@ -10,13 +10,13 @@ import pytest
 
 from superfact import (
     DELTA_MARGIN,
+    DELTA_POS,
     DomainBox,
     DomainError,
     Family,
     Observable,
     PhaseBatch,
     PhasePoint,
-    PositivityError,
     RationalGamma,
     SystemSpec,
     UnsupportedError,
@@ -24,25 +24,23 @@ from superfact import (
     default_box,
     domain_check,
     domain_mask,
-    epsilon,
     epsilon_observable,
+    eval_batch,
     euclid_y_sector_observable,
-    geodesic_polar,
     hamiltonian,
     hamiltonian_observable,
     higgs_potential_identity,
-    poisson_bracket,
+    bracket_batch,
     sample_points,
     second_integral,
     second_integral_observable,
-    to_external,
     to_internal,
 )
 from superfact import dynamics
-from superfact.phase import poisson_bracket_with_scale
-from superfact.systems import WALLS, wall_mask
+from superfact.phase import bracket_batch_with_scale
+from superfact.systems import WALLS, plane_coordinates, wall_mask
 
-from _oracles import spec_for
+from _oracles import batch_of, spec_for
 
 HALF_PI = math.pi / 2
 
@@ -95,7 +93,7 @@ def test_spec_json_roundtrip():
         spec_for("sphere", "3/2"),
         spec_for("ttw", "2", alpha=0.9, beta=0.2),
     ):
-        again = SystemSpec.from_json(spec.to_json())
+        again = SystemSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
         assert again == spec
     from_str_gamma = SystemSpec.from_json_dict(
         {"family": "sphere", "omega": 2.0, "gamma": "3/2"}
@@ -112,7 +110,6 @@ def test_to_internal_euclid_frozen():
     spec = spec_for("euclidean", "2")
     internal = to_internal(spec, PhasePoint(0.0, 0.0, 2.0, 1.0))
     assert internal == PhasePoint(0.0, 0.0, 1.0, 1.0)
-    assert to_external(spec, internal) == PhasePoint(0.0, 0.0, 2.0, 1.0)
 
 
 def test_to_internal_ttw_frozen():
@@ -122,9 +119,9 @@ def test_to_internal_ttw_frozen():
     assert internal.q2 == pytest.approx(math.pi / 4, abs=1e-15)
     assert internal.p1 == 0.0
     assert internal.p2 == pytest.approx(2.0, abs=1e-15)
-    back = to_external(spec, internal)
-    assert back.q2 == pytest.approx(math.pi / 6, abs=1e-15)
-    assert back.p2 == pytest.approx(3.0, abs=1e-15)
+    r, phi = plane_coordinates(spec, internal.q1, internal.q2, "rtheta")
+    assert r == 2.0
+    assert phi == pytest.approx(math.pi / 6, abs=1e-15)
 
 
 def test_to_internal_sphere_rejects_stretched_point():
@@ -151,10 +148,10 @@ def test_chart_is_canonical(family):
             Observable(lambda q1, q2, p1, p2: q2, "y"),
             Observable(lambda q1, q2, p1, p2: p2, "py"),
         )
-    point = PhasePoint(0.4, 0.3, -0.2, 0.7)
-    assert poisson_bracket(u, v, point) == pytest.approx(1.0, rel=1e-15)
-    assert poisson_bracket(u, w_pair[1], point) == 0.0
-    assert poisson_bracket(w_pair[0], w_pair[1], point) == 1.0
+    batch = batch_of(PhasePoint(0.4, 0.3, -0.2, 0.7))
+    assert bracket_batch(u, v, batch)[0] == pytest.approx(1.0, rel=1e-15)
+    assert bracket_batch(u, w_pair[1], batch)[0] == 0.0
+    assert bracket_batch(w_pair[0], w_pair[1], batch)[0] == 1.0
 
 
 # ---------- observables ----------
@@ -213,37 +210,67 @@ def test_sector_integral_commutes_with_hamiltonian(family, gamma):
     h = hamiltonian_observable(spec)
     i2 = second_integral_observable(spec)
     batch = sample_points(spec, None, 50, seed=37)
-    for i in range(len(batch)):
-        val, scale = poisson_bracket_with_scale(h, i2, batch.point(i))
-        assert abs(val) <= 1e-12 * (1.0 + scale)
+    val, scale = bracket_batch_with_scale(h, i2, batch)
+    assert np.all(np.abs(val) <= 1e-12 * (1.0 + scale))
+
+
+def _epsilon(spec, point):
+    return eval_batch(epsilon_observable(spec), batch_of(point))[0]
 
 
 def test_epsilon_values_and_guards():
     with pytest.raises(UnsupportedError):
-        epsilon(spec_for("euclidean", "1"), PhasePoint(0, 0, 0, 0))
-    with pytest.raises(UnsupportedError):
         epsilon_observable(spec_for("euclidean", "1"))
-    assert epsilon(spec_for("sphere", "1"), PhasePoint(0, 0, 0, 0)) == 1.0
-    assert epsilon(
+    assert _epsilon(spec_for("sphere", "1"), PhasePoint(0, 0, 0, 0)) == 1.0
+    assert _epsilon(
         spec_for("ttw", "1", alpha=1.0, beta=1.0),
         PhasePoint(math.sqrt(2.0), math.pi / 4, 0.0, 0.0),
     ) == pytest.approx(2.0, rel=1e-14)
-    # near-zero sector integral: frequency-like root undefined
+    # near-zero sector integral: frequency-like root undefined, so the point
+    # is outside the domain every batch is drawn from
     tiny = SystemSpec(Family.SPHERE, 1e-6, RationalGamma(1))
+    assert not domain_mask(tiny, batch_of(PhasePoint(0, 0, 0, 0)), 0.0).any()
+    # a sector integral of zero under the root raises
+    dead = SystemSpec(Family.TTW, 1.0, RationalGamma(1), alpha=0.0, beta=0.0)
     with pytest.raises(DomainError):
-        epsilon(tiny, PhasePoint(0, 0, 0, 0))
-    with pytest.raises(PositivityError):  # the guard that ladder and shift use
-        epsilon(tiny, PhasePoint(0, 0, 0, 0))
+        _epsilon(dead, PhasePoint(1.0, 0.7, 0.5, 0.0))
 
 
 @pytest.mark.parametrize("family", ["sphere", "ttw"])
 def test_epsilon_observable_matches_pointwise(family):
     spec = spec_for(family, "3/2")
-    obs = epsilon_observable(spec)
     batch = sample_points(spec, None, 20, seed=41)
+    i2 = eval_batch(second_integral_observable(spec), batch)
+    expected = np.sqrt(2 * i2 if family == "sphere" else i2)
+    np.testing.assert_allclose(eval_batch(epsilon_observable(spec), batch), expected, rtol=1e-14)
     for i in range(len(batch)):
         pt = batch.point(i)
-        assert obs(pt).real == pytest.approx(epsilon(spec, pt), rel=1e-14)
+        assert epsilon_observable(spec)(pt).real == pytest.approx(expected[i], rel=1e-14)
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_domain_mask_refuses_the_positivity_floor(family):
+    """Inside the walls, the batch mask keeps a point of the curved families
+    exactly when its sector integral exceeds DELTA_POS; the plane has no
+    floor.  Here alpha = beta = 0 and omega tiny, so I2 runs from 0 up
+    through the floor as the sector momentum grows."""
+    omega = 1.0 if family == "ttw" else 1e-6
+    spec = spec_for(family, "1", omega=omega, alpha=0.0, beta=0.0)
+    root = math.sqrt(DELTA_POS)
+    momentum = np.array([0.0, 0.5, 0.999, 1.001, 2.0, 1e4]) * root
+    n = len(momentum)
+    if spec.family is Family.TTW:
+        batch = PhaseBatch.from_arrays(np.ones(n), np.full(n, 0.7), np.zeros(n), momentum)
+    else:
+        batch = PhaseBatch.from_arrays(np.zeros(n), np.zeros(n), np.sqrt(2.0) * momentum,
+                                       np.zeros(n))
+    i2 = eval_batch(second_integral_observable(spec), batch)
+    mask = domain_mask(spec, batch, 0.0)
+    if spec.family is Family.EUCLIDEAN:
+        assert mask.all()
+    else:
+        np.testing.assert_array_equal(mask, i2 > DELTA_POS)
+        np.testing.assert_array_equal(mask, [False] * 3 + [True] * 3)
 
 
 # ---------- domains ----------
@@ -355,8 +382,6 @@ def test_out_of_domain_evaluation_raises():
         hamiltonian(spec, outside)
     with pytest.raises(DomainError):
         second_integral(spec, outside)
-    with pytest.raises(DomainError):
-        to_external(spec, outside)
 
 
 def test_domain_box_validation():
@@ -406,15 +431,13 @@ def test_higgs_potential_equals_hamiltonian_potential():
 
 def test_geodesic_polar():
     spec = spec_for("sphere", "1")
-    r, phi = geodesic_polar(spec, PhasePoint(0.3, 0.0, 0.0, 0.0))
+    r, phi = plane_coordinates(spec, 0.3, 0.0, "rtheta")
     assert (r, phi) == (pytest.approx(0.3), pytest.approx(0.0))
-    r, phi = geodesic_polar(spec, PhasePoint(0.0, 0.4, 0.0, 0.0))
+    r, phi = plane_coordinates(spec, 0.0, 0.4, "rtheta")
     assert (r, phi) == (pytest.approx(0.4), pytest.approx(HALF_PI))
     spec2 = spec_for("sphere", "2")
-    r, phi = geodesic_polar(spec2, PhasePoint(0.6, 0.0, 0.0, 0.0))
+    r, phi = plane_coordinates(spec2, 0.6, 0.0, "rtheta")
     assert (r, phi) == (pytest.approx(0.3), pytest.approx(0.0))
-    with pytest.raises(UnsupportedError):
-        geodesic_polar(spec_for("euclidean", "1"), PhasePoint(0, 0, 0, 0))
 
 
 # ---------- defaults ----------

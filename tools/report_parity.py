@@ -144,8 +144,8 @@ def _point_trace(family: str, gamma: str, plane: str, reachable: bool) -> list[s
     spec = workloads.make_spec(family, gamma)
     point = sf.PhasePoint(*FAILED_SEARCH_POINTS[family])
     h, i2 = sf.hamiltonian(spec, point), sf.second_integral(spec, point)
-    pair = sf.higher_integral(spec, point)
-    x = pair.x_real if reachable else 10 * abs(pair.x_plus)
+    x_plus, _, x_real, _ = sf.higher_integral_observables(spec)
+    x = x_real(point).real if reachable else 10 * abs(x_plus(point))
     return ["trace", *workloads.spec_argv(family, gamma), f"--energy={h!r}",
             f"--second={i2!r}", f"--symmetry=X={x!r}", "--plane", plane]
 
