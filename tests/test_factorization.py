@@ -50,6 +50,12 @@ def _factors(spec, name, batch):
                            minus=eval_batch(pair.minus, batch), lam=lam)
 
 
+def _ttw_shifts(spec, batch):
+    """The TTW mixed pairs ``a1``, ``a2`` and the pure pair over a batch."""
+    return SimpleNamespace(a1=_factors(spec, "a1", batch), a2=_factors(spec, "a2", batch),
+                           pure=_factors(spec, "A", batch))
+
+
 def _integrals(spec, batch):
     """``X+``, ``X-`` and the real ``X`` and ``Y`` over a batch."""
     xp, xm, x, y = (eval_batch(f, batch) for f in higher_integral_observables(spec))
@@ -108,8 +114,7 @@ def test_ttw_equilibrium_frozen():
     assert lad.plus == pytest.approx(0.0, abs=1e-15)
     assert lad.minus == pytest.approx(0.0, abs=1e-15)
     assert lad.lam == pytest.approx(4.0)
-    sh = SimpleNamespace(**{name: _factors(spec, name, batch_of(pt)) for name in ("a1", "a2")},
-                         pure=_factors(spec, "A", batch_of(pt)))
+    sh = _ttw_shifts(spec, batch_of(pt))
     assert sh.a1.plus == pytest.approx(0.0, abs=1e-15)
     assert sh.a1.minus == pytest.approx(0.0, abs=1e-15)
     assert sh.a1.lam == pytest.approx(4.0)
@@ -123,8 +128,7 @@ def test_ttw_mixed_factors_frozen():
     pt = PhasePoint(1.0, math.pi / 4, 1.0, math.sqrt(0.75))
     assert second_integral(spec, pt) == pytest.approx(1.0)
     assert hamiltonian(spec, pt) == pytest.approx(3.0)
-    sh = SimpleNamespace(**{name: _factors(spec, name, batch_of(pt)) for name in ("a1", "a2")},
-                         pure=_factors(spec, "A", batch_of(pt)))
+    sh = _ttw_shifts(spec, batch_of(pt))
     assert sh.a1.plus == pytest.approx(-1j)
     assert sh.a1.minus == pytest.approx(1j)
     assert sh.a2.plus == pytest.approx(2.0 - 1j)
