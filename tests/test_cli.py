@@ -782,7 +782,8 @@ def test_trace_infeasible_levels(tmp_path, monkeypatch, capsys):
             "trace",
             "--system", "euclidean",
             "--gamma", "2",
-            # H and I2 of a point, X ten times its |X+|: above both floors.
+            # H and I2 of a point, X ten times its |X+|: above both floors
+            # and above the ceiling |X+|, so no start is tried.
             "--energy", "0.7350000000000001",
             "--second", "0.11125000000000002",
             "--symmetry", "X=0.9672706446491588",
@@ -790,15 +791,15 @@ def test_trace_infeasible_levels(tmp_path, monkeypatch, capsys):
         ]
     )
     assert code == 5
-    assert "no phase point matches" in capsys.readouterr().err
+    assert "is above the ceiling |X+| = 0.0967271" in capsys.readouterr().err
     assert not (tmp_path / "no.csv").exists()
     assert not (tmp_path / "no.report.json").exists()
     manifest = json.loads((tmp_path / "no.manifest.json").read_text())
     assert manifest["status"] == "no_solution"
     assert manifest["outputs"] == []
     search = manifest["level_search"]
-    assert search["valid_starts"] == 81
-    assert search["iterations"] > 0
+    assert search["valid_starts"] == 0
+    assert search["iterations"] == 0
     assert search["winning_start"] is None
     assert search["seconds"] > 0
 
@@ -979,9 +980,14 @@ def test_trace_too_fine_a_grid_exits_before_the_level_search(
         (["--system", "ttw", "--gamma", "2", "--alpha", "1.1", "--beta", "0.7"],
          ["6.39", "3.41", "X=1.5"],
          "energy 6.39 is below the floor 7.38647 of sector level 3.41"),
+        # Levels of a real point on which every start gives up.
+        (["--system", "sphere", "--gamma", "7/5"],
+         ["138.21881396497304", "4.422081754914755", "X=-886758304.8930755"],
+         "within 1e-09 (best residual 4.774e-01)"),
         (["--system", "euclidean", "--gamma", "2"],
          ["0.7350000000000001", "0.11125000000000002", "X=0.9672706446491588"],
-         "within 1e-09 (best residual 3.440e-01)"),
+         "|X| 0.967271 is above the ceiling |X+| = 0.0967271 "
+         "of energy 0.735 and sector level 0.11125"),
     ],
 )
 def test_trace_no_solution_manifest_names_the_reason(

@@ -21,9 +21,12 @@ commands in one process, writing into its own output directory under
   group-11 TTW 3/2 start whose ``Y`` drift exceeds the benchmark's check;
 - the first round of the benchmark's ``trace`` workload at seeds 1-3: per
   spec, one request on reachable levels and two below the energy floor;
-- ``trace`` on levels above both floors that no start reaches (failed
-  searches), per family at gamma 2, 3/2 and 7/5: ``H`` and ``I2`` of an
-  in-domain point, and ``X`` ten times ``|X+|`` there;
+- ``trace`` on levels above the ceiling, per family at gamma 2, 3/2 and
+  7/5: ``H`` and ``I2`` of an in-domain point, and ``X`` ten times ``|X+|``
+  there;
+- ``trace`` on levels of real points on which every start gives up (the
+  give-ups of ``tools/level_survey.py`` and one of the plane, all at
+  gamma 7/5);
 - one reachable ``trace --plane rtheta`` per family: the README's TTW
   levels, and ``H``, ``I2`` and ``X`` of the euclidean point above at
   gamma 2 and of the sphere point at gamma 3/2;
@@ -33,18 +36,25 @@ commands in one process, writing into its own output directory under
 
 Every output file but the manifests (they carry wall-clock timestamps) is
 compared byte for byte, and so are the exit codes; each request below the
-floor and each failed search must also exit 5 on both sides, each run into
-a wall exit 3, and a failed search's manifest ``message`` (it gives the
-best residual) must match byte for byte.  The script prints each file or
-message that differs, each file that exists on one side only, and each
-such request that did not exit as expected, and exits 1 if there is any;
-it exits 0 when all match.
+floor, above the ceiling or on the give-up levels must also exit 5 on both
+sides, each run into a wall exit 3, each request above the ceiling be
+refused on the change side before any search (its manifest message names
+the ceiling, and no start is tried), and a give-up's manifest ``message``
+(it gives the best residual) must match byte for byte.  Every ``trace``
+that finds a point on both sides from the same grid start must find it
+within ``POINT_GAP`` of the other side's in each coordinate.  The script
+prints each file or message that differs, each file that exists on one
+side only, each such request that did not exit or refuse as expected and
+each point farther apart, and exits 1 if there is any; it exits 0 when all
+match.  It also prints how many points were found from the same start,
+the largest gap between them, and each ``trace`` whose winning start
+moved.
 
-For information it also times the failed searches: in each of
-``TIMING_ROUNDS`` rounds, alternating which side goes first, each side runs
-every failed search once to compile its observables and once more timed, in
-a fresh interpreter.  It prints each side's median ``level_search``
-seconds, their ratio and the iterations.
+For information it also times the give-ups: in each of ``TIMING_ROUNDS``
+rounds, alternating which side goes first, each side runs every give-up
+once to compile its observables and once more timed, in a fresh
+interpreter.  It prints each side's median ``level_search`` seconds, their
+ratio and the iterations.
 
 A differing file is marked "numbers only" when just its floating-point
 numbers moved: a report keeps its keys, verdicts, strings and integers (the
@@ -85,14 +95,29 @@ README_EXAMPLES = (
                "--beta", "0.7", "--energy", "12", "--second", "4",
                "--symmetry", "X=1.5", "--plane", "xy"]),
 )
-# In-domain points whose H and I2, with X = 10 |X+|, no start reaches.
-FAILED_SEARCH_POINTS = {
+# In-domain points whose H and I2, with X = 10 |X+|, lie below the ceiling.
+CEILING_POINTS = {
     "euclidean": (0.5, -0.3, 0.4, 0.7),
     "sphere": (0.4, -0.3, 0.5, 0.2),
     "ttw": (1.2, 0.7, 0.3, -0.4),
 }
-FAILED_SEARCH_GAMMAS = ("2", "3/2", "7/5")
-# Specs whose failed-search point, on its own X level, is traced in polar.
+CEILING_GAMMAS = ("2", "3/2", "7/5")
+# Levels of real points on which every start gives up: (family, symmetry,
+# H, I2, level), all at gamma 7/5.
+GIVE_UPS = (
+    ("euclidean", "X", 62.5527565137618, 23.88436570108292, 42400190.89001757),
+    ("sphere", "X", 138.21881396497304, 4.422081754914755, -886758304.8930755),
+    ("sphere", "X", 236.1178783360999, 96.63828242930445, 60735372048.71429),
+    ("sphere", "X", 638.4812486574702, 11.851716899782504, 2642828977263.6616),
+    ("sphere", "Y", 236.1178783360999, 96.63828242930445, -25626702055.239025),
+    ("sphere", "Y", 638.4812486574702, 11.851716899782504, 232850004390.98062),
+    ("ttw", "X", 491.3070229482648, 59.492009964912086, 1.514156547117554e+23),
+    ("ttw", "Y", 491.3070229482648, 59.492009964912086, -5.700301499492839e+22),
+)
+GIVE_UP_GAMMA = "7/5"
+# Largest coordinate gap between points found from the same start.
+POINT_GAP = 1e-10
+# Specs whose ceiling point, on its own X level, is traced in polar.
 PROJECTION_SPECS = (("euclidean", "2"), ("sphere", "3/2"))
 # One run into each wall (its label in the prefix), and the TTW external angle.
 SPHERE_1 = ["--system", "sphere", "--gamma", "1"]
@@ -139,10 +164,10 @@ def _round(workload: str, rnd: int = 0, seeds=SEEDS) -> list[tuple[str, str, lis
 
 
 def _point_trace(family: str, gamma: str, plane: str, reachable: bool) -> list[str]:
-    """``trace`` argv on ``H`` and ``I2`` of ``FAILED_SEARCH_POINTS[family]``
+    """``trace`` argv on ``H`` and ``I2`` of ``CEILING_POINTS[family]``
     and on its own ``X`` when ``reachable``, else ``X`` ten times ``|X+|``."""
     spec = workloads.make_spec(family, gamma)
-    point = sf.PhasePoint(*FAILED_SEARCH_POINTS[family])
+    point = sf.PhasePoint(*CEILING_POINTS[family])
     h, i2 = sf.hamiltonian(spec, point), sf.second_integral(spec, point)
     x_plus, _, x_real, _ = sf.higher_integral_observables(spec)
     x = x_real(point).real if reachable else 10 * abs(x_plus(point))
@@ -150,18 +175,27 @@ def _point_trace(family: str, gamma: str, plane: str, reachable: bool) -> list[s
             f"--second={i2!r}", f"--symmetry=X={x!r}", "--plane", plane]
 
 
-def failed_searches() -> list[tuple[str, list[str]]]:
+def above_ceiling() -> list[tuple[str, list[str]]]:
+    """``(output prefix, argv)`` of the ``trace`` requests above the
+    ceiling ``|X+|``."""
+    return [(f"ceiling-{family}-{gamma.replace('/', '_')}",
+             _point_trace(family, gamma, "xy", reachable=False))
+            for gamma in CEILING_GAMMAS for family in CEILING_POINTS]
+
+
+def give_ups() -> list[tuple[str, list[str]]]:
     """``(output prefix, argv)`` of the ``trace`` requests whose level
     search runs every start and gives up."""
-    return [(f"failed-{family}-{gamma.replace('/', '_')}",
-             _point_trace(family, gamma, "xy", reachable=False))
-            for gamma in FAILED_SEARCH_GAMMAS for family in FAILED_SEARCH_POINTS]
+    return [(f"give-up-{k}-{family}-{sym}",
+             ["trace", *workloads.spec_argv(family, GIVE_UP_GAMMA), f"--energy={h!r}",
+              f"--second={i2!r}", f"--symmetry={sym}={level!r}", "--plane", "xy"])
+            for k, (family, sym, h, i2, level) in enumerate(GIVE_UPS)]
 
 
 def projections() -> list[tuple[str, list[str]]]:
     """``(output prefix, argv)`` of one reachable ``trace --plane rtheta``
     per family: the README's TTW levels, and the levels of the euclidean and
-    sphere failed-search points with their own ``X``."""
+    sphere ceiling points with their own ``X``."""
     level = dict(README_EXAMPLES)["level"]
     out = [("rtheta-ttw-2", [*level[:-1], "rtheta"])]
     for family, gamma in PROJECTION_SPECS:
@@ -184,18 +218,18 @@ def commands() -> list[tuple[str, list[str]]]:
             for prefix, _, argv in _round(workload)]
     out += [(prefix, argv) for prefix, _, argv in
             _round("flow", FAST_FLOW_ROUND, FAST_FLOW_SEEDS)]
-    out += failed_searches() + projections()
+    out += above_ceiling() + give_ups() + projections()
     return out + [(prefix, ["integrate", *argv, "--t-end", "3"])
                   for prefix, argv in (*BREACH_RUNS, EXTERNAL_ANGLE)]
 
 
 def expected_exits() -> dict[str, int]:
     """The exit code of each command whose code is known in advance: 5 for
-    the requests below the energy floor and the failed searches, 3 for the
-    runs into a wall."""
+    the requests below the energy floor, above the ceiling and on the
+    give-up levels, 3 for the runs into a wall."""
     out = {prefix: EXIT_NO_SOLUTION for prefix, kind, _ in _round("trace")
            if kind == "unreachable"}
-    out.update((prefix, EXIT_NO_SOLUTION) for prefix, _ in failed_searches())
+    out.update((prefix, EXIT_NO_SOLUTION) for prefix, _ in above_ceiling() + give_ups())
     out.update((prefix, EXIT_BREACH) for prefix, _ in BREACH_RUNS)
     return out
 
@@ -213,16 +247,51 @@ def _manifest(outdir: Path, prefix: str) -> dict:
 
 
 def differing_messages(outdirs: dict) -> list[str]:
-    """The failed searches whose manifest messages differ between the sides."""
-    return [prefix for prefix, _ in failed_searches()
+    """The give-ups whose manifest messages differ between the sides."""
+    return [prefix for prefix, _ in give_ups()
             if _manifest(outdirs["parent"], prefix).get("message")
             != _manifest(outdirs["change"], prefix).get("message")]
 
 
-def time_failed_searches(trees: dict, workdir: Path) -> None:
+def unrefused(outdir: Path) -> list[str]:
+    """The requests above the ceiling that were not refused before any
+    search, with a message that names the ceiling."""
+    out = []
+    for prefix, _ in above_ceiling():
+        manifest = _manifest(outdir, prefix)
+        if ("is above the ceiling |X+|" not in manifest.get("message", "")
+                or manifest.get("level_search", {}).get("valid_starts") != 0):
+            out.append(prefix)
+    return out
+
+
+def start_points(outdirs: dict, prefixes) -> tuple[int, float, list[str], list[str]]:
+    """Compare the points of the ``trace`` commands ``prefixes`` that found
+    one on both sides: how many came from the same start, the largest
+    coordinate gap between those, the prefixes whose gap exceeds
+    ``POINT_GAP`` and those whose winning start moved."""
+    same, gap, far, moved = 0, 0.0, [], []
+    for prefix in prefixes:
+        found = [_manifest(outdirs[side], prefix) for side in SIDES]
+        points = [m.get("args", {}).get("solution_point") for m in found]
+        if None in points:
+            continue
+        starts = [m["level_search"]["winning_start"] for m in found]
+        if starts[0] != starts[1]:
+            moved.append(f"{prefix} ({starts[0]} -> {starts[1]})")
+            continue
+        same += 1
+        point_gap = max(abs(a - b) for a, b in zip(*points))
+        gap = max(gap, point_gap)
+        if point_gap > POINT_GAP:
+            far.append(prefix)
+    return same, gap, far, moved
+
+
+def time_give_ups(trees: dict, workdir: Path) -> None:
     """Print each side's median level-search seconds and the iterations of
-    every failed search, over ``TIMING_ROUNDS`` alternating rounds."""
-    searches = failed_searches()
+    every give-up, over ``TIMING_ROUNDS`` alternating rounds."""
+    searches = give_ups()
     cmds = [(f"warm-{prefix}", argv) for prefix, argv in searches] + searches
     seconds = {(side, prefix): [] for side in SIDES for prefix, _ in searches}
     iterations = {}
@@ -236,7 +305,7 @@ def time_failed_searches(trees: dict, workdir: Path) -> None:
                 iterations[side, prefix] = search.get("iterations")
     for prefix, _ in searches:
         ms = [statistics.median(seconds[side, prefix]) * 1e3 for side in SIDES]
-        print(f"failed search {prefix}: parent {ms[0]:.1f} ms, change {ms[1]:.1f} ms "
+        print(f"give-up {prefix}: parent {ms[0]:.1f} ms, change {ms[1]:.1f} ms "
               f"(x{ms[1] / ms[0]:.2f}), iterations {iterations['parent', prefix]} "
               f"vs {iterations['change', prefix]}")
 
@@ -372,11 +441,22 @@ def main(argv=None) -> int:
     messages = differing_messages(outdirs)
     for prefix in messages:
         print(f"manifest message differs: {prefix}")
-    time_failed_searches(trees, args.workdir)
+    refusals = unrefused(outdirs["change"])
+    for prefix in refusals:
+        print(f"not refused by the ceiling on the change side: {prefix}")
+    traces = [prefix for prefix, argv in cmds if argv[0] == "trace"]
+    same, gap, far, moved = start_points(outdirs, traces)
+    for prefix in moved:
+        print(f"winning start moved: {prefix}")
+    for prefix in far:
+        print(f"point from the same start more than {POINT_GAP:g} away: {prefix}")
+    print(f"{same} trace points found from the same start on both sides, "
+          f"largest coordinate gap {gap:.3g}")
+    time_give_ups(trees, args.workdir)
     print(f"{len(cmds)} commands; {len(diff)} of {compared} files differ "
           f"({outdirs['parent']} vs {outdirs['change']}): "
           f"{kinds['numbers only']} numbers only, {kinds['structure']} structure")
-    return 1 if diff or bad or messages else 0
+    return 1 if diff or bad or messages or refusals or far else 0
 
 
 if __name__ == "__main__":
