@@ -31,7 +31,6 @@ from .phase import (
     PhaseBatch,
     PhasePoint,
     bracket_batch,
-    bracket_observable,
     eval_batch,
     gradient,
     gradient_batch,
@@ -115,7 +114,6 @@ __all__ = [
     "PhasePoint",
     "PhaseBatch",
     "Observable",
-    "bracket_observable",
     "gradient",
     "eval_batch",
     "gradient_batch",

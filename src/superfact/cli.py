@@ -389,11 +389,11 @@ def _csv_rows(spec: SystemSpec, traj: Trajectory, external_angle: bool, plane: s
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    n = len(columns[0]) if columns else 0
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(f"{float(col[i]):.17g}" for col in columns) + "\n")
+        fh.writelines(row % values for values in rows)
 
 
 def _run_integration(

@@ -7,8 +7,9 @@ Dormand-Prince pair DOP853.  It watches the walls of the family's chart
 the state reaches a wall's safety margin; the message names the wall.
 
 The vector field is the Hamiltonian's gradient compiled once per system
-into straight-line float code (:func:`~superfact.phase.compiled_gradient`),
-so one evaluation is about a microsecond of plain float arithmetic.  DOP853
+into straight-line float code (:func:`~superfact.phase.compiled_gradient`,
+the code that also evaluates each state of the level search), so one
+evaluation is about a microsecond of plain float arithmetic.  DOP853
 runs as straight-line float code too: its step and dense output are
 generated once per process from the tableau written out below
 (:class:`_Tableau`, double for double the one of ``scipy.integrate.DOP853``),
@@ -165,7 +166,7 @@ def _rhs_function(spec: SystemSpec):
 
     def field(q1, q2, p1, p2):
         try:
-            h_q1, h_q2, h_p1, h_p2 = grad(q1, q2, p1, p2)
+            _, (h_q1, h_q2, h_p1, h_p2) = grad(q1, q2, p1, p2)
         except (ZeroDivisionError, OverflowError, ValueError, DomainError):
             return _NAN_ROW
         return h_p1, h_p2, -h_q1, -h_q2
@@ -692,7 +693,9 @@ def drift_report(traj: Trajectory) -> DriftReport:
 
 
 def _refine_minimum(t, states, z0, idx):
-    """Polish a sampled distance minimum with componentwise cubic fits."""
+    """Polish a sampled distance minimum with componentwise cubic fits,
+    taken as one least-squares fit of the block of up to seven states
+    around it and evaluated at once on a grid of 2001 points."""
     lo = max(idx - 3, 0)
     hi = min(idx + 4, len(t))
     tt = t[lo:hi]
@@ -703,9 +706,9 @@ def _refine_minimum(t, states, z0, idx):
     span = tt[-1] - t0
     u = (tt - t0) / span
     deg = min(3, len(tt) - 1)
-    polys = [np.polyfit(u, states[lo:hi, k], deg) for k in range(4)]
+    coeffs = np.polyfit(u, states[lo:hi], deg)
     uu = np.linspace(0.0, 1.0, 2001)
-    comps = np.stack([np.polyval(c, uu) for c in polys])
+    comps = np.polyval(coeffs[:, :, None], uu)
     dist2 = ((comps - z0[:, None]) ** 2).sum(axis=0)
     j = int(np.argmin(dist2))
     u_star = uu[j]
@@ -715,7 +718,7 @@ def _refine_minimum(t, states, z0, idx):
         if denom > 0:
             step = 0.5 * (y1 - y3) / denom
             u_star = uu[j] + max(-1.0, min(1.0, step)) * (uu[1] - uu[0])
-    z_star = np.array([np.polyval(c, u_star) for c in polys])
+    z_star = np.polyval(coeffs, u_star)
     return float(t0 + u_star * span), float(np.linalg.norm(z_star - z0))
 
 

@@ -6,11 +6,10 @@ values.  :func:`solve_levels` finds such a point by damped Gauss-Newton
 from the 81 quartile points of the default box, start by start in grid
 order, and returns at the first start that reaches the tolerance.  One
 batch evaluation of the 81 starts finds the valid ones.  From there the
-search runs on four Python floats: values from each observable's
-function, Jacobians from its compiled array code
-(:func:`~superfact.phase._batch_code`, which runs on floats unchanged), and
-the minimum-norm step solved in closed form from the 3x3 matrix ``J J^T``
-(:func:`_gauss_newton_step`).  With three levels and four coordinates,
+search runs on four Python floats: each observable's compiled float code
+(:func:`~superfact.phase.compiled_gradient`) gives its value and its
+partials at once, and the minimum-norm step is solved in closed form from
+the 3x3 matrix ``J J^T`` (:func:`_gauss_newton_step`).  With three levels and four coordinates,
 numpy's per-call cost outweighs the arithmetic: on the 60 reachable
 requests of the benchmark's ``trace`` stream at seed 1, rounds 0-3, the
 median search took 0.9 ms, against 5.7-8.3 ms for the former lanes of a
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import NoSolution, SuperfactError
 from .factorization import higher_integral_observables
-from .phase import PhaseBatch, PhasePoint, _batch_code, eval_batch
+from .phase import PhaseBatch, PhasePoint, compiled_gradient, eval_batch
 from .systems import (
     DELTA_MARGIN,
     DELTA_POS,
@@ -258,6 +257,7 @@ class _Levels:
             second_integral_observable(spec),
             x_real if sym_name == "X" else y_real,
         )
+        self.codes = tuple(compiled_gradient(obs) for obs in self.observables)
         self.targets = tuple(float(t) for t in targets)
         self.scale = tuple(1.0 + abs(t) for t in self.targets)
         self.positive = spec.family is not Family.EUCLIDEAN
@@ -278,57 +278,50 @@ class _Levels:
     def error(self, f) -> float:
         return max(abs(v) / s for v, s in zip(f, self.scale))
 
-    def residual(self, z):
-        """Level residuals at the state ``z`` (four floats), or ``None`` where
-        it is unusable: outside the walls at :data:`DELTA_MARGIN`, sector
-        integral not above :data:`DELTA_POS` (sphere and TTW), a singular
-        evaluation or a value that is not finite.  ``I2`` is evaluated only
-        inside the walls, and ``H`` and the symmetry only past both
-        guards."""
-        h, i2, level = (obs.fn for obs in self.observables)
+    def at(self, z):
+        """Level residuals and the real 3x4 Jacobian at the state ``z`` (four
+        floats), or ``None`` where it is unusable: outside the walls at
+        :data:`DELTA_MARGIN`, sector integral not above :data:`DELTA_POS`
+        (sphere and TTW), a singular evaluation or a residual that is not
+        finite.  ``I2`` is evaluated only inside the walls, and ``H`` and
+        the symmetry only past both guards.  The Jacobian may hold values
+        that are not finite; :func:`_gauss_newton_step` refuses it then."""
+        h, i2, level = self.codes
         try:
             if not domain_check(self.spec, PhasePoint(*z)):
                 return None
-            sector = i2(*z).real
-            if self.positive and not sector > DELTA_POS:
+            sector = i2(*z)
+            if self.positive and not sector[0] > DELTA_POS:
                 return None
-            f = (h(*z).real, sector, level(*z).real)
+            rows = (h(*z), sector, level(*z))
         except (ArithmeticError, ValueError, SuperfactError):
             return None
-        f = tuple(v - t for v, t in zip(f, self.targets))
-        return f if all(map(math.isfinite, f)) else None
-
-    def step(self, z, f):
-        """The Gauss-Newton step at the usable state ``z`` with residuals
-        ``f`` (:func:`_gauss_newton_step`), or ``None``.  The Jacobian comes
-        from each observable's compiled array code, which runs on floats
-        unchanged."""
-        try:
-            jac = [[d.real for d in _batch_code(obs)(*z)[1]] for obs in self.observables]
-        except (ArithmeticError, ValueError, SuperfactError):
+        f = tuple(value.real - t for (value, _), t in zip(rows, self.targets))
+        if not all(map(math.isfinite, f)):
             return None
-        return _gauss_newton_step(jac, f)
+        return f, [[d.real for d in partials] for _, partials in rows]
 
 
-def _descend(levels: _Levels, z, f):
-    """Damped Gauss-Newton from the state ``z`` with residuals ``f``.  Each
-    step takes the first length ``2**-k``, ``k < HALVINGS``, that lowers the
-    error; the descent ends at the tolerance, after :data:`MAX_ITERATIONS`
-    steps, or where no step or no length is usable.  Returns the last state,
-    its error and the steps taken."""
+def _descend(levels: _Levels, z, f, jac):
+    """Damped Gauss-Newton from the state ``z`` with residuals ``f`` and
+    Jacobian ``jac``.  Each step takes the first length ``2**-k``,
+    ``k < HALVINGS``, that lowers the error; the descent ends at the
+    tolerance, after :data:`MAX_ITERATIONS` steps, or where no step or no
+    length is usable.  Returns the last state, its error and the steps
+    taken."""
     err = levels.error(f)
     steps = 0
     while err > LEVEL_TOLERANCE and steps < MAX_ITERATIONS:
         steps += 1
-        step = levels.step(z, f)
+        step = _gauss_newton_step(jac, f)
         if step is None:
             break
         for lam in _LAMBDAS:
             trial = tuple(x + lam * s for x, s in zip(z, step))
-            f_trial = levels.residual(trial)
-            err_trial = math.inf if f_trial is None else levels.error(f_trial)
+            found = levels.at(trial)
+            err_trial = math.inf if found is None else levels.error(found[0])
             if err_trial < err:
-                z, f, err = trial, f_trial, err_trial
+                z, (f, jac), err = trial, found, err_trial
                 break
         else:
             break
@@ -350,9 +343,9 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
     residual reached.  Either way the exception's ``search`` holds the
     telemetry (no starts and no iterations for a refusal).
 
-    ``H`` and the symmetry are evaluated only at states that pass
-    ``domain_mask(spec, ., DELTA_MARGIN)``, ``I2`` only inside the walls,
-    and Jacobians only at states whose values were taken, so a
+    ``H`` and the symmetry, values and partials alike, are evaluated only
+    at states that pass ``domain_mask(spec, ., DELTA_MARGIN)``, and ``I2``
+    only inside the walls, so a
     :class:`~superfact.errors.DomainError` (a singular denominator or a
     non-positive square root) cannot reach the search; a value that is not
     finite, or an evaluation that fails all the same, makes its state
@@ -386,10 +379,10 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
         iterations, best, winner = 0, math.inf, None
         for index in valid:
             z = tuple(starts[index].tolist())
-            f = levels.residual(z)
-            if f is None:
+            found = levels.at(z)
+            if found is None:
                 continue
-            z, err, steps = _descend(levels, z, f)
+            z, err, steps = _descend(levels, z, *found)
             iterations += steps
             best = min(best, err)
             if err <= LEVEL_TOLERANCE:

@@ -8,20 +8,20 @@ at once) or traced values (compiled derivatives).
 
 Derivatives come from one code generator.  It traces an observable once,
 drops repeated subexpressions, and emits straight-line code that returns
-the value and the four partials from one reverse sweep.  On float64
-arrays, which numpy promotes to complex128 only at a complex constant,
-this code serves :func:`gradient_batch` and, through it, every bracket,
-level search and rank survey; batches are the one evaluation path, and
-:func:`gradient` at a single point is a batch of one.  It is compiled once
-per observable, and the builders return one observable per spec, and a
-batch keeps each gradient taken on it.  Over 1000 default-box
-points the gradient of ``X`` costs 0.14 ms (euclidean 3/2) to 1.5 ms
-(TTW 17/12), against 0.4 ms to 9.6 ms for the forward-mode dual tower it
-replaced (2-core Xeon, numpy 2.4).  On floats, :func:`compiled_gradient`
-gives the single-trajectory vector field.  A bracket observable
-(:func:`bracket_observable`) runs the array code of its two arguments; that
-code also runs on traced values, so a bracket of brackets compiles like any
-other observable.  Every derivative is exact to machine rounding; no
+the value and the four partials from one reverse sweep.  The code is
+generated for two targets, each compiled once per observable.  On float64
+arrays, which numpy promotes to complex128 only at a complex constant, it
+serves :func:`gradient_batch` and, through it, every bracket, start screen
+and rank survey; :func:`gradient` at a single point is a batch of one.  The
+builders return one observable per spec, and a batch keeps each gradient
+taken on it.  Over 1000 default-box points the gradient of ``X`` costs
+0.14 ms (euclidean 3/2) to 1.5 ms (TTW 17/12), against 0.4 ms to 9.6 ms for
+the forward-mode dual tower it replaced (2-core Xeon, numpy 2.4).  On
+Python floats, which become complex only at a complex constant,
+:func:`compiled_gradient` gives every evaluation at a single state: the
+single-trajectory vector field and each step of the level search.  Array
+code runs only on batches, float code only at single states, and both give
+the same bits.  Every derivative is exact to machine rounding; no
 finite-difference step enters any of them.
 """
 
@@ -87,22 +87,6 @@ class Observable:
                 ) from exc
         return complex(out)
 
-@functools.lru_cache(maxsize=64)
-def bracket_observable(f: Observable, g: Observable) -> Observable:
-    """The bracket {f, g} packaged as an observable, one per pair.
-
-    Its function runs the array code of ``f`` and ``g``, which takes
-    floats, arrays and traced values alike, so a bracket of brackets is
-    traced and compiled like any other observable.
-    """
-
-    def fn(q1, q2, p1, p2):
-        _, (fq1, fq2, fp1, fp2) = _batch_code(f)(q1, q2, p1, p2)
-        _, (gq1, gq2, gp1, gp2) = _batch_code(g)(q1, q2, p1, p2)
-        return fq1 * gp1 - fp1 * gq1 + fq2 * gp2 - fp2 * gq2
-
-    return Observable(fn, f"{{{f.label},{g.label}}}")
-
 
 # ---------- compiled gradients ----------
 
@@ -146,34 +130,26 @@ def _nonzero(divisor):
 
 @dataclass(frozen=True)
 class _Target:
-    """What generated code computes with: the functions it calls, how it
-    divides, what it returns (from ``{value}`` and ``{partials}``) and
-    whether its constants must be real."""
+    """What generated code computes with: the functions it calls and how it
+    divides."""
 
     functions: dict
     divide: str
-    returns: str
-    real: bool
 
 
-# Floats for the single-trajectory vector field: a singular denominator
-# raises ZeroDivisionError, as Python division does.
+# Python floats for single states: math's functions, and a singular
+# denominator raises ZeroDivisionError, as Python division does.  Python
+# promotes to complex at a complex constant, as numpy does.
 _FLOATS = _Target(
     {"sin": math.sin, "cos": math.cos, "tan": math.tan, "sqrt": _sqrt},
     "{0} / {1}",
-    "return ({partials})",
-    real=True,
 )
 
 # Numpy arrays for batches: the contracts of the scalar tower, a
-# DomainError at an exact-zero divisor or a non-positive square root.  The
-# scalar tower's functions dispatch on their argument, so the same code also
-# runs on complex scalars and on traced values (brackets of brackets).
+# DomainError at an exact-zero divisor or a non-positive square root.
 _ARRAYS = _Target(
     {"sin": sc.sin, "cos": sc.cos, "tan": sc.tan, "sqrt": sc.sqrt, "nonzero": _nonzero},
     "{0} / nonzero({1})",
-    "return {value}, ({partials})",
-    real=False,
 )
 
 
@@ -189,16 +165,11 @@ def _generate(f: Observable, target: _Target) -> Callable:
     Constants are bound by name in the function's namespace, so the
     generated text, kept as the function's ``source``, never depends on
     how a constant prints.  Raises ``TypeError`` naming the observable
-    when it branches on a coordinate or, for a real target, has a
-    non-real constant.
+    when it branches on a coordinate.
     """
     tape = Tape(4)
     try:
         result = tape.operand(f.fn(*tape.inputs))
-        if target.real:
-            for c in tape.constants:
-                if isinstance(c, complex):
-                    raise TypeError(f"non-real constant {c!r}")
     except TypeError as exc:
         raise TypeError(f"cannot compile {f.label or 'observable'}: {exc}") from exc
 
@@ -229,7 +200,7 @@ def _generate(f: Observable, target: _Target) -> Callable:
         if name in live
     ]
     partials = ", ".join(f"d{x.name}" if x.name in live else "0.0" for x in tape.inputs)
-    body = forward + adjoint + [target.returns.format(value=result, partials=partials)]
+    body = forward + adjoint + [f"return {result}, ({partials})"]
     source = "def gradient(x0, x1, x2, x3):\n" + "".join(f"    {line}\n" for line in body)
 
     namespace = dict(target.functions)
@@ -240,16 +211,22 @@ def _generate(f: Observable, target: _Target) -> Callable:
     return fn
 
 
+@functools.lru_cache(maxsize=1024)
 def compiled_gradient(f: Observable) -> Callable:
-    """The four partials of a real observable as straight-line float code.
+    """``f`` and its partials as straight-line float code, compiled once per
+    observable (the bound is that of :func:`_batch_code`).
 
-    One Python function of four floats returns ``(df/dq1, df/dq2, df/dp1,
-    df/dp2)``; see :func:`_generate`.  It raises ``ZeroDivisionError`` at a
-    singular denominator, :class:`~superfact.errors.DomainError` at a
-    non-positive square-root argument and ``ValueError`` where :mod:`math`
-    has no value (a sine at infinity, say).  Compiling raises ``TypeError``
-    naming the observable when it has a non-real constant or branches on a
-    coordinate.
+    One Python function of four floats returns ``(value, (df/dq1, df/dq2,
+    df/dp1, df/dp2))``, as the array code does; see :func:`_generate`.  The
+    numbers are floats, or complex where a complex constant enters, and
+    equal bit for bit to the array code's at the same point.  The function
+    raises ``ZeroDivisionError`` at a singular denominator,
+    :class:`~superfact.errors.DomainError` at a non-positive square-root
+    argument and ``ValueError`` where :mod:`math` has no value (a sine at
+    infinity, say); a complex argument of a sine, cosine, tangent or square
+    root, which no observable in scope has, raises ``TypeError``.
+    Compiling raises ``TypeError`` naming the observable when it branches
+    on a coordinate.
     """
     return _generate(f, _FLOATS)
 

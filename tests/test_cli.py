@@ -32,6 +32,21 @@ from _oracles import spec_for
 TWO_PI = 2 * math.pi
 
 
+def test_csv_numbers_are_the_shortest_17_digit_forms(tmp_path):
+    """Each number is written as ``f"{float(x):.17g}"`` would write it, the
+    special values included: ``nan``, ``inf``, ``-inf`` and ``-0``."""
+    columns = [
+        np.array([0.1, -0.0, math.nan, 1e-310]),
+        np.array([math.inf, -math.inf, 2.0**60, -1.5e300]),
+    ]
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), ["a", "b"], columns)
+    want = "a,b\n" + "".join(
+        f"{float(a):.17g},{float(b):.17g}\n" for a, b in zip(*columns))
+    assert path.read_text(encoding="utf-8") == want
+    assert "\n-0,-inf\n" in want and "\nnan," in want
+
+
 def _read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()

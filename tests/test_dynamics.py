@@ -496,6 +496,46 @@ def test_closure_equilibrium():
     assert result.return_distance <= 1e-10
 
 
+def _refine_per_coordinate(t, states, z0, idx):
+    """``dynamics._refine_minimum`` with one cubic fit and one evaluation
+    per coordinate: the reference for its one fit of the state block."""
+    lo, hi = max(idx - 3, 0), min(idx + 4, len(t))
+    tt = t[lo:hi]
+    u = (tt - tt[0]) / (tt[-1] - tt[0])
+    polys = [np.polyfit(u, states[lo:hi, k], min(3, len(tt) - 1)) for k in range(4)]
+    uu = np.linspace(0.0, 1.0, 2001)
+    dist2 = ((np.stack([np.polyval(c, uu) for c in polys]) - z0[:, None]) ** 2).sum(axis=0)
+    j = int(np.argmin(dist2))
+    u_star = uu[j]
+    if 0 < j < len(uu) - 1:
+        y1, y2, y3 = dist2[j - 1], dist2[j], dist2[j + 1]
+        if y1 - 2.0 * y2 + y3 > 0:
+            step = 0.5 * (y1 - y3) / (y1 - 2.0 * y2 + y3)
+            u_star = uu[j] + max(-1.0, min(1.0, step)) * (uu[1] - uu[0])
+    z_star = np.array([np.polyval(c, u_star) for c in polys])
+    return float(tt[0] + u_star * (tt[-1] - tt[0])), float(np.linalg.norm(z_star - z0))
+
+
+def test_closure_fit_of_the_state_block_matches_fits_per_coordinate():
+    """One fit of the (points, 4) block gives the bits of four fits, one per
+    coordinate, for random samples of up to seven points near and at the
+    ends of the series, and on a sampled orbit."""
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(4, 12))
+        t = np.cumsum(rng.uniform(0.01, 1.0, n))
+        states = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-3, 3, 4)
+        z0 = states[0] + rng.normal(scale=1e-3, size=4)
+        idx = int(rng.integers(0, n))
+        assert dynamics._refine_minimum(t, states, z0, idx) == _refine_per_coordinate(
+            t, states, z0, idx)
+    traj = integrate(spec_for("euclidean", "2"), PhasePoint(0.0, 0.0, 0.5, 1.0), 2 * TWO_PI)
+    d = np.linalg.norm(traj.states - traj.states[0], axis=1)
+    idx = len(d) // 2 + int(np.argmin(d[len(d) // 2:]))
+    assert dynamics._refine_minimum(traj.t, traj.states, traj.states[0], idx) == (
+        _refine_per_coordinate(traj.t, traj.states, traj.states[0], idx))
+
+
 def test_closure_needs_enough_span():
     spec = spec_for("euclidean", "1")
     traj = integrate(spec, PhasePoint(1.0, 0.0, 0.0, 1.0), 2.0)

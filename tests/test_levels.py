@@ -58,7 +58,9 @@ def _reference_search(spec, targets, sym_name="X"):
     """Start-by-start damped Gauss-Newton on scalar evaluations, with the
     least-squares step of an SVD: the loop the search must agree with.
     Returns ``(start index, z)``."""
-    h, i2, x = levels._Levels(spec, sym_name, targets).observables
+    _, _, x_real, y_real = higher_integral_observables(spec)
+    h, i2 = hamiltonian_observable(spec), second_integral_observable(spec)
+    x = x_real if sym_name == "X" else y_real
     scale = 1.0 + np.abs(targets)
 
     def residual(z):
@@ -146,7 +148,7 @@ def test_invalid_starts_skipped(family, options):
     search_levels = levels._Levels(spec, "X", targets)
     with np.errstate(all="ignore"):
         valid = search_levels.valid(starts)
-    usable = [search_levels.residual(tuple(start)) is not None for start in starts.tolist()]
+    usable = [search_levels.at(tuple(start)) is not None for start in starts.tolist()]
     assert usable == valid.tolist()
     assert residual <= LEVEL_TOLERANCE
     np.testing.assert_allclose(
@@ -449,14 +451,14 @@ def test_floors_refuse_only_outside_the_tolerance(family, monkeypatch):
 @pytest.mark.parametrize("reachable", [True, False])
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
 def test_search_evaluates_only_batches_inside_the_domain(family, reachable, monkeypatch):
-    """Every value the search takes, over the batch of starts or at a single
-    state, and every Jacobian lie inside the walls at ``DELTA_MARGIN`` with
-    ``I2`` above ``DELTA_POS``; the values of ``I2`` itself, which decide
-    that, only inside the walls.  Run on reachable levels at gamma 2 and on
-    a search that gives up at gamma 7/5."""
+    """Every value the search takes over the batch of starts, and every
+    value and Jacobian it takes at a single state, lie inside the walls at
+    ``DELTA_MARGIN`` with ``I2`` above ``DELTA_POS``; the values of ``I2``
+    itself, which decide that, only inside the walls.  Run on reachable
+    levels at gamma 2 and on a search that gives up at gamma 7/5."""
     gamma = "2" if reachable else "7/5"
     spec = spec_for(family, gamma)
-    inside = {"values": [], "jacobians": []}
+    inside = {"batches": [], "states": []}
 
     def check(kind, coords, walls_only):
         batch = PhaseBatch.from_arrays(*(np.atleast_1d(c) for c in coords))
@@ -466,30 +468,30 @@ def test_search_evaluates_only_batches_inside_the_domain(family, reachable, monk
             mask = domain_mask(spec, batch, DELTA_MARGIN)
         inside[kind].append(bool(mask.all()))
 
-    def checked(obs, walls_only=False):
+    def checked(obs):
         def fn(*coords):
             if not isinstance(coords[0], Traced):
-                check("values", coords, walls_only)
+                check("batches", coords, walls_only=False)
             return obs.fn(*coords)
 
         return Observable(fn, obs.label)
+
+    sector_label = second_integral_observable(spec).label
 
     def checked_code(obs):
         code = compile_code(obs)
 
         def run(*coords):
-            check("jacobians", coords, walls_only=False)
+            check("states", coords, walls_only=obs.label == sector_label)
             return code(*coords)
 
         return run
 
-    compile_code = levels._batch_code
+    compile_code = levels.compiled_gradient
     x_plus, x_minus, x_real, y_real = higher_integral_observables(spec)
-    monkeypatch.setattr(levels, "_batch_code", checked_code)
+    monkeypatch.setattr(levels, "compiled_gradient", checked_code)
     monkeypatch.setattr(levels, "hamiltonian_observable",
                         lambda s: checked(hamiltonian_observable(s)))
-    monkeypatch.setattr(levels, "second_integral_observable",
-                        lambda s: checked(second_integral_observable(s), walls_only=True))
     monkeypatch.setattr(levels, "higher_integral_observables",
                         lambda s: (x_plus, x_minus, checked(x_real), checked(y_real)))
     if reachable:
@@ -498,8 +500,8 @@ def test_search_evaluates_only_batches_inside_the_domain(family, reachable, monk
         sym_name, targets = GIVE_UPS[family]
         with pytest.raises(NoSolution, match="best residual"):
             solve_levels(spec, sym_name, targets)
-    assert inside["values"] and inside["jacobians"]
-    assert all(inside["values"]) and all(inside["jacobians"])
+    assert inside["batches"] and inside["states"]
+    assert all(inside["batches"]) and all(inside["states"])
 
 
 def _min_norm_step(jac, f):
