@@ -20,9 +20,10 @@ the forward-mode dual tower it replaced (2-core Xeon, numpy 2.4).  On
 Python floats, which become complex only at a complex constant,
 :func:`compiled_gradient` gives every evaluation at a single state: the
 single-trajectory vector field and each step of the level search.  Array
-code runs only on batches, float code only at single states, and both give
-the same bits.  Every derivative is exact to machine rounding; no
-finite-difference step enters any of them.
+code runs only on batches and float code only at single states; run on the
+same four floats, the two give the same numbers, real parts bit for bit.
+Every derivative is exact to machine rounding; no finite-difference step
+enters any of them.
 """
 
 from __future__ import annotations
@@ -218,13 +219,13 @@ def compiled_gradient(f: Observable) -> Callable:
 
     One Python function of four floats returns ``(value, (df/dq1, df/dq2,
     df/dp1, df/dp2))``, as the array code does; see :func:`_generate`.  The
-    numbers are floats, or complex where a complex constant enters, and
-    equal bit for bit to the array code's at the same point.  The function
-    raises ``ZeroDivisionError`` at a singular denominator,
-    :class:`~superfact.errors.DomainError` at a non-positive square-root
-    argument and ``ValueError`` where :mod:`math` has no value (a sine at
-    infinity, say); a complex argument of a sine, cosine, tangent or square
-    root, which no observable in scope has, raises ``TypeError``.
+    numbers are floats, or complex where a complex constant enters; they
+    equal the array code's run on the same four floats, real parts bit for
+    bit.  The function raises ``ZeroDivisionError`` at a singular
+    denominator, :class:`~superfact.errors.DomainError` at a non-positive
+    square-root argument and ``ValueError`` where :mod:`math` has no value
+    (a sine at infinity, say); a complex argument of a sine, cosine, tangent
+    or square root, which no observable in scope has, raises ``TypeError``.
     Compiling raises ``TypeError`` naming the observable when it branches
     on a coordinate.
     """
