@@ -34,6 +34,10 @@ are the only place each factor is written: the per-factor builders read
 them, and the identity suite (:mod:`~superfact.verification`) generates
 every pair identity from them.  They are evaluated like any observable,
 over a batch (:func:`~superfact.phase.eval_batch`).
+
+The factors are also a chart: ``H`` and ``I2`` fix the moduli of ``B+`` and
+of ``A'``, the shift factor of ``X+``, and :func:`inverse_chart` returns the
+state with given ``H``, ``I2`` and phases of the two factors.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ from .systems import (
     second_integral_observable,
 )
 
-_SQH = 1.0 / math.sqrt(2.0)  # 1/sqrt(2)
+_SQ2 = math.sqrt(2.0)
+_SQH = 1.0 / _SQ2  # 1/sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -354,3 +359,103 @@ def higher_integral_observables(spec: SystemSpec):
     )
     return x_plus, x_minus, x_real, y_real
 
+
+# ---------- the factor chart ----------
+#
+# At a real point ``minus`` is the conjugate of ``plus``, so a pair's
+# factorization reads ``plus * minus = target - lam = |plus|^2 >= 0``.  The
+# ladder pair gives ``|B+|^2``, which vanishes at the sector floor; the shift
+# pair ``|A'|^2 = H - F(I2)``, or ``H^2 - F^2`` with ``H > 0`` for the pure
+# shift ``A-`` of TTW, which vanishes at the energy floor ``F(I2)``.
+
+
+def _sector_floor(spec: SystemSpec) -> tuple[str, float]:
+    """Name and value of the infimum of the sector integral over the domain:
+    ``0`` (flat), ``omega^2 / (2 gamma^2)`` (sphere) and
+    ``(|alpha| + |beta|)^2``, the minimum over the angle (TTW)."""
+    if spec.family is Family.EUCLIDEAN:
+        return "euclidean sector", 0.0
+    if spec.family is Family.SPHERE:
+        g = spec.gamma.value
+        return "sphere sector", spec.omega * spec.omega / (2 * g * g)
+    return "ttw angular", (abs(spec.alpha) + abs(spec.beta)) ** 2
+
+
+def _energy_floor(spec: SystemSpec, i2: float) -> float:
+    """Least energy of a real point on sector level ``i2``: ``gamma^2 i2``
+    (plane), ``gamma^2 i2 - omega^2/2`` (sphere) and
+    ``2 omega gamma sqrt(i2)`` (TTW, the root taken of ``max(i2, 0)``).  It
+    increases with ``i2``."""
+    g = spec.gamma.value
+    w = spec.omega
+    if spec.family is Family.EUCLIDEAN:
+        return g * g * i2
+    if spec.family is Family.SPHERE:
+        return g * g * i2 - w * w / 2
+    return 2 * w * g * math.sqrt(max(i2, 0.0))
+
+
+def _ladder_square(spec: SystemSpec, i2: float) -> float:
+    """``|B+|^2`` on sector level ``i2``: ``I2`` on the plane, ``I2 -
+    omega^2/(2 gamma^2)`` on the sphere, and for TTW ``(I2 - (|alpha| +
+    |beta|)^2)(I2 - (|alpha| - |beta|)^2) / I2``, 0 at a level that is not
+    positive."""
+    _, floor = _sector_floor(spec)
+    if spec.family is not Family.TTW:
+        return i2 - floor
+    if i2 <= 0.0:
+        return 0.0
+    other = (abs(spec.alpha) - abs(spec.beta)) ** 2
+    return (i2 - floor) * (i2 - other) / i2
+
+
+def _shift_square(spec: SystemSpec, h: float, i2: float) -> float:
+    """``|A'|^2`` on the levels ``(h, i2)``: ``H - F(I2)``, or ``H^2 - F^2``
+    for TTW, whose ``X+`` takes the pure shift ``A-``."""
+    floor = _energy_floor(spec, i2)
+    if spec.family is Family.TTW:
+        return h * h - floor * floor
+    return h - floor
+
+
+def inverse_chart(spec: SystemSpec, h: float, i2: float, phi_b: float, phi_a: float):
+    """The internal state ``(q1, q2, p1, p2)``, as floats, on the levels
+    ``H = h`` and ``I2 = i2`` whose ``B+`` is ``|B+| e^{i phi_b}`` and whose
+    ``A'`` is ``|A'| e^{i phi_a}`` (a negative squared modulus taken as 0).
+    Each factor is solved for its sector's coordinates from its record
+    (``d = beta^2 - alpha^2`` for TTW):
+
+    - plane: ``q1 = sqrt2 gamma Re B+ / omega``, ``p1 = -sqrt2 Im B+``,
+      ``q2 = -sqrt2 Re A+ / omega``, ``p2 = -sqrt2 Im A+``;
+    - sphere: ``q1 = arcsin(Re B+ / sqrt I2)``, ``p1 = -sqrt2 Im B+ / cos
+      q1``, ``q2 = arctan(-Re A+ / (gamma sqrt I2))``, ``p2 = -sqrt2 Im A+``;
+    - TTW: ``cos 2 theta = (Re B+ - d / sqrt I2) / sqrt I2``, ``p_theta =
+      Im B+ / sin 2 theta``; ``A- = p_r^2 + omega^2 r^2 - gamma^2 I2 / r^2 +
+      2i gamma sqrt(I2) p_r / r``, so ``p_r = Im A- r / (2 gamma sqrt I2)``
+      and ``r^2`` is the positive root of ``c u^2 - Re A- u - gamma^2 I2 =
+      0`` with ``c = (Im A-)^2 / (4 gamma^2 I2) + omega^2``.
+
+    Raises ``ValueError`` or ``ZeroDivisionError`` where no state carries
+    the factors: a sector level that is not positive on the sphere or TTW,
+    or a TTW angle on a wall.
+    """
+    g, w = spec.gamma.value, spec.omega
+    b = math.sqrt(max(_ladder_square(spec, i2), 0.0))
+    a = math.sqrt(max(_shift_square(spec, h, i2), 0.0))
+    b_re, b_im = b * math.cos(phi_b), b * math.sin(phi_b)
+    a_re, a_im = a * math.cos(phi_a), a * math.sin(phi_a)
+    if spec.family is Family.EUCLIDEAN:
+        return _SQ2 * g * b_re / w, -_SQ2 * a_re / w, -_SQ2 * b_im, -_SQ2 * a_im
+    root = math.sqrt(i2)
+    if spec.family is Family.SPHERE:
+        q1 = math.asin(b_re / root)
+        return q1, math.atan(-a_re / (g * root)), -_SQ2 * b_im / math.cos(q1), -_SQ2 * a_im
+    d = spec.beta * spec.beta - spec.alpha * spec.alpha
+    # The cosine reaches +-1 only at theta on a wall (alpha or beta 0).
+    two_theta = math.acos((b_re - d / root) / root)
+    c = a_im * a_im / (4 * g * g * i2) + w * w
+    disc = math.hypot(a_re, 2 * g * root * math.sqrt(c))
+    # Each branch is the positive root, written without cancellation.
+    u = (a_re + disc) / (2 * c) if a_re >= 0 else 2 * g * g * i2 / (disc - a_re)
+    r = math.sqrt(u)
+    return r, two_theta / 2, a_im * r / (2 * g * root), b_im / math.sin(two_theta)

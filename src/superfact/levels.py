@@ -2,32 +2,29 @@
 
 ``trace`` starts its trajectory where the Hamiltonian ``H``, the sector
 integral ``I2`` and one higher-order constant (``X`` or ``Y``) take given
-values.  :func:`solve_levels` finds such a point by damped Gauss-Newton
-from the 81 quartile points of the default box, start by start in grid
-order, and returns at the first start that reaches the tolerance.  One
-batch evaluation of the 81 starts finds the valid ones.  From there the
-search runs on four Python floats: each observable's compiled float code
-(:func:`~superfact.phase.compiled_gradient`) gives its value and its
-partials at once, and the minimum-norm step is solved in closed form from
-the 3x3 matrix ``J J^T`` (:func:`_gauss_newton_step`).  With three levels
-and four coordinates, numpy's per-call cost outweighs the arithmetic: on
-the 60 reachable requests of the benchmark's ``trace`` stream at seed 1,
-rounds 0-3, the median search took 0.9 ms, against 5.7-8.3 ms for the
-former lanes of a batch (2-core Xeon, Python 3.11).  At one state of TTW
-3/2 the float code gives the values and partials of ``H``, ``I2`` and ``X``
-in about 8 us, where the scalar tower took about 16 us for the values and
-the array code run on floats 16 us for the partials.
+values.  :func:`solve_levels` writes such a point down in closed form.  For
+``gamma = m/n``, ``X+ = (B+)^n (A')^m``, and ``H`` and ``I2`` fix the moduli
+of the ladder factor ``B+`` and of the shift factor ``A'``, so they fix
+``R = |X+|`` too.  ``X = R cos psi`` and ``Y = R sin psi`` then fix only the
+phase ``psi = n arg B+ + m arg A'``: ``psi*`` is ``+-arccos(X/R)`` for ``X``,
+and ``arcsin(Y/R)`` or ``pi - arcsin(Y/R)`` for ``Y``.  A split ``phi_A =
+2 pi k / SHIFT_PHASES``, ``phi_B = (psi* - m phi_A)/n`` of that phase gives a
+point of the level set through the factor chart
+(:func:`~superfact.factorization.inverse_chart`).  The splits are tried in
+a fixed order, ``k`` first and then the two branches of ``psi*``, and the
+first point that passes the domain guards and the tolerance is returned.
+On the 1080 survey levels of ``tests/test_levels.py`` the first split
+meets every request, in about 0.1 ms (2-core Xeon, Python 3.11).
 
-Before any search, a request is refused when no real point can meet it:
+Before any split, a request is refused when no real point can meet it:
 its sector level or its energy lies below the floor that the
 factorization proves (:func:`_below_floor`), or its ``|X|`` or ``|Y|``
-lies above the ceiling ``|X+|`` that ``H`` and ``I2`` fix
-(:func:`_above_ceiling`).  A search there could only give up.
+lies above the ceiling ``R`` (:func:`_above_ceiling`).
 """
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -35,15 +32,20 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NoSolution, SuperfactError
-from .factorization import higher_integral_observables
-from .phase import PhaseBatch, PhasePoint, compiled_gradient, eval_batch
+from .factorization import (
+    _energy_floor,
+    _ladder_square,
+    _sector_floor,
+    _shift_square,
+    higher_integral_observables,
+    inverse_chart,
+)
+from .phase import PhasePoint, compiled_gradient
 from .systems import (
     DELTA_MARGIN,
     DELTA_POS,
     Family,
     SystemSpec,
-    _masked_sector,
-    default_box,
     domain_check,
     hamiltonian_observable,
     second_integral_observable,
@@ -52,73 +54,21 @@ from .systems import (
 #: Largest accepted scaled residual ``max_i |f_i - t_i| / (1 + |t_i|)``.
 LEVEL_TOLERANCE = 1e-9
 
-#: Gauss-Newton steps per start.
-MAX_ITERATIONS = 60
-
-#: Step lengths tried per step: ``2**-k`` for ``k < HALVINGS``.
-HALVINGS = 25
-
-_GRID_FRACTIONS = (0.25, 0.5, 0.75)
-_LAMBDAS = tuple(0.5**k for k in range(HALVINGS))
+#: Shift phases tried per branch of ``psi*``: ``2 pi k / SHIFT_PHASES``.
+SHIFT_PHASES = 16
 
 
 @dataclass(frozen=True)
 class LevelSearch:
-    """How one level search went.  It carries wall time, so it belongs in
-    the manifest and never in a byte-reproducible report.
+    """How one level search went: the splits of the phase tried (0 for a
+    refusal) and the wall time, so it belongs in the manifest and never in
+    a byte-reproducible report."""
 
-    ``valid_starts`` counts the grid starts inside the walls with finite
-    levels; ``iterations`` the Gauss-Newton steps taken, summed over the
-    starts tried (every valid start when no point is found);
-    ``winning_start`` is the grid index of the start that reached the
-    tolerance, ``None`` when none did.
-    """
-
-    valid_starts: int
-    iterations: int
-    winning_start: int | None
+    splits: int
     seconds: float
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-# The two floors below are the levels where a factor pair's squared modulus
-# vanishes (factorization.factor_pairs).  At a real point ``minus`` is the
-# conjugate of ``plus``, so ``plus * minus = target - lam = |plus|^2 >= 0``:
-#
-# - the ladder pair ``B`` gives the sector floor: ``|B+|^2`` is ``I2`` on the
-#   plane, ``I2 - omega^2/(2 gamma^2)`` on the sphere, and for TTW
-#   ``(I2 - (|alpha|+|beta|)^2)(I2 - (|alpha|-|beta|)^2) / I2``;
-# - the shift pair gives the energy floor ``F(I2)``: ``|A+|^2 = H - F`` on the
-#   plane and the sphere, and the pure shift of TTW has ``|A+|^2 = H^2 - F^2``
-#   with ``H > 0``.
-
-
-def _sector_floor(spec: SystemSpec) -> tuple[str, float]:
-    """Name and value of the infimum of the sector integral over the domain:
-    ``0`` (flat), ``omega^2 / (2 gamma^2)`` (sphere) and
-    ``(|alpha| + |beta|)^2``, the minimum over the angle (TTW)."""
-    if spec.family is Family.EUCLIDEAN:
-        return "euclidean sector", 0.0
-    if spec.family is Family.SPHERE:
-        g = spec.gamma.value
-        return "sphere sector", spec.omega * spec.omega / (2 * g * g)
-    return "ttw angular", (abs(spec.alpha) + abs(spec.beta)) ** 2
-
-
-def _energy_floor(spec: SystemSpec, i2: float) -> float:
-    """Least energy of a real point on sector level ``i2``: ``gamma^2 i2``
-    (plane), ``gamma^2 i2 - omega^2/2`` (sphere) and
-    ``2 omega gamma sqrt(i2)`` (TTW, the root taken of ``max(i2, 0)``).  It
-    increases with ``i2``."""
-    g = spec.gamma.value
-    w = spec.omega
-    if spec.family is Family.EUCLIDEAN:
-        return g * g * i2
-    if spec.family is Family.SPHERE:
-        return g * g * i2 - w * w / 2
-    return 2 * w * g * math.sqrt(max(i2, 0.0))
 
 
 def _below_floor(spec: SystemSpec, targets: np.ndarray) -> str | None:
@@ -144,29 +94,17 @@ def _below_floor(spec: SystemSpec, targets: np.ndarray) -> str | None:
     return None
 
 
-def _ladder_square(spec: SystemSpec, i2: float) -> float:
-    """``|B+|^2`` on sector level ``i2`` (the comment above); 0 for TTW at a
-    level that is not positive."""
-    _, floor = _sector_floor(spec)
-    if spec.family is not Family.TTW:
-        return i2 - floor
-    if i2 <= 0.0:
-        return 0.0
-    other = (abs(spec.alpha) - abs(spec.beta)) ** 2
-    return (i2 - floor) * (i2 - other) / i2
-
-
-def _shift_square(spec: SystemSpec, h: float, i2: float) -> float:
-    """``|A'|^2`` on the levels ``(h, i2)``: ``H - F(I2)``, or ``H^2 - F^2``
-    for TTW, whose ``X+`` takes the pure shift ``A-``."""
-    floor = _energy_floor(spec, i2)
-    if spec.family is Family.TTW:
-        return h * h - floor * floor
-    return h - floor
-
-
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_ceiling(spec: SystemSpec, h: float, i2_ladder: float, i2_shift: float) -> float:
+    """``log R = (n log |B+|^2 + m log |A'|^2) / 2`` for ``gamma = m/n``,
+    with ``|B+|^2`` taken at ``i2_ladder`` and ``|A'|^2`` at ``(h,
+    i2_shift)``; ``-inf`` where a squared modulus is not positive."""
+    n, m = spec.gamma.n, spec.gamma.m
+    ladder = _log(_ladder_square(spec, i2_ladder))
+    return 0.5 * (n * ladder + m * _log(_shift_square(spec, h, i2_shift)))
 
 
 def _above_ceiling(spec: SystemSpec, sym_name: str, targets: np.ndarray) -> str | None:
@@ -185,150 +123,74 @@ def _above_ceiling(spec: SystemSpec, sym_name: str, targets: np.ndarray) -> str 
     """
     h, i2, level = (float(t) for t in targets)
     slack = LEVEL_TOLERANCE * (1.0 + np.abs(targets))
-    n, m = spec.gamma.n, spec.gamma.m
-
-    def log_ceiling(h, i2_ladder, i2_shift):
-        ladder = _log(_ladder_square(spec, i2_ladder))
-        return 0.5 * (n * ladder + m * _log(_shift_square(spec, h, i2_shift)))
-
     excess = abs(level) - slack[2]
-    bound = log_ceiling(h + slack[0], i2 + slack[1], i2 - slack[1])
+    bound = _log_ceiling(spec, h + slack[0], i2 + slack[1], i2 - slack[1])
     # NaN (an infinite |A'|^2 against a zero |B+|^2) never refuses either.
     if not (excess > 0.0 and math.log(excess) > bound):
         return None
     return (
         f"|{sym_name}| {abs(level):g} is above the ceiling "
-        f"|X+| = {math.exp(log_ceiling(h, i2, i2)):g} "
+        f"|X+| = {math.exp(_log_ceiling(spec, h, i2, i2)):g} "
         f"of energy {h:g} and sector level {i2:g}"
     )
 
 
-#: Least determinant of the row-normalised ``J J^T`` that the step inverts
-#: in closed form; below it the rows count as dependent.
-GRAM_FLOOR = 1e-8
-
-
-def _dot(x, y) -> float:
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
-
-
-def _gauss_newton_step(jac, f):
-    """The minimum-norm Gauss-Newton step ``s = -J^T (J J^T)^-1 f`` for the
-    3x4 Jacobian ``jac`` and residuals ``f`` (Nocedal-Wright, *Numerical
-    Optimization*, ch. 10), as four floats, or ``None`` when ``jac`` or the
-    step is not finite.
-
-    Each row of ``J`` and its residual are first divided by the row's norm.
-    That leaves the solutions of ``J s = -f`` as they are, and puts the Gram
-    matrix ``G = J J^T`` on a unit diagonal, so ``det G`` lies in ``[0, 1]``:
-    the squared volume spanned by the three unit gradients.  ``G`` is
-    inverted by its adjugate.  When ``det G`` is at most :data:`GRAM_FLOOR`
-    (a zero row included) the gradients are numerically dependent, and the
-    step is ``-pinv(J) f`` on the unscaled rows: the least-squares solution
-    of least norm.
-    """
-    norms = [math.hypot(*row) for row in jac]
-    if not all(map(math.isfinite, norms)):
-        return None
-    u = [[x / n for x in row] if n > 0.0 else list(row) for row, n in zip(jac, norms)]
-    g = [v / n if n > 0.0 else v for v, n in zip(f, norms)]
-    a, b, c = _dot(u[0], u[0]), _dot(u[0], u[1]), _dot(u[0], u[2])
-    d, e, k = _dot(u[1], u[1]), _dot(u[1], u[2]), _dot(u[2], u[2])
-    # The adjugate of the symmetric G = [[a, b, c], [b, d, e], [c, e, k]].
-    c00, c01, c02 = d * k - e * e, c * e - b * k, b * e - c * d
-    c11, c12, c22 = a * k - c * c, b * c - a * e, a * d - b * b
-    det = a * c00 + b * c01 + c * c02
-    if det > GRAM_FLOOR:
-        y0 = (c00 * g[0] + c01 * g[1] + c02 * g[2]) / det
-        y1 = (c01 * g[0] + c11 * g[1] + c12 * g[2]) / det
-        y2 = (c02 * g[0] + c12 * g[1] + c22 * g[2]) / det
-        step = [-(y0 * x0 + y1 * x1 + y2 * x2) for x0, x1, x2 in zip(*u)]
+def _splits(spec: SystemSpec, sym_name: str, targets):
+    """The splits ``(phi_B, phi_A)`` of the phase on the levels ``targets =
+    (H, I2, X or Y)``, in the order they are tried (the module docstring).
+    The ratio of the level to ``R`` is taken in logarithms, so an ``R``
+    beyond double range does not overflow, and clamped to ``[-1, 1]``."""
+    h, i2, level = targets
+    n, m = spec.gamma.n, spec.gamma.m
+    log_ratio = _log(abs(level)) - _log_ceiling(spec, h, i2, i2)
+    # NaN (R = 0 at a zero level) takes the ratio 1: every phase is as good.
+    ratio = math.copysign(math.exp(min(0.0, log_ratio)), level)
+    if sym_name == "X":
+        branches = (math.acos(ratio), -math.acos(ratio))
     else:
-        step = (np.linalg.pinv(np.array(jac)) @ -np.array(f)).tolist()
-    return step if all(map(math.isfinite, step)) else None
+        branches = (math.asin(ratio), math.pi - math.asin(ratio))
+    for k in range(SHIFT_PHASES):
+        phi_a = 2 * math.pi * k / SHIFT_PHASES
+        for psi in branches:
+            yield (psi - m * phi_a) / n, phi_a
+
+
+_NOT_FINITE = "with a level that does not evaluate to a finite value"
 
 
 class _Levels:
-    """Residuals and Jacobians of ``(H, I2, X or Y)``: over a batch for the
-    starts, and at one state of four floats for the search."""
+    """The guarded scaled residual of ``(H, I2, X or Y)`` at one state."""
 
-    def __init__(self, spec: SystemSpec, sym_name: str, targets: np.ndarray):
+    def __init__(self, spec: SystemSpec, sym_name: str, targets):
         _, _, x_real, y_real = higher_integral_observables(spec)
+        symmetry = x_real if sym_name == "X" else y_real
+        observables = (hamiltonian_observable(spec), second_integral_observable(spec), symmetry)
         self.spec = spec
-        self.observables = (
-            hamiltonian_observable(spec),
-            second_integral_observable(spec),
-            x_real if sym_name == "X" else y_real,
-        )
-        self.codes = tuple(compiled_gradient(obs) for obs in self.observables)
-        self.targets = tuple(float(t) for t in targets)
-        self.scale = tuple(1.0 + abs(t) for t in self.targets)
+        self.codes = tuple(compiled_gradient(obs) for obs in observables)
+        self.targets = targets
+        self.scale = tuple(1.0 + abs(t) for t in targets)
         self.positive = spec.family is not Family.EUCLIDEAN
 
-    def valid(self, z: np.ndarray) -> np.ndarray:
-        """The mask of usable states among ``z (n, 4)``: inside the domain
-        walls, sector integral above the positivity floor, and every level
-        finite."""
-        batch = PhaseBatch.from_arrays(*z.T)
-        ok, i2 = _masked_sector(self.spec, batch, DELTA_MARGIN)
-        if ok.any():
-            inside = batch[ok]
-            h, _, level = self.observables
-            values = (eval_batch(h, inside).real, eval_batch(level, inside).real)
-            ok[ok] = np.isfinite(values[0]) & np.isfinite(values[1])
-        return ok & np.isfinite(i2)
-
-    def error(self, f) -> float:
-        return max(abs(v) / s for v, s in zip(f, self.scale))
-
-    def at(self, z):
-        """Level residuals and the real 3x4 Jacobian at the state ``z`` (four
-        floats), or ``None`` where it is unusable: outside the walls at
-        :data:`DELTA_MARGIN`, sector integral not above :data:`DELTA_POS`
-        (sphere and TTW), a singular evaluation or a residual that is not
-        finite.  ``I2`` is evaluated only inside the walls, and ``H`` and
-        the symmetry only past both guards.  The Jacobian may hold values
-        that are not finite; :func:`_gauss_newton_step` refuses it then."""
+    def at(self, z) -> float | str:
+        """The scaled residual ``max_i |f_i - t_i| / (1 + |t_i|)`` at the
+        state ``z`` (four floats), or the guard it fails, as text: a wall
+        within :data:`DELTA_MARGIN` (named), the sector integral not above
+        :data:`DELTA_POS` (sphere and TTW), or a level that is not finite.
+        ``I2`` is evaluated only inside the walls, and ``H`` and the
+        symmetry only past both guards."""
         h, i2, level = self.codes
+        verdict = domain_check(self.spec, PhasePoint(*z))
+        if not verdict:
+            return f"within {DELTA_MARGIN:g} of the wall {verdict.wall.label}"
         try:
-            if not domain_check(self.spec, PhasePoint(*z)):
-                return None
-            sector = i2(*z)
-            if self.positive and not sector[0] > DELTA_POS:
-                return None
-            rows = (h(*z), sector, level(*z))
+            sector = i2(*z)[0].real
+            if self.positive and not sector > DELTA_POS:
+                return f"with the sector integral not above {DELTA_POS:g}"
+            values = (h(*z)[0].real, sector, level(*z)[0].real)
         except (ArithmeticError, ValueError, SuperfactError):
-            return None
-        f = tuple(value.real - t for (value, _), t in zip(rows, self.targets))
-        if not all(map(math.isfinite, f)):
-            return None
-        return f, [[d.real for d in partials] for _, partials in rows]
-
-
-def _descend(levels: _Levels, z, f, jac):
-    """Damped Gauss-Newton from the state ``z`` with residuals ``f`` and
-    Jacobian ``jac``.  Each step takes the first length ``2**-k``,
-    ``k < HALVINGS``, that lowers the error; the descent ends at the
-    tolerance, after :data:`MAX_ITERATIONS` steps, or where no step or no
-    length is usable.  Returns the last state, its error and the steps
-    taken."""
-    err = levels.error(f)
-    steps = 0
-    while err > LEVEL_TOLERANCE and steps < MAX_ITERATIONS:
-        steps += 1
-        step = _gauss_newton_step(jac, f)
-        if step is None:
-            break
-        for lam in _LAMBDAS:
-            trial = tuple(x + lam * s for x, s in zip(z, step))
-            found = levels.at(trial)
-            err_trial = math.inf if found is None else levels.error(found[0])
-            if err_trial < err:
-                z, (f, jac), err = trial, found, err_trial
-                break
-        else:
-            break
-    return z, err, steps
+            return _NOT_FINITE
+        err = max(abs(v - t) / s for v, t, s in zip(values, self.targets, self.scale))
+        return err if math.isfinite(err) else _NOT_FINITE
 
 
 def solve_levels(spec: SystemSpec, sym_name: str, targets):
@@ -341,66 +203,46 @@ def solve_levels(spec: SystemSpec, sym_name: str, targets):
     :class:`~superfact.errors.NoSolution` at once when the sector level
     lies below its family's floor, the energy below the least energy on
     that sector level, or ``|X|`` or ``|Y|`` above the ceiling ``|X+|``
-    (the message names the floor or the ceiling), and after the search
-    when no start reaches the tolerance; that message gives the best
-    residual reached.  Either way the exception's ``search`` holds the
-    telemetry (no starts and no iterations for a refusal).
-
-    ``H`` and the symmetry, values and partials alike, are evaluated only
-    at states that pass ``domain_mask(spec, ., DELTA_MARGIN)``, and ``I2``
-    only inside the walls, so a
-    :class:`~superfact.errors.DomainError` (a singular denominator or a
-    non-positive square root) cannot reach the search; a value that is not
-    finite, or an evaluation that fails all the same, makes its state
-    unusable.
+    (the message names the floor or the ceiling), and after the splits
+    when none meets the request: the message gives the best residual where
+    some split point passed the domain guards (:meth:`_Levels.at`), else
+    how many split points failed each guard, naming the walls.  Either way
+    the exception's ``search`` holds the telemetry (no splits for a
+    refusal).
     """
     started = time.perf_counter()
-    targets = np.asarray(targets, dtype=float)
+    targets = tuple(float(t) for t in targets)
     for level, value in zip(("H", "I2", sym_name), targets):
         if not math.isfinite(value):
             raise ValueError(f"the {level} level must be finite, got {value:g}")
-    reason = _below_floor(spec, targets) or _above_ceiling(spec, sym_name, targets)
-    if reason is not None:
-        raise NoSolution(
-            f"no phase point matches the requested levels: {reason}",
-            search=LevelSearch(
-                valid_starts=0,
-                iterations=0,
-                winning_start=None,
-                seconds=time.perf_counter() - started,
-            ),
-        )
-    levels = _Levels(spec, sym_name, targets)
-    grid = [
-        [lo + t * (hi - lo) for t in _GRID_FRACTIONS]
-        for (lo, hi) in default_box(spec).intervals
-    ]
-    starts = np.array(list(itertools.product(*grid)), dtype=float)
-    # Non-finite values mark a start unusable; they are not errors.
-    with np.errstate(all="ignore"):
-        valid = np.flatnonzero(levels.valid(starts))
-        iterations, best, winner = 0, math.inf, None
-        for index in valid:
-            z = tuple(starts[index].tolist())
-            found = levels.at(z)
-            if found is None:
+    message = "no phase point matches the requested levels"
+    array = np.array(targets)
+    reason = _below_floor(spec, array) or _above_ceiling(spec, sym_name, array)
+    splits = 0
+    if reason is None:
+        levels = _Levels(spec, sym_name, targets)
+        best, causes = math.inf, collections.Counter()
+        for phi_b, phi_a in _splits(spec, sym_name, targets):
+            splits += 1
+            try:
+                z = inverse_chart(spec, targets[0], targets[1], phi_b, phi_a)
+            except (ArithmeticError, ValueError):
+                causes["where the factor chart is singular"] += 1
                 continue
-            z, err, steps = _descend(levels, z, *found)
-            iterations += steps
-            best = min(best, err)
-            if err <= LEVEL_TOLERANCE:
-                winner = int(index)
-                break
-    search = LevelSearch(
-        valid_starts=len(valid),
-        iterations=iterations,
-        winning_start=winner,
-        seconds=time.perf_counter() - started,
-    )
-    if winner is None:
-        raise NoSolution(
-            f"no phase point matches the requested levels within "
-            f"{LEVEL_TOLERANCE:g} (best residual {best:.3e})",
-            search=search,
-        )
-    return np.array(z), err, search
+            found = levels.at(z)
+            if isinstance(found, str):
+                causes[found] += 1
+            elif found <= LEVEL_TOLERANCE:
+                search = LevelSearch(splits=splits, seconds=time.perf_counter() - started)
+                return np.array(z), found, search
+            else:
+                best = min(best, found)
+        if best < math.inf:
+            message += f" within {LEVEL_TOLERANCE:g} (best residual {best:.3e})"
+        else:
+            counts = ", ".join(f"{count} {cause}" for cause, count in causes.items())
+            message += f": each of the {splits} split points tried fails a domain guard: {counts}"
+    else:
+        message += f": {reason}"
+    search = LevelSearch(splits=splits, seconds=time.perf_counter() - started)
+    raise NoSolution(message, search=search)

@@ -176,8 +176,11 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class DomainVerdict:
+    """Whether a point clears the walls; ``wall`` is the first it breaches."""
+
     valid: bool
     reason: str | None = None
+    wall: Wall | None = None
 
     def __bool__(self):
         return self.valid
@@ -261,7 +264,7 @@ def domain_check(spec: SystemSpec, point: PhasePoint, margin: float | None = Non
         k = wall.index
         if not wall.clearance(q[k], m) > 0:
             reason = f"q{k + 1}={q[k]:.6g} not more than {m:g} inside the wall {wall.label}"
-            return DomainVerdict(False, reason)
+            return DomainVerdict(False, reason, wall)
     return DomainVerdict(True)
 
 

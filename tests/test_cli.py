@@ -813,9 +813,7 @@ def test_trace_infeasible_levels(tmp_path, monkeypatch, capsys):
     assert manifest["status"] == "no_solution"
     assert manifest["outputs"] == []
     search = manifest["level_search"]
-    assert search["valid_starts"] == 0
-    assert search["iterations"] == 0
-    assert search["winning_start"] is None
+    assert search["splits"] == 0
     assert search["seconds"] > 0
 
 
@@ -878,10 +876,7 @@ def test_trace_sector_level_below_floor(
     manifest = json.loads((tmp_path / "low.manifest.json").read_text())
     assert manifest["status"] == "no_solution"
     assert manifest["command"] == "trace"
-    search = manifest["level_search"]
-    assert (search["valid_starts"], search["iterations"], search["winning_start"]) == (
-        0, 0, None
-    )
+    assert manifest["level_search"]["splits"] == 0
 
 
 def test_readme_trace_example(tmp_path, monkeypatch):
@@ -929,7 +924,7 @@ def test_trace_step_failure_writes_a_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["status"] == "step_failure"
     assert manifest["outputs"] == []
     assert "the step size fell to " in manifest["message"]
-    assert manifest["level_search"]["winning_start"] == 0
+    assert manifest["level_search"]["splits"] == 1
     assert len(manifest["args"]["solution_point"]) == 4
 
 
@@ -948,9 +943,9 @@ def test_trace_outputs_byte_identical_search_in_manifest(tmp_path, monkeypatch):
         ).read_bytes()
     assert "level_search" not in json.loads((tmp_path / "ta.report.json").read_text())
     search = json.loads((tmp_path / "ta.manifest.json").read_text())["level_search"]
-    assert set(search) == {"valid_starts", "iterations", "winning_start", "seconds"}
-    assert search["valid_starts"] == 81
-    assert search["winning_start"] == 0
+    assert set(search) == {"splits", "seconds"}
+    assert search["splits"] == 1
+    assert search["seconds"] > 0
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan"])
@@ -995,10 +990,11 @@ def test_trace_too_fine_a_grid_exits_before_the_level_search(
         (["--system", "ttw", "--gamma", "2", "--alpha", "1.1", "--beta", "0.7"],
          ["6.39", "3.41", "X=1.5"],
          "energy 6.39 is below the floor 7.38647 of sector level 3.41"),
-        # Levels of a real point on which every start gives up.
-        (["--system", "sphere", "--gamma", "7/5"],
-         ["138.21881396497304", "4.422081754914755", "X=-886758304.8930755"],
-         "within 1e-09 (best residual 4.774e-01)"),
+        # Levels whose every split point lies in the margin band of a wall.
+        (["--system", "ttw", "--gamma", "3/2", "--alpha", "0.001", "--beta", "0.7"],
+         ["2.10587725", "0.491501", "X=6.522747723267012e-10"],
+         "each of the 32 split points tried fails a domain guard: "
+         "32 within 0.05 of the wall theta = pi/2"),
         (["--system", "euclidean", "--gamma", "2"],
          ["0.7350000000000001", "0.11125000000000002", "X=0.9672706446491588"],
          "|X| 0.967271 is above the ceiling |X+| = 0.0967271 "
@@ -1022,6 +1018,27 @@ def test_trace_no_solution_manifest_names_the_reason(
     assert manifest["message"].endswith(reason)
     assert f"error: {manifest['message']}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["no.manifest.json"]
+
+
+def test_trace_finds_levels_the_former_search_gave_up_on(tmp_path, monkeypatch):
+    """Levels of a real sphere 7/5 point on which the Gauss-Newton search
+    gave up at every start."""
+    monkeypatch.chdir(tmp_path)
+    levels = {"H": 138.21881396497304, "I2": 4.422081754914755, "X": -886758304.8930755}
+    code = cli.main(
+        ["trace", "--system", "sphere", "--gamma", "7/5", f"--energy={levels['H']!r}",
+         f"--second={levels['I2']!r}", f"--symmetry=X={levels['X']!r}", "--t-end", "0.01",
+         "--out", "found"]
+    )
+    assert code == 0
+    solution = json.loads((tmp_path / "found.report.json").read_text())["solution"]
+    assert solution["level_residual"] <= 1e-9
+    spec = spec_for("sphere", "7/5")
+    point = PhasePoint(*solution["internal"])
+    found = (hamiltonian(spec, point), second_integral(spec, point),
+             higher_integral_observables(spec)[2](point).real)
+    for value, target in zip(found, levels.values()):
+        assert abs(value - target) <= 1e-9 * (1 + abs(target))
 
 
 def test_trace_manifest_records_every_integration_option(tmp_path, monkeypatch):

@@ -224,6 +224,19 @@ def test_equilibrium_has_zero_drift():
         report.entry("Z")
 
 
+def test_relative_drift_divides_by_one_plus_the_modulus_of_the_initial_value():
+    """``X(0)`` is negative at this start; every entry's relative drift is
+    its drift over ``1 + |Q(0)|``."""
+    spec = spec_for("euclidean", "2")
+    traj = integrate(spec, PhasePoint(0.5, -0.3, 0.4, 0.7), 2.0,
+                     IntegratorControls(rel_tol=1e-4, abs_tol=1e-8))
+    report = drift_report(traj)
+    assert report.entry("X").initial < -0.05
+    for entry in report.entries:
+        assert entry.max_drift > 0
+        assert entry.relative_drift == entry.max_drift / (1.0 + abs(entry.initial))
+
+
 def test_drift_shrinks_with_tolerance():
     spec = spec_for("euclidean", "2")
     initial = PhasePoint(0.0, 0.0, 0.5, 1.0)
@@ -534,6 +547,28 @@ def test_closure_fit_of_the_state_block_matches_fits_per_coordinate():
     idx = len(d) // 2 + int(np.argmin(d[len(d) // 2:]))
     assert dynamics._refine_minimum(traj.t, traj.states, traj.states[0], idx) == (
         _refine_per_coordinate(traj.t, traj.states, traj.states[0], idx))
+
+
+def test_closure_counts_returns_once_past_a_quarter_of_the_excursion():
+    """A series whose first hump reaches 0.3 of its largest excursion, then
+    returns exactly to the start at t = 1 and goes out to the maximum: the
+    orbit has departed at a quarter of the excursion, so that return closes
+    it (a departure level at half would see no return at all)."""
+    t = np.linspace(0.0, 1.5, 151)
+    x = (0.2 + 0.8 * t * t / 2.25) * np.sin(np.pi * t) ** 2
+    zeros = np.zeros_like(t)
+    stub = Trajectory(
+        t=t, states=np.stack([x, zeros, zeros, zeros], axis=1), energy=zeros, second=zeros,
+        sym_x=zeros, sym_y=zeros, spec=spec_for("euclidean", "1"),
+        initial=PhasePoint(0.0, 0.0, 0.0, 0.0), controls=IntegratorControls(),
+    )
+    d = np.abs(x)
+    hump = d[: len(d) // 2].max() / d.max()
+    assert 0.25 < hump < 0.5
+    result = detect_closure(stub)
+    assert result.closed
+    assert result.period == pytest.approx(1.0, abs=1e-5)
+    assert result.return_distance <= 1e-4
 
 
 def test_closure_needs_enough_span():

@@ -1,4 +1,5 @@
-"""Factor functions: frozen values, product identities, conjugacy, guards."""
+"""Factor functions: frozen values, product identities, conjugacy, guards, and
+the inverse factor chart."""
 
 import math
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from superfact import (
     SystemSpec,
     UnsupportedError,
     build_suite,
+    default_box,
     domain_mask,
     eval_batch,
     factor_pairs,
@@ -29,6 +31,7 @@ from superfact import (
     shift_observables,
     ttw_shift_observables,
 )
+from superfact import factorization
 from superfact.phase import _batch_code
 from superfact.scalars import ipow
 
@@ -412,3 +415,28 @@ def test_out_of_domain_raises():
         assert not domain_mask(spec, batch_of(outside), 0.0).any()
         with pytest.raises(DomainError):
             hamiltonian(spec, outside)
+
+
+@pytest.mark.parametrize("gamma", ["1", "3/2", "7/5", "141/100"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_inverse_chart_round_trip(family, gamma):
+    """The records' own ``B+`` and ``A'`` (``A-`` for TTW) at a state give
+    its phases, ``H`` and ``I2`` its moduli; the inverse chart returns the
+    same state.  The moduli agree with the squares the floors rest on."""
+    spec = spec_for(family, gamma)
+    batch = sample_points(spec, default_box(spec), 200, 5)
+    pairs = factor_pairs(spec)
+    shift = pairs["A"].minus if family == "ttw" else pairs["A"].plus
+    ladder, shifted = eval_batch(pairs["B"].plus, batch), eval_batch(shift, batch)
+    h = eval_batch(hamiltonian_observable(spec), batch).real
+    i2 = eval_batch(second_integral_observable(spec), batch).real
+    states = np.stack([c.real for c in batch.arrays()], axis=1)
+    ladder_square = [factorization._ladder_square(spec, v) for v in i2]
+    shift_square = [factorization._shift_square(spec, hv, v) for hv, v in zip(h, i2)]
+    np.testing.assert_allclose(np.abs(ladder) ** 2, ladder_square, rtol=1e-12)
+    np.testing.assert_allclose(np.abs(shifted) ** 2, shift_square, rtol=1e-12)
+    found = np.array([
+        factorization.inverse_chart(spec, *args)
+        for args in zip(h, i2, np.angle(ladder), np.angle(shifted))
+    ])
+    np.testing.assert_allclose(found, states, rtol=1e-12, atol=1e-12)

@@ -1,6 +1,6 @@
-"""Level search: levels found again, determinism, floors and ceiling, domain guards."""
+"""Level search: levels found again, determinism, floors and ceiling, domain guards,
+the wall refusal and a survey of levels that real points attain."""
 
-import itertools
 import math
 import re
 
@@ -9,19 +9,14 @@ import pytest
 
 from superfact import (
     DELTA_MARGIN,
-    DELTA_POS,
-    Family,
     NoSolution,
-    Observable,
     PhaseBatch,
     PhasePoint,
-    SuperfactError,
     default_box,
     domain_check,
     domain_mask,
     eval_batch,
     factor_pairs,
-    gradient,
     hamiltonian,
     hamiltonian_observable,
     higher_integral_observables,
@@ -29,9 +24,8 @@ from superfact import (
     second_integral,
     second_integral_observable,
 )
-from superfact import levels
+from superfact import factorization, levels
 from superfact.levels import LEVEL_TOLERANCE, solve_levels
-from superfact.scalars import Traced
 from superfact.systems import wall_mask
 
 from _oracles import spec_for
@@ -54,54 +48,6 @@ def _levels_at(spec, point):
     )
 
 
-def _reference_search(spec, targets, sym_name="X"):
-    """Start-by-start damped Gauss-Newton on scalar evaluations, with the
-    least-squares step of an SVD: the loop the search must agree with.
-    Returns ``(start index, z)``."""
-    _, _, x_real, y_real = higher_integral_observables(spec)
-    h, i2 = hamiltonian_observable(spec), second_integral_observable(spec)
-    x = x_real if sym_name == "X" else y_real
-    scale = 1.0 + np.abs(targets)
-
-    def residual(z):
-        point = PhasePoint(*z)
-        if not domain_check(spec, point):
-            return None
-        if spec.family is not Family.EUCLIDEAN and i2(point).real <= DELTA_POS:
-            return None
-        try:
-            return np.array([o(point).real for o in (h, i2, x)]) - targets
-        except SuperfactError:
-            return None
-
-    grid = [
-        [lo + t * (hi - lo) for t in (0.25, 0.5, 0.75)]
-        for (lo, hi) in default_box(spec).intervals
-    ]
-    for index, start in enumerate(itertools.product(*grid)):
-        z = np.array(start)
-        f = residual(z)
-        for it in range(levels.MAX_ITERATIONS + 1):
-            if f is None:
-                break
-            err = np.max(np.abs(f) / scale)
-            if err <= LEVEL_TOLERANCE:
-                return index, z
-            if it == levels.MAX_ITERATIONS:
-                break
-            jac = np.stack([gradient(o, PhasePoint(*z)).real for o in (h, i2, x)])
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-            for k in range(levels.HALVINGS):
-                trial = z + 0.5**k * step
-                ft = residual(trial)
-                if ft is not None and np.max(np.abs(ft) / scale) < err:
-                    z, f = trial, ft
-                    break
-            else:
-                break
-    return None, None
-
-
 @pytest.mark.parametrize("gamma", ["1", "3/2"])
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
 def test_levels_found_again(family, gamma):
@@ -111,10 +57,7 @@ def test_levels_found_again(family, gamma):
     assert residual <= LEVEL_TOLERANCE
     found = _levels_at(spec, PhasePoint(*z))
     np.testing.assert_allclose(found, targets, rtol=1e-8, atol=1e-8)
-    assert search.valid_starts == 81
-    start, z_ref = _reference_search(spec, targets)
-    assert search.winning_start == start
-    np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-10)
+    assert search.splits == 1
 
 
 def test_repeat_calls_bit_identical():
@@ -127,33 +70,28 @@ def test_repeat_calls_bit_identical():
 
 
 @pytest.mark.parametrize(
-    "family, options",
+    "family, options, targets, wall",
     [
-        # The p_xi = 0 starts have a sector integral ~1e-10 below DELTA_POS.
-        ("sphere", {"omega": 1e-5}),
-        # Without barriers the p_theta = 0 starts have a zero sector
-        # integral, where the square roots of X raise.
-        ("ttw", {"alpha": 0.0, "beta": 0.0}),
+        # Levels of sampled points of degenerate specs, a sector level within
+        # 0.05 of its floor: the first two split points lie in a wall's band.
+        ("sphere", {"omega": 1e-5},
+         [0.4111370975677245, 0.04508798577619094, 0.12842803791661292], "xi = pi/2"),
+        ("ttw", {"alpha": 0.0, "beta": 0.0},
+         [0.36648616102174103, 0.029966395119320765, 0.020709550055863245], "theta = 0"),
     ],
 )
-def test_invalid_starts_skipped(family, options):
+def test_invalid_splits_skipped(family, options, targets, wall):
     spec = spec_for(family, "1", **options)
-    targets = _levels_at(spec, SEED_POINTS[family])
     z, residual, search = solve_levels(spec, "X", targets)
-    assert search.valid_starts == 54
-    # The scalar guard of the search refuses the same starts.
-    grid = [[lo + t * (hi - lo) for t in (0.25, 0.5, 0.75)]
-            for (lo, hi) in default_box(spec).intervals]
-    starts = np.array(list(itertools.product(*grid)))
-    search_levels = levels._Levels(spec, "X", targets)
-    with np.errstate(all="ignore"):
-        valid = search_levels.valid(starts)
-    usable = [search_levels.at(tuple(start)) is not None for start in starts.tolist()]
-    assert usable == valid.tolist()
+    assert search.splits == 3
     assert residual <= LEVEL_TOLERANCE
     np.testing.assert_allclose(
         _levels_at(spec, PhasePoint(*z)), targets, rtol=1e-8, atol=1e-8
     )
+    guarded = levels._Levels(spec, "X", tuple(targets))
+    skipped = [guarded.at(factorization.inverse_chart(spec, *targets[:2], *split))
+               for split in list(levels._splits(spec, "X", targets))[:2]]
+    assert skipped == [f"within 0.05 of the wall {wall}"] * 2
 
 
 def _energy_below_floor(spec, family):
@@ -177,11 +115,11 @@ def _unreachable(spec, family):
     return [h, i2, 10 * abs(higher_integral_observables(spec)[0](point))]
 
 
-# Levels of real points on which every start gives up, all at gamma 7/5,
-# where Gauss-Newton on a 12th-order level is the weak step: the sphere and
-# TTW ones from tools/level_survey.py, the plane's those of the point
-# (5.5662595344208405, 4.513778288034487, 5.653401917128203,
-# -3.332357280626887), outside the default box.
+# Levels of real points on which the former Gauss-Newton search gave up
+# at every start, all at gamma 7/5: the sphere and TTW ones from the survey
+# below, the plane's those of the point (5.5662595344208405,
+# 4.513778288034487, 5.653401917128203, -3.332357280626887), outside the
+# default box.
 GIVE_UPS = {
     "euclidean": ("X", [62.5527565137618, 23.88436570108292, 42400190.89001757]),
     "sphere": ("X", [138.21881396497304, 4.422081754914755, -886758304.8930755]),
@@ -190,42 +128,57 @@ GIVE_UPS = {
 
 
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
-def test_unreachable_levels_report_best_residual(family):
+def test_former_give_ups_are_found(family):
     spec = spec_for(family, "7/5")
     sym_name, targets = GIVE_UPS[family]
-    assert levels._above_ceiling(spec, sym_name, np.array(targets)) is None
-    with pytest.raises(NoSolution, match="no phase point matches") as info:
-        solve_levels(spec, sym_name, targets)
-    best = float(re.search(r"best residual (\S+)\)", str(info.value)).group(1))
-    assert LEVEL_TOLERANCE < best < math.inf
-    search = info.value.search
-    assert search.valid_starts == 81 and search.winning_start is None
-    assert search.iterations >= search.valid_starts
-
-
-@pytest.mark.parametrize(
-    "family, gamma, sym_name, targets, start",
-    [
-        ("euclidean", "1", "X",
-         [1.2144124196813508, 0.30410487505991657, -0.5260912053037884], 1),
-        ("sphere", "1", "X",
-         [3.3069758802944182, 1.5810156742728938, -0.3663592220124744], 1),
-        ("ttw", "7/5", "Y",
-         [17.352728912916955, 22.545537074026825, 213285277.21726796], 4),
-    ],
-)
-def test_later_start_wins_as_in_the_reference(family, gamma, sym_name, targets, start):
-    """Levels of real points (tools/level_survey.py) that the first valid
-    start does not reach: the search goes on, start by start, to the one
-    the reference loop finds."""
-    spec = spec_for(family, gamma)
     z, residual, search = solve_levels(spec, sym_name, targets)
     assert residual <= LEVEL_TOLERANCE
-    assert search.winning_start == start
-    assert search.iterations > 0
-    ref_start, z_ref = _reference_search(spec, np.array(targets), sym_name)
-    assert ref_start == start
-    np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-10)
+    assert search.splits >= 1
+    _, _, x_real, y_real = higher_integral_observables(spec)
+    point = PhasePoint(*z)
+    found = [hamiltonian(spec, point), second_integral(spec, point),
+             (x_real if sym_name == "X" else y_real)(point).real]
+    scale = 1 + np.abs(targets)
+    assert np.all(np.abs(np.array(found) - targets) <= LEVEL_TOLERANCE * scale)
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_unreachable_levels_report_best_residual(family):
+    """Levels below the ceiling that no double-precision point meets: at
+    ``I2 = 1e6`` and ``H`` ``1e4`` above its floor, ``R`` is about
+    ``1e29`` at gamma 7/5, so ``X`` rounds by far more than the tolerance
+    of ``X = 1``.  Every split point passes the guards and misses."""
+    spec = spec_for(family, "7/5")
+    targets = [factorization._energy_floor(spec, 1e6) + 1e4, 1e6, 1.0]
+    assert levels._above_ceiling(spec, "X", np.array(targets)) is None
+    with pytest.raises(NoSolution, match="no phase point matches") as info:
+        solve_levels(spec, "X", targets)
+    best = float(re.search(r"best residual (\S+)\)", str(info.value)).group(1))
+    assert LEVEL_TOLERANCE < best < math.inf
+    assert info.value.search.splits == 2 * levels.SHIFT_PHASES
+
+
+# Levels of the TTW 3/2 point (1, atan(sqrt(700)), 0, 0.01) at alpha 0.001,
+# beta 0.7: 1e-4 above the sector floor, so theta stays near the minimum of
+# the angular potential, 0.0378 from the wall theta = pi/2.
+NEAR_WALL = ([2.10587725, 0.491501, 6.522747723267012e-10], {"alpha": 0.001, "beta": 0.7})
+
+
+def test_levels_inside_the_margin_band_name_the_wall():
+    targets, options = NEAR_WALL
+    spec = spec_for("ttw", "3/2", **options)
+    splits = 2 * levels.SHIFT_PHASES
+    message = (f"no phase point matches the requested levels: each of the {splits} split "
+               f"points tried fails a domain guard: {splits} within 0.05 of the wall "
+               f"theta = pi/2")
+    with pytest.raises(NoSolution) as info:
+        solve_levels(spec, "X", targets)
+    assert str(info.value) == message
+    assert info.value.search.splits == splits
+    # The point itself lies in the band.
+    point = PhasePoint(1.0, math.atan(math.sqrt(700)), 0.0, 0.01)
+    assert not domain_check(spec, point)
+    np.testing.assert_allclose(_levels_at(spec, point), targets, rtol=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -249,8 +202,7 @@ def test_energy_below_floor_skips_search(family, monkeypatch):
     message = f"energy {h:g} is below the floor {h + 1.0:g} of sector level {i2:g}"
     with pytest.raises(NoSolution, match=re.escape(message)) as info:
         solve_levels(spec, "X", [h, i2, x])
-    search = info.value.search
-    assert (search.valid_starts, search.iterations, search.winning_start) == (0, 0, None)
+    assert info.value.search.splits == 0
 
 
 def _h_and_i2(spec, batch):
@@ -291,8 +243,8 @@ def test_floors_never_refuse_a_real_point(family, gamma, omega):
 def _ceiling(spec, h, i2):
     """``R(h, i2) = |B+|^n |A'|^m`` from the moduli the levels fix."""
     n, m = spec.gamma.n, spec.gamma.m
-    return (levels._ladder_square(spec, i2) ** (n / 2)
-            * levels._shift_square(spec, h, i2) ** (m / 2))
+    return (factorization._ladder_square(spec, i2) ** (n / 2)
+            * factorization._shift_square(spec, h, i2) ** (m / 2))
 
 
 @pytest.mark.parametrize("gamma", ["1", "3/2", "7/5"])
@@ -319,8 +271,7 @@ def test_levels_above_the_ceiling_skip_search(family, monkeypatch):
                f"of energy {h:g} and sector level {i2:g}")
     with pytest.raises(NoSolution, match=re.escape(message)) as info:
         solve_levels(spec, "X", [h, i2, x])
-    search = info.value.search
-    assert (search.valid_starts, search.iterations, search.winning_start) == (0, 0, None)
+    assert info.value.search.splits == 0
 
 
 @pytest.mark.parametrize("sym_name", ["X", "Y"])
@@ -353,19 +304,34 @@ def test_ceiling_counts_the_tolerance_band_of_h_and_i2(family):
     by more than the ``X`` tolerance, so a ceiling that ignored the band
     would refuse it."""
     spec = spec_for(family, "2")
-    _, sector = levels._sector_floor(spec)
+    _, sector = factorization._sector_floor(spec)
     near_floor = sector + 1e-3
     cases = (  # (i2, energy above its floor, sign of the I2 offsets)
         (10.0, 1.0, (0.0, -1.0)),
         (near_floor, 10.0, (1.0,)),
     )
     for i2, above, signs in cases:
-        h = levels._energy_floor(spec, i2) + above
+        h = factorization._energy_floor(spec, i2) + above
         slack_h, slack_i2 = (LEVEL_TOLERANCE * (1 + v) for v in (h, i2))
         for sign in signs:
             level = _ceiling(spec, h + 0.9 * slack_h, i2 + sign * 0.9 * slack_i2)
             assert level - LEVEL_TOLERANCE * (1 + level) > _ceiling(spec, h, i2)
             assert levels._above_ceiling(spec, "X", np.array([h, i2, level])) is None
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere"])
+def test_a_level_within_the_tolerance_above_a_small_ceiling_is_met(family):
+    """At the point (0.01, 0.01, 0.01, 0.01), ``R`` is about 8e-7: the band
+    of ``H`` and ``I2`` widens it by far less than the level's own slack
+    ``tol (1 + |X|)``.  A level ``tol/2`` above ``R`` is met at ``psi = 0``,
+    so the ceiling must not refuse it."""
+    spec = spec_for(family, "2")
+    point = PhasePoint(0.01, 0.01, 0.01, 0.01)
+    h, i2, _ = _levels_at(spec, point)
+    level = _ceiling(spec, h, i2) * (1 + 0.5 * LEVEL_TOLERANCE) + 0.5 * LEVEL_TOLERANCE
+    assert levels._above_ceiling(spec, "X", np.array([h, i2, level])) is None
+    z, residual, search = solve_levels(spec, "X", [h, i2, level])
+    assert residual <= LEVEL_TOLERANCE and search.splits == 1
 
 
 def test_ceiling_beyond_double_range_never_refuses():
@@ -391,7 +357,7 @@ def test_energy_floor_is_tight(family, gamma, omega):
     else:
         q2, p2 = np.zeros_like(q2), np.zeros_like(p2)
     h, i2 = _h_and_i2(spec, PhaseBatch.from_arrays(q1, q2, p1, p2))
-    floor = np.array([levels._energy_floor(spec, v) for v in i2])
+    floor = np.array([factorization._energy_floor(spec, v) for v in i2])
     np.testing.assert_allclose(h, floor, rtol=1e-12, atol=0)
 
 
@@ -409,8 +375,8 @@ def test_floors_agree_with_the_factor_pairs(family, gamma):
     def product(name):
         return eval_batch(pairs[name].plus, batch) * eval_batch(pairs[name].minus, batch)
 
-    energy = np.array([levels._energy_floor(spec, v) for v in i2])
-    _, sector = levels._sector_floor(spec)
+    energy = np.array([factorization._energy_floor(spec, v) for v in i2])
+    _, sector = factorization._sector_floor(spec)
     if family == "ttw":
         shift, shift_scale = h * h - energy * energy, 1 + h * h + energy * energy
         # The ladder modulus also vanishes at (|alpha| - |beta|)^2, below the floor.
@@ -431,8 +397,8 @@ def test_floors_refuse_only_outside_the_tolerance(family, monkeypatch):
     accepts, ``I2 - tol (1 + |I2|)``."""
     spec = spec_for(family, "2")
     h, i2, x = _levels_at(spec, SEED_POINTS[family])
-    _, sector = levels._sector_floor(spec)
-    energy = levels._energy_floor(spec, i2 - LEVEL_TOLERANCE * (1 + abs(i2)))
+    _, sector = factorization._sector_floor(spec)
+    energy = factorization._energy_floor(spec, i2 - LEVEL_TOLERANCE * (1 + abs(i2)))
 
     def below(floor, k):
         return floor - k * LEVEL_TOLERANCE * (1 + abs(floor))
@@ -448,107 +414,119 @@ def test_floors_refuse_only_outside_the_tolerance(family, monkeypatch):
             solve_levels(spec, "X", targets)
 
 
-@pytest.mark.parametrize("reachable", [True, False])
-@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
-def test_search_evaluates_only_batches_inside_the_domain(family, reachable, monkeypatch):
-    """Every value the search takes over the batch of starts, and every
-    value and Jacobian it takes at a single state, lie inside the walls at
-    ``DELTA_MARGIN`` with ``I2`` above ``DELTA_POS``; the values of ``I2``
-    itself, which decide that, only inside the walls.  Run on reachable
-    levels at gamma 2 and on a search that gives up at gamma 7/5."""
-    gamma = "2" if reachable else "7/5"
-    spec = spec_for(family, gamma)
-    inside = {"batches": [], "states": []}
+def test_y_levels_try_the_mirror_branch_pi_minus_psi():
+    """Levels of a sampled TTW 1 point whose first split point lies in the
+    band of the wall theta = 0: the second split, the branch ``pi -
+    arcsin(Y/R)`` at ``phi_A = 0``, meets them."""
+    spec = spec_for("ttw", "1")
+    targets = [117.06752642405539, 357.386504371965, 13.42300977499282]
+    z, residual, search = solve_levels(spec, "Y", targets)
+    assert search.splits == 2 and residual <= LEVEL_TOLERANCE
+    y_plus = higher_integral_observables(spec)[3]
+    assert y_plus(PhasePoint(*z)).real == pytest.approx(targets[2], rel=1e-9)
+    first = next(levels._splits(spec, "Y", targets))
+    guarded = levels._Levels(spec, "Y", tuple(targets))
+    assert guarded.at(factorization.inverse_chart(spec, *targets[:2], *first)) == (
+        "within 0.05 of the wall theta = 0")
 
-    def check(kind, coords, walls_only):
-        batch = PhaseBatch.from_arrays(*(np.atleast_1d(c) for c in coords))
-        if walls_only:
-            mask = wall_mask(spec.family, (batch.q1, batch.q2), DELTA_MARGIN)
-        else:
-            mask = domain_mask(spec, batch, DELTA_MARGIN)
-        inside[kind].append(bool(mask.all()))
 
-    def checked(obs):
-        def fn(*coords):
-            if not isinstance(coords[0], Traced):
-                check("batches", coords, walls_only=False)
-            return obs.fn(*coords)
+def test_levels_below_the_positivity_floor_name_the_guard():
+    """On the sphere at omega 1e-5 the sector floor is 5e-11, so a sector
+    level of 5e-9 lies above it and below ``DELTA_POS``: every split point
+    clears the walls and fails the positivity guard."""
+    spec = spec_for("sphere", "1", omega=1e-5)
+    targets = [factorization._energy_floor(spec, 5e-9) + 1e-10, 5e-9, 0.0]
+    splits = 2 * levels.SHIFT_PHASES
+    with pytest.raises(NoSolution) as info:
+        solve_levels(spec, "X", targets)
+    assert str(info.value).endswith(
+        f"each of the {splits} split points tried fails a domain guard: "
+        f"{splits} with the sector integral not above 1e-08")
 
-        return Observable(fn, obs.label)
 
+@pytest.mark.parametrize("family, case", [
+    ("euclidean", "reachable"), ("sphere", "reachable"), ("ttw", "reachable"),
+    ("ttw", "near wall"),
+])
+def test_search_evaluates_h_and_the_symmetry_only_past_the_guards(family, case, monkeypatch):
+    """Every value the search takes lies inside the walls at
+    ``DELTA_MARGIN``, and every value of ``H`` and the symmetry inside
+    ``domain_mask`` there, with ``I2`` above ``DELTA_POS``.  Run on the
+    reachable levels of each family's seed point at gamma 3/2, and on
+    levels whose every split point lies in the margin band, where nothing
+    past the walls runs."""
+    if case == "reachable":
+        spec = spec_for(family, "3/2")
+        targets = _levels_at(spec, SEED_POINTS[family])
+    else:
+        targets, options = NEAR_WALL
+        spec = spec_for(family, "3/2", **options)
+    states = {"walls": [], "domain": []}
     sector_label = second_integral_observable(spec).label
 
     def checked_code(obs):
         code = compile_code(obs)
 
         def run(*coords):
-            check("states", coords, walls_only=obs.label == sector_label)
+            batch = PhaseBatch.from_arrays(*(np.atleast_1d(c) for c in coords))
+            if obs.label == sector_label:
+                mask = wall_mask(spec.family, (batch.q1, batch.q2), DELTA_MARGIN)
+                states["walls"].append(bool(mask.all()))
+            else:
+                states["domain"].append(bool(domain_mask(spec, batch, DELTA_MARGIN).all()))
             return code(*coords)
 
         return run
 
     compile_code = levels.compiled_gradient
-    x_plus, x_minus, x_real, y_real = higher_integral_observables(spec)
     monkeypatch.setattr(levels, "compiled_gradient", checked_code)
-    monkeypatch.setattr(levels, "hamiltonian_observable",
-                        lambda s: checked(hamiltonian_observable(s)))
-    monkeypatch.setattr(levels, "higher_integral_observables",
-                        lambda s: (x_plus, x_minus, checked(x_real), checked(y_real)))
-    if reachable:
-        solve_levels(spec, "X", _levels_at(spec, SEED_POINTS[family]))
+    if case == "reachable":
+        solve_levels(spec, "X", targets)
+        assert states["walls"] == [True] and states["domain"] == [True, True]
     else:
-        sym_name, targets = GIVE_UPS[family]
-        with pytest.raises(NoSolution, match="best residual"):
-            solve_levels(spec, sym_name, targets)
-    assert inside["batches"] and inside["states"]
-    assert all(inside["batches"]) and all(inside["states"])
+        with pytest.raises(NoSolution, match="of the wall theta = pi/2"):
+            solve_levels(spec, "X", targets)
+        assert states == {"walls": [], "domain": []}
 
 
-def _min_norm_step(jac, f):
-    return np.linalg.pinv(np.array(jac)) @ -np.array(f)
+def _survey_spec(family, gamma):
+    return spec_for(family, gamma, alpha=1.1, beta=0.7)
 
 
-def test_gauss_newton_step_is_the_minimum_norm_step(monkeypatch):
-    """Rows of independent gradients, however unequal in scale, are solved
-    in closed form (no pseudo-inverse is taken) and give the minimum-norm
-    solution of ``J s = -f``, as a near-dependent pair above the floor
-    does.  The reference is the SVD of the rows scaled to unit norm, which
-    has the same solution and keeps the SVD accurate.  The adjugate loses
-    about ``log10(1 / det G)`` digits, six in the near-dependent case."""
-    rng = np.random.default_rng(3)
-    cases = []
-    for _ in range(50):
-        jac = rng.normal(size=(3, 4)) * np.array([[1.0], [1e-3], [1e8]])
-        cases.append((jac, rng.normal(size=3)))
-    near = rng.normal(size=(3, 4))
-    near[2] = near[0] + 1e-3 * rng.normal(size=4)  # det G about 1e-6
-    cases.append((near, rng.normal(size=3)))
-    norms = [np.linalg.norm(jac, axis=1) for jac, _ in cases]
-    expected = [_min_norm_step(jac / n[:, None], f / n) for (jac, f), n in zip(cases, norms)]
-    monkeypatch.setattr(np.linalg, "pinv", None)
-    for (jac, f), n, want in zip(cases, norms, expected):
-        step = np.array(levels._gauss_newton_step(jac.tolist(), f.tolist()))
-        np.testing.assert_allclose(step, want, rtol=1e-8, atol=0)
-        scale = n * np.linalg.norm(step) + np.abs(f)
-        assert np.all(np.abs(jac @ step + f) <= 1e-10 * scale)
+def _survey(spec, batch):
+    """Solve the ``X`` and ``Y`` levels of every point of ``batch``; return
+    the refusals or misses, and the largest residual of the points found."""
+    h, i2 = _h_and_i2(spec, batch)
+    _, _, x_real, y_real = higher_integral_observables(spec)
+    failed, worst = [], 0.0
+    for sym_name, obs in (("X", x_real), ("Y", y_real)):
+        for targets in zip(h, i2, eval_batch(obs, batch).real):
+            try:
+                z, residual, _ = solve_levels(spec, sym_name, targets)
+            except NoSolution as exc:
+                failed.append((sym_name, targets, str(exc)))
+                continue
+            worst = max(worst, residual)
+    return failed, worst
 
 
-@pytest.mark.parametrize("case", ["equal", "proportional", "near", "zero"])
-def test_gauss_newton_step_falls_back_to_the_pseudo_inverse(case):
-    """When ``J J^T`` is numerically singular (its determinant, with unit
-    rows, at most ``GRAM_FLOOR``) the step is ``-pinv(J) f``: the
-    least-squares step of least norm."""
-    rng = np.random.default_rng(4)
-    jac = rng.normal(size=(3, 4))
-    jac[2] = {"equal": jac[0], "proportional": -3.0 * jac[1],
-              "near": jac[0] + 1e-5 * rng.normal(size=4), "zero": 0.0}[case]
-    f = rng.normal(size=3)
-    step = levels._gauss_newton_step(jac.tolist(), f.tolist())
-    assert step == _min_norm_step(jac, f).tolist()
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_survey_of_real_levels_finds_every_point(family):
+    """The ``X`` and ``Y`` levels of the 30 points of ``sample_points(spec,
+    default_box(spec), 30, 11)`` at gamma 1, 2, 1/2, 3/2, 2/3 and 7/5 (TTW
+    at alpha 1.1, beta 0.7): 360 requests per family, 1080 in all.  A real
+    point attains each, so a refusal or a miss is a fault."""
+    for gamma in ("1", "2", "1/2", "3/2", "2/3", "7/5"):
+        spec = _survey_spec(family, gamma)
+        failed, worst = _survey(spec, sample_points(spec, default_box(spec), 30, 11))
+        assert failed == [] and worst <= LEVEL_TOLERANCE, gamma
 
 
-def test_gauss_newton_step_refuses_a_non_finite_jacobian():
-    jac = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, math.inf, 0.0]]
-    assert levels._gauss_newton_step(jac, [1.0, 1.0, 1.0]) is None
-    jac[2][2] = math.nan
-    assert levels._gauss_newton_step(jac, [1.0, 1.0, 1.0]) is None
+@pytest.mark.parametrize("gamma", ["7/5", "5/3"])
+def test_survey_of_wide_box_plane_levels_finds_every_point(gamma):
+    """The ``X`` and ``Y`` levels of 111 points uniform in ``[-15, 15]^4``
+    (ten times the default box; numpy seed 3), where ``|X+|`` reaches 5e12."""
+    spec = spec_for("euclidean", gamma)
+    coords = np.random.default_rng(3).uniform(-15.0, 15.0, size=(111, 4))
+    failed, worst = _survey(spec, PhaseBatch.from_arrays(*coords.T))
+    assert failed == [] and worst <= LEVEL_TOLERANCE

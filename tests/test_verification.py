@@ -26,7 +26,10 @@ from superfact import (
     UnsupportedError,
     bracket_batch,
     build_suite,
+    default_box,
     domain_check,
+    euclid_y_sector_observable,
+    eval_batch,
     hamiltonian_observable,
     independence_report,
     ladder_observables,
@@ -34,6 +37,7 @@ from superfact import (
     run_suite,
     sample_points,
     second_integral,
+    second_integral_observable,
     symmetry_tolerance,
     verify_system,
 )
@@ -149,6 +153,26 @@ def test_mutated_identity_fails_almost_everywhere():
     assert np.mean(residual > TOL_POLY) >= 0.99
     true_result = run_identity(build_suite(spec)[5], batch)
     assert true_result.label == "bracket.Bm_Bp" and true_result.passed
+
+
+def test_polynomial_tolerance_resolves_a_coefficient_off_by_2e_11():
+    """``decomp.H`` on the plane passes at ``TOL_POLY``; the same identity
+    with ``gamma^2`` 2e-11 off in its right side fails almost everywhere."""
+    spec = spec_for("euclidean", "3/2")
+    batch = sample_points(spec, default_box(spec), 200, seed=4)
+    h, i2 = hamiltonian_observable(spec), second_integral_observable(spec)
+    hy = euclid_y_sector_observable(spec)
+    g2 = spec.gamma.value ** 2
+
+    def sectors(factor):
+        return lambda b: eval_batch(hy, b) + g2 * factor * eval_batch(i2, b)
+
+    assert run_identity(IdentitySpec("decomp.H", lambda b: eval_batch(h, b), sectors(1.0),
+                                     TOL_POLY), batch).passed
+    off = IdentitySpec("decomp.H.off", lambda b: eval_batch(h, b), sectors(1.0 + 2e-11),
+                       TOL_POLY)
+    result = run_identity(off, batch)
+    assert not result.passed and result.max_residual > 2 * TOL_POLY
 
 
 def test_run_identity_reports_pointwise_errors():

@@ -24,9 +24,6 @@ commands in one process, writing into its own output directory under
 - ``trace`` on levels above the ceiling, per family at gamma 2, 3/2 and
   7/5: ``H`` and ``I2`` of an in-domain point, and ``X`` ten times ``|X+|``
   there;
-- ``trace`` on levels of real points on which every start gives up (the
-  give-ups of ``tools/level_survey.py`` and one of the plane, all at
-  gamma 7/5);
 - one reachable ``trace --plane rtheta`` per family: the README's TTW
   levels, and ``H``, ``I2`` and ``X`` of the euclidean point above at
   gamma 2 and of the sphere point at gamma 3/2;
@@ -36,25 +33,17 @@ commands in one process, writing into its own output directory under
 
 Every output file but the manifests (they carry wall-clock timestamps) is
 compared byte for byte, and so are the exit codes; each request below the
-floor, above the ceiling or on the give-up levels must also exit 5 on both
-sides, each run into a wall exit 3, each request above the ceiling be
-refused on the change side before any search (its manifest message names
-the ceiling, and no start is tried), and a give-up's manifest ``message``
-(it gives the best residual) must match byte for byte.  Every ``trace``
-that finds a point on both sides from the same grid start must find it
-within ``POINT_GAP`` of the other side's in each coordinate.  The script
-prints each file or message that differs, each file that exists on one
-side only, each such request that did not exit or refuse as expected and
-each point farther apart, and exits 1 if there is any; it exits 0 when all
-match.  It also prints how many points were found from the same start,
-the largest gap between them, and each ``trace`` whose winning start
-moved.
-
-For information it also times the give-ups: in each of ``TIMING_ROUNDS``
-rounds, alternating which side goes first, each side runs every give-up
-once to compile its observables and once more timed, in a fresh
-interpreter.  It prints each side's median ``level_search`` seconds, their
-ratio and the iterations.
+floor or above the ceiling must also exit 5 on both sides, each run into a
+wall exit 3, and each request above the ceiling be refused on the change
+side before any split of the level search (its manifest message names the
+ceiling, and ``level_search.splits`` is 0).  The script prints every file
+that differs or exists on one side only.  Only ``trace`` outputs may
+differ: a ``trace`` may find another point on the same levels.  For each
+differing ``trace`` file it prints the change side's ``level_residual``,
+which must be at most ``LEVEL_TOL``.  It prints each request that did not
+exit or refuse as expected, and exits 1 if there is any such request, any
+differing exit code or file other than a ``trace`` output, or a residual
+above ``LEVEL_TOL``; else it exits 0.
 
 A differing file is marked "numbers only" when just its floating-point
 numbers moved: a report keeps its keys, verdicts, strings and integers (the
@@ -71,7 +60,6 @@ import argparse
 import filecmp
 import json
 import math
-import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +71,7 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import superfact as sf  # noqa: E402
 import workloads  # noqa: E402
 from superfact.cli import EXIT_BREACH, EXIT_NO_SOLUTION  # noqa: E402
+from workloads import LEVEL_TOL  # noqa: E402
 
 SEEDS = (1, 2, 3)
 FAST_FLOW_ROUND = 281
@@ -102,21 +91,6 @@ CEILING_POINTS = {
     "ttw": (1.2, 0.7, 0.3, -0.4),
 }
 CEILING_GAMMAS = ("2", "3/2", "7/5")
-# Levels of real points on which every start gives up: (family, symmetry,
-# H, I2, level), all at gamma 7/5.
-GIVE_UPS = (
-    ("euclidean", "X", 62.5527565137618, 23.88436570108292, 42400190.89001757),
-    ("sphere", "X", 138.21881396497304, 4.422081754914755, -886758304.8930755),
-    ("sphere", "X", 236.1178783360999, 96.63828242930445, 60735372048.71429),
-    ("sphere", "X", 638.4812486574702, 11.851716899782504, 2642828977263.6616),
-    ("sphere", "Y", 236.1178783360999, 96.63828242930445, -25626702055.239025),
-    ("sphere", "Y", 638.4812486574702, 11.851716899782504, 232850004390.98062),
-    ("ttw", "X", 491.3070229482648, 59.492009964912086, 1.514156547117554e+23),
-    ("ttw", "Y", 491.3070229482648, 59.492009964912086, -5.700301499492839e+22),
-)
-GIVE_UP_GAMMA = "7/5"
-# Largest coordinate gap between points found from the same start.
-POINT_GAP = 1e-10
 # Specs whose ceiling point, on its own X level, is traced in polar.
 PROJECTION_SPECS = (("euclidean", "2"), ("sphere", "3/2"))
 # One run into each wall (its label in the prefix), and the TTW external angle.
@@ -136,7 +110,6 @@ BREACH_RUNS = (
 )
 EXTERNAL_ANGLE = ("phi-ttw-3_2", [*workloads.spec_argv("ttw", "3/2"), "--q0", "1.2,0.8",
                                   "--p0=-0.4,0.6", "--external-angle"])
-TIMING_ROUNDS = 5
 EXIT_CODES = "exit_codes.json"
 
 # Runs in a fresh interpreter per side: argv[1] is the side's source tree,
@@ -183,15 +156,6 @@ def above_ceiling() -> list[tuple[str, list[str]]]:
             for gamma in CEILING_GAMMAS for family in CEILING_POINTS]
 
 
-def give_ups() -> list[tuple[str, list[str]]]:
-    """``(output prefix, argv)`` of the ``trace`` requests whose level
-    search runs every start and gives up."""
-    return [(f"give-up-{k}-{family}-{sym}",
-             ["trace", *workloads.spec_argv(family, GIVE_UP_GAMMA), f"--energy={h!r}",
-              f"--second={i2!r}", f"--symmetry={sym}={level!r}", "--plane", "xy"])
-            for k, (family, sym, h, i2, level) in enumerate(GIVE_UPS)]
-
-
 def projections() -> list[tuple[str, list[str]]]:
     """``(output prefix, argv)`` of one reachable ``trace --plane rtheta``
     per family: the README's TTW levels, and the levels of the euclidean and
@@ -218,18 +182,18 @@ def commands() -> list[tuple[str, list[str]]]:
             for prefix, _, argv in _round(workload)]
     out += [(prefix, argv) for prefix, _, argv in
             _round("flow", FAST_FLOW_ROUND, FAST_FLOW_SEEDS)]
-    out += above_ceiling() + give_ups() + projections()
+    out += above_ceiling() + projections()
     return out + [(prefix, ["integrate", *argv, "--t-end", "3"])
                   for prefix, argv in (*BREACH_RUNS, EXTERNAL_ANGLE)]
 
 
 def expected_exits() -> dict[str, int]:
     """The exit code of each command whose code is known in advance: 5 for
-    the requests below the energy floor, above the ceiling and on the
-    give-up levels, 3 for the runs into a wall."""
+    the requests below the energy floor and above the ceiling, 3 for the
+    runs into a wall."""
     out = {prefix: EXIT_NO_SOLUTION for prefix, kind, _ in _round("trace")
            if kind == "unreachable"}
-    out.update((prefix, EXIT_NO_SOLUTION) for prefix, _ in above_ceiling() + give_ups())
+    out.update((prefix, EXIT_NO_SOLUTION) for prefix, _ in above_ceiling())
     out.update((prefix, EXIT_BREACH) for prefix, _ in BREACH_RUNS)
     return out
 
@@ -246,68 +210,24 @@ def _manifest(outdir: Path, prefix: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
 
 
-def differing_messages(outdirs: dict) -> list[str]:
-    """The give-ups whose manifest messages differ between the sides."""
-    return [prefix for prefix, _ in give_ups()
-            if _manifest(outdirs["parent"], prefix).get("message")
-            != _manifest(outdirs["change"], prefix).get("message")]
-
-
 def unrefused(outdir: Path) -> list[str]:
     """The requests above the ceiling that were not refused before any
-    search, with a message that names the ceiling."""
+    split, with a message that names the ceiling."""
     out = []
     for prefix, _ in above_ceiling():
         manifest = _manifest(outdir, prefix)
         if ("is above the ceiling |X+|" not in manifest.get("message", "")
-                or manifest.get("level_search", {}).get("valid_starts") != 0):
+                or manifest.get("level_search", {}).get("splits") != 0):
             out.append(prefix)
     return out
 
 
-def start_points(outdirs: dict, prefixes) -> tuple[int, float, list[str], list[str]]:
-    """Compare the points of the ``trace`` commands ``prefixes`` that found
-    one on both sides: how many came from the same start, the largest
-    coordinate gap between those, the prefixes whose gap exceeds
-    ``POINT_GAP`` and those whose winning start moved."""
-    same, gap, far, moved = 0, 0.0, [], []
-    for prefix in prefixes:
-        found = [_manifest(outdirs[side], prefix) for side in SIDES]
-        points = [m.get("args", {}).get("solution_point") for m in found]
-        if None in points:
-            continue
-        starts = [m["level_search"]["winning_start"] for m in found]
-        if starts[0] != starts[1]:
-            moved.append(f"{prefix} ({starts[0]} -> {starts[1]})")
-            continue
-        same += 1
-        point_gap = max(abs(a - b) for a, b in zip(*points))
-        gap = max(gap, point_gap)
-        if point_gap > POINT_GAP:
-            far.append(prefix)
-    return same, gap, far, moved
-
-
-def time_give_ups(trees: dict, workdir: Path) -> None:
-    """Print each side's median level-search seconds and the iterations of
-    every give-up, over ``TIMING_ROUNDS`` alternating rounds."""
-    searches = give_ups()
-    cmds = [(f"warm-{prefix}", argv) for prefix, argv in searches] + searches
-    seconds = {(side, prefix): [] for side in SIDES for prefix, _ in searches}
-    iterations = {}
-    for r in range(TIMING_ROUNDS):
-        for side in SIDES[::1 if r % 2 == 0 else -1]:
-            outdir = workdir / f"{side}-timing-{r}"
-            run_side(trees[side], outdir, cmds)
-            for prefix, _ in searches:
-                search = _manifest(outdir, prefix).get("level_search", {})
-                seconds[side, prefix].append(search.get("seconds", math.nan))
-                iterations[side, prefix] = search.get("iterations")
-    for prefix, _ in searches:
-        ms = [statistics.median(seconds[side, prefix]) * 1e3 for side in SIDES]
-        print(f"give-up {prefix}: parent {ms[0]:.1f} ms, change {ms[1]:.1f} ms "
-              f"(x{ms[1] / ms[0]:.2f}), iterations {iterations['parent', prefix]} "
-              f"vs {iterations['change', prefix]}")
+def level_residual(outdir: Path, prefix: str) -> float:
+    """The ``level_residual`` of a ``trace`` report, NaN without one."""
+    path = outdir / f"{prefix}.report.json"
+    if not path.exists():
+        return math.nan
+    return json.loads(path.read_text(encoding="utf-8"))["solution"]["level_residual"]
 
 
 def run_side(tree: Path, outdir: Path, cmds) -> None:
@@ -419,44 +339,48 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cmds = commands()
-    outdirs, trees = {}, {}
+    outdirs = {}
     for side in SIDES:
-        sha, trees[side] = export(getattr(args, side), args.workdir, side)
+        sha, tree = export(getattr(args, side), args.workdir, side)
         outdirs[side] = args.workdir / f"{side}-{sha[:12]}-out"
-        run_side(trees[side], outdirs[side], cmds)
+        run_side(tree, outdirs[side], cmds)
     compared, diff = differences(outdirs["parent"], outdirs["change"])
     codes = [json.loads((outdirs[side] / EXIT_CODES).read_text(encoding="utf-8"))
              for side in SIDES]
+    traces = {prefix for prefix, argv in cmds if argv[0] == "trace"}
     kinds = {"numbers only": 0, "structure": 0}
+    others, far = [], []
     for name in diff:
         paths = [outdirs[side] / name for side in SIDES]
         kind = "numbers only" if numbers_only(*paths, codes) else "structure"
         kinds[kind] += 1
         detail = f" ({largest_difference(*paths)})" if all(p.exists() for p in paths) else ""
+        prefix = name.partition(".")[0]
+        if prefix in traces:
+            residual = level_residual(outdirs["change"], prefix)
+            detail += f", level_residual {residual:.3g}"
+            if not residual <= LEVEL_TOL:
+                far.append(name)
+        else:
+            others.append(name)
         print(f"differs: {name} [{kind}]{detail}")
+    moved = sorted(prefix for prefix in codes[0] if codes[0][prefix] != codes[1].get(prefix))
+    for prefix in moved:
+        print(f"exit code differs: {prefix} ({codes[0][prefix]} -> {codes[1].get(prefix)})")
     bad = [(side, prefix, code) for side, side_codes in zip(SIDES, codes)
            for prefix, code in unexpected(side_codes)]
     for side, prefix, code in bad:
         print(f"not exit {code} on the {side} side: {prefix}")
-    messages = differing_messages(outdirs)
-    for prefix in messages:
-        print(f"manifest message differs: {prefix}")
     refusals = unrefused(outdirs["change"])
     for prefix in refusals:
         print(f"not refused by the ceiling on the change side: {prefix}")
-    traces = [prefix for prefix, argv in cmds if argv[0] == "trace"]
-    same, gap, far, moved = start_points(outdirs, traces)
-    for prefix in moved:
-        print(f"winning start moved: {prefix}")
-    for prefix in far:
-        print(f"point from the same start more than {POINT_GAP:g} away: {prefix}")
-    print(f"{same} trace points found from the same start on both sides, "
-          f"largest coordinate gap {gap:.3g}")
-    time_give_ups(trees, args.workdir)
+    for name in far:
+        print(f"level_residual above {LEVEL_TOL:g}: {name}")
     print(f"{len(cmds)} commands; {len(diff)} of {compared} files differ "
           f"({outdirs['parent']} vs {outdirs['change']}): "
-          f"{kinds['numbers only']} numbers only, {kinds['structure']} structure")
-    return 1 if diff or bad or messages or refusals or far else 0
+          f"{kinds['numbers only']} numbers only, {kinds['structure']} structure; "
+          f"{len(diff) - len(others)} trace outputs, {len(others)} other files")
+    return 1 if others or moved or bad or refusals or far else 0
 
 
 if __name__ == "__main__":
