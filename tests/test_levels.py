@@ -489,10 +489,6 @@ def test_search_evaluates_h_and_the_symmetry_only_past_the_guards(family, case, 
         assert states == {"walls": [], "domain": []}
 
 
-def _survey_spec(family, gamma):
-    return spec_for(family, gamma, alpha=1.1, beta=0.7)
-
-
 def _survey(spec, batch):
     """Solve the ``X`` and ``Y`` levels of every point of ``batch``; return
     the refusals or misses, and the largest residual of the points found."""
@@ -502,7 +498,7 @@ def _survey(spec, batch):
     for sym_name, obs in (("X", x_real), ("Y", y_real)):
         for targets in zip(h, i2, eval_batch(obs, batch).real):
             try:
-                z, residual, _ = solve_levels(spec, sym_name, targets)
+                _, residual, _ = solve_levels(spec, sym_name, targets)
             except NoSolution as exc:
                 failed.append((sym_name, targets, str(exc)))
                 continue
@@ -517,7 +513,7 @@ def test_survey_of_real_levels_finds_every_point(family):
     at alpha 1.1, beta 0.7): 360 requests per family, 1080 in all.  A real
     point attains each, so a refusal or a miss is a fault."""
     for gamma in ("1", "2", "1/2", "3/2", "2/3", "7/5"):
-        spec = _survey_spec(family, gamma)
+        spec = spec_for(family, gamma)
         failed, worst = _survey(spec, sample_points(spec, default_box(spec), 30, 11))
         assert failed == [] and worst <= LEVEL_TOLERANCE, gamma
 
