@@ -8,9 +8,10 @@ of the ladder factor ``B+`` and of the shift factor ``A'``, so they fix
 ``R = |X+|`` too.  ``X = R cos psi`` and ``Y = R sin psi`` then fix only the
 phase ``psi = n arg B+ + m arg A'``: ``psi*`` is ``+-arccos(X/R)`` for ``X``,
 and ``arcsin(Y/R)`` or ``pi - arcsin(Y/R)`` for ``Y``.  A split ``phi_A =
-2 pi k / SHIFT_PHASES``, ``phi_B = (psi* - m phi_A)/n`` of that phase gives a
-point of the level set through the factor chart
-(:func:`~superfact.factorization.inverse_chart`).  The splits are tried in
+2 pi k / SHIFT_PHASES``, ``phi_B = (psi* - m phi_A)/n`` gives a point of the
+level set (:func:`~superfact.factorization.inverse_chart`).  The splits of a
+branch lie on one turn of ``phi_A``, ``1/n`` of the closed curve ``n phi_B +
+m phi_A = psi*``: a refusal speaks for that arc only.  The splits are tried in
 a fixed order, ``k`` first and then the two branches of ``psi*``, and the
 first point that passes the domain guards and the tolerance is returned.
 On the 1080 survey levels of ``tests/test_levels.py`` the first split

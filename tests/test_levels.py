@@ -430,6 +430,22 @@ def test_y_levels_try_the_mirror_branch_pi_minus_psi():
         "within 0.05 of the wall theta = 0")
 
 
+def test_splits_cover_one_turn_of_the_shift_phase_densely():
+    """Levels on the degenerate sphere (omega 1e-5, gamma 2/3) with the
+    sector level 1e-5 and the energy 1 above their floors and ``X`` at 0.99
+    of the ceiling.  Along the level curve ``phi_A = 3t``, ``phi_B = psi/3 -
+    2t``, only narrow arcs around ``t = (2j + 1) pi / 6`` clear the walls'
+    bands.  The ninth split (``k = 4``, ``t = pi/6``) meets the levels;
+    16 splits spread over the three turns of ``phi_A`` miss every arc."""
+    spec = spec_for("sphere", "2/3", omega=1e-5)
+    targets = [1.0000044444444445, 1.00001125e-05, 3.1306548835666975e-08]
+    z, residual, search = solve_levels(spec, "X", targets)
+    assert search.splits == 9 and residual <= LEVEL_TOLERANCE
+    scale = 1 + np.abs(targets)
+    found = _levels_at(spec, PhasePoint(*z))
+    assert np.all(np.abs(found - targets) <= LEVEL_TOLERANCE * scale)
+
+
 def test_levels_below_the_positivity_floor_name_the_guard():
     """On the sphere at omega 1e-5 the sector floor is 5e-11, so a sector
     level of 5e-9 lies above it and below ``DELTA_POS``: every split point

@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Apply hand-written mutants one at a time and report which the tests kill.
 
-    python3 tools/mutants.py --rev HEAD --workdir /tmp/mutants [--list FILE] [--only 3 7]
+    python3 tools/mutants.py --rev HEAD --workdir /tmp/mutants
 
 The revision is exported with ``bench_pairs.export`` into a fresh directory
-under ``--workdir``.  Each entry of the list (by default ``tools/mutants.json``
-beside this script) names a ``path`` in that tree, an exact ``old`` text that
-must occur there exactly once, the ``new`` text that replaces it, and a
-``note``.  The unmutated tree runs tier-1 first and must pass.  Then, for
+under ``--workdir``.  Each entry of ``tools/mutants.json`` (beside this
+script) names a ``path`` in that tree, an exact ``old`` text that must occur
+there exactly once, the ``new`` text that replaces it, and a ``note``.  The unmutated tree runs tier-1 first and must pass.  Then, for
 each entry, the script writes the mutated file, runs tier-1 with ``-x``
 (``python -m pytest -x -q --continue-on-collection-errors`` with ``src`` on
 ``PYTHONPATH``), and restores the file.  It prints one row per mutant:
 killed or survived, the seconds the run took, the first failing test and
 the note; an entry whose ``old`` text does not occur exactly once is
-printed as stale and not run.  ``--only`` runs the entries with the given
-indices (from 0).  It exits 1 when any mutant survived or is stale.
+printed as stale and not run.  It exits 1 when any mutant survived or is
+stale.
 """
 
 from __future__ import annotations
@@ -52,11 +51,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to mutate")
     parser.add_argument("--workdir", type=Path, required=True, help="where the tree goes")
-    parser.add_argument("--list", type=Path, default=Path(__file__).with_name("mutants.json"))
-    parser.add_argument("--only", type=int, nargs="+", help="indices of the entries to run")
     args = parser.parse_args(argv)
 
-    entries = json.loads(args.list.read_text(encoding="utf-8"))
+    entries = json.loads(Path(__file__).with_name("mutants.json").read_text(encoding="utf-8"))
     _, tree = export(args.rev, args.workdir, "mutants")
     passed, first, seconds = run_tests(tree)
     print(f"unmutated tree: {'passed' if passed else 'FAILED'} in {seconds:.1f} s ({first})",
@@ -65,8 +62,6 @@ def main(argv=None) -> int:
         return 2
     bad = 0
     for index, entry in enumerate(entries):
-        if args.only and index not in args.only:
-            continue
         path = tree / entry["path"]
         original = path.read_text(encoding="utf-8")
         count = original.count(entry["old"])
