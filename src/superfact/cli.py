@@ -505,7 +505,7 @@ def _run_integration(
         elif c.get("closed") is None:
             print(f"closure: undetermined ({c.get('reason')})")
         else:
-            print(f"closure: open at this span (best return {c['return_distance']:.3e})")
+            print(f"closure: open at this span (largest return {c['return_distance']:.3e})")
     print(f"csv: {csv_path}")
     print(f"report: {report_path}")
     return EXIT_OK

@@ -20,7 +20,8 @@ with ``scipy.optimize.brentq``, so a run that stays inside the walls never
 loads it.  Every sampled state gets the energy, the sector integral,
 and the real constants ``X``/``Y`` attached so drift can be audited after
 the fact, and the trajectory records its vector-field evaluations and its
-accepted and rejected steps.
+accepted and rejected steps.  Closure (:func:`detect_closure`) is decided
+at the multiples of the period the factorization predicts.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainBreach, DomainError, InsufficientSpan, StepFailure
-from .factorization import higher_integral_observables
+from .factorization import higher_integral_observables, orbit_period
 from .phase import PhaseBatch, PhasePoint, compiled_gradient, eval_batch
 from .systems import (
     DELTA_MARGIN,
@@ -133,8 +134,10 @@ class DriftReport:
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """``closed`` with ``period=None`` means the orbit never left the initial
-    point at sampling resolution (an equilibrium)."""
+    """``period`` is the predicted period ``T`` and ``return_distance`` the
+    largest distance from the start at a multiple of ``T`` in the span.
+    ``closed`` with ``period=None`` means the orbit stayed within
+    ``return_distance`` of its start at every sample (an equilibrium)."""
 
     closed: bool
     period: float | None
@@ -540,6 +543,11 @@ def solve_ivp(field, y0, t_eval, *, rtol, atol, max_step, events=()) -> Solution
 # ---------- sampling helpers ----------
 
 
+def _max_step(spec: SystemSpec, controls: IntegratorControls) -> float:
+    """The largest step of ``controls`` on ``spec`` (``T/10`` unless set)."""
+    return characteristic_period(spec) / 10 if controls.max_step is None else controls.max_step
+
+
 def sample_interval(spec: SystemSpec, t_end: float, controls: IntegratorControls) -> float:
     """The sample interval of ``controls`` on ``spec`` (``T/200`` unless
     set).  Raises ``ValueError`` when ``[0, t_end]`` would hold more than
@@ -616,14 +624,8 @@ def integrate(
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     controls = controls or IntegratorControls()
-    period = characteristic_period(spec)
-    max_step = controls.max_step if controls.max_step is not None else period / 10
     sample_dt = sample_interval(spec, t_end, controls)
-    margin = (
-        controls.breach_margin
-        if controls.breach_margin is not None
-        else DELTA_MARGIN / 2
-    )
+    margin = DELTA_MARGIN / 2 if controls.breach_margin is None else controls.breach_margin
 
     verdict = domain_check(spec, initial, margin=margin)
     if not verdict:
@@ -640,7 +642,7 @@ def integrate(
         _sample_times(t_end, sample_dt),
         rtol=controls.rel_tol,
         atol=controls.abs_tol,
-        max_step=max_step,
+        max_step=_max_step(spec, controls),
         events=_breach_events(spec, margin),
     )
     counts = (sol.nfev, sol.steps_accepted, sol.steps_rejected)
@@ -692,75 +694,39 @@ def drift_report(traj: Trajectory) -> DriftReport:
 # ---------- closure detection ----------
 
 
-def _refine_minimum(t, states, z0, idx):
-    """Polish a sampled distance minimum with componentwise cubic fits,
-    taken as one least-squares fit of the block of up to seven states
-    around it and evaluated at once on a grid of 2001 points."""
-    lo = max(idx - 3, 0)
-    hi = min(idx + 4, len(t))
-    tt = t[lo:hi]
-    if len(tt) < 4:
-        d = float(np.linalg.norm(states[idx] - z0))
-        return float(t[idx]), d
-    t0 = tt[0]
-    span = tt[-1] - t0
-    u = (tt - t0) / span
-    deg = min(3, len(tt) - 1)
-    coeffs = np.polyfit(u, states[lo:hi], deg)
-    uu = np.linspace(0.0, 1.0, 2001)
-    comps = np.polyval(coeffs[:, :, None], uu)
-    dist2 = ((comps - z0[:, None]) ** 2).sum(axis=0)
-    j = int(np.argmin(dist2))
-    u_star = uu[j]
-    if 0 < j < len(uu) - 1:
-        y1, y2, y3 = dist2[j - 1], dist2[j], dist2[j + 1]
-        denom = y1 - 2.0 * y2 + y3
-        if denom > 0:
-            step = 0.5 * (y1 - y3) / denom
-            u_star = uu[j] + max(-1.0, min(1.0, step)) * (uu[1] - uu[0])
-    z_star = np.polyval(coeffs, u_star)
-    return float(t0 + u_star * span), float(np.linalg.norm(z_star - z0))
-
-
 def detect_closure(traj: Trajectory, eps: float = 1e-4) -> ClosureResult:
-    """Decide whether the orbit returns to its initial state within ``eps``.
+    """Decide whether the orbit returns to its initial state within ``eps``
+    at each multiple ``kT`` in its span of the period ``T`` the
+    factorization predicts (:func:`~superfact.factorization.orbit_period`).
 
-    The distance-to-start series is scanned for local minima after the orbit
-    has clearly departed (a quarter of the maximum excursion); each candidate
-    is refined by local polynomial fits, and the first refined return below
-    ``eps`` fixes the period.  Raises
-    :class:`~superfact.errors.InsufficientSpan` when the trajectory never
-    comes back down, i.e. it is too short to bracket a return.
+    Each state at ``kT`` is integrated from the last sample at or before it
+    with the trajectory's own controls; the flow is autonomous, so the
+    restart is exact.  An orbit within ``eps`` of its start over a positive
+    span is stationary.  Raises :class:`~superfact.errors.InsufficientSpan`
+    when the span is shorter than ``T``.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if len(traj) < 2:
-        raise InsufficientSpan("need at least two samples to assess closure")
-    states = traj.states
-    t = traj.t
+    t, states = traj.t, traj.states
     z0 = states[0]
-    d = np.linalg.norm(states - z0, axis=1)
-    dmax = float(d.max())
-    if dmax <= eps:
-        return ClosureResult(closed=True, period=None, return_distance=dmax)
-    level = 0.25 * dmax
-    departed = int(np.argmax(d > level))
-    candidates = [
-        i
-        for i in range(departed + 1, len(d) - 1)
-        if d[i] <= d[i - 1] and d[i] <= d[i + 1]
-    ]
-    # A return sitting exactly on the last sample has no right neighbor.
-    if len(d) - 1 > departed and d[-1] <= d[-2]:
-        candidates.append(len(d) - 1)
-    if not candidates:
+    excursion = float(np.linalg.norm(states - z0, axis=1).max())
+    if t[-1] > 0 and excursion <= eps:
+        return ClosureResult(closed=True, period=None, return_distance=excursion)
+    period = orbit_period(traj.spec, float(traj.energy[0]))
+    if t[-1] < period:
         raise InsufficientSpan(
-            "no return minimum inside the integration window; extend t_end"
+            f"the span t_end = {t[-1]:.9g} is shorter than the orbit period "
+            f"T = {period:.9g}; extend t_end"
         )
-    best = math.inf
-    for i in candidates:
-        t_star, d_star = _refine_minimum(t, states, z0, i)
-        best = min(best, d_star)
-        if d_star <= eps:
-            return ClosureResult(closed=True, period=t_star, return_distance=d_star)
-    return ClosureResult(closed=False, period=None, return_distance=best)
+    controls = traj.controls
+    field = _rhs_function(traj.spec)
+    worst = 0.0
+    for k in range(1, int(t[-1] // period) + 1):
+        i = int(np.searchsorted(t, k * period, side="right")) - 1
+        z = states[i]
+        gap = k * period - t[i]
+        if gap > 0:
+            z = solve_ivp(field, z, [gap], rtol=controls.rel_tol, atol=controls.abs_tol,
+                          max_step=_max_step(traj.spec, controls)).y[-1]
+        worst = max(worst, float(np.linalg.norm(z - z0)))
+    return ClosureResult(closed=worst <= eps, period=period, return_distance=worst)

@@ -37,7 +37,9 @@ over a batch (:func:`~superfact.phase.eval_batch`).
 
 The factors are also a chart: ``H`` and ``I2`` fix the moduli of ``B+`` and
 of ``A'``, the shift factor of ``X+``, and :func:`inverse_chart` returns the
-state with given ``H``, ``I2`` and phases of the two factors.
+state with given ``H``, ``I2`` and phases of the two factors.  Their phases
+are linear in a rescaled time, so every bounded orbit closes after the
+period :func:`orbit_period` returns.
 """
 
 from __future__ import annotations
@@ -459,3 +461,31 @@ def inverse_chart(spec: SystemSpec, h: float, i2: float, phi_b: float, phi_a: fl
     u = (a_re + disc) / (2 * c) if a_re >= 0 else 2 * g * g * i2 / (disc - a_re)
     r = math.sqrt(u)
     return r, two_theta / 2, a_im * r / (2 * g * root), b_im / math.sin(two_theta)
+
+
+def orbit_period(spec: SystemSpec, h: float) -> float:
+    """The time ``T`` after which every bounded orbit of energy ``h``
+    returns to its start, for ``gamma = m/n``.
+
+    Along the flow each factor turns at its record's rate.  After the time
+    change ``ds = rate dt`` (``ds = dt`` on the plane, ``E / cos^2 y`` on
+    the sphere, ``E / r^2`` for TTW) both phases are linear in ``s``: ``B+``
+    turns ``m`` times while ``A'`` turns ``n`` times, since ``n * rate(B) +
+    m * rate(A') = 0``.  ``A'`` turns once per period of its sector, so
+    ``T`` is ``n`` of those periods:
+
+    - plane: ``A`` turns at ``omega``, so ``T = 2 pi n / omega``;
+    - sphere: ``sin y`` is harmonic, ``d^2 sin y / dt^2 = -2 (H + omega^2/2)
+      sin y``, so ``T = 2 pi n / sqrt(2 H + omega^2)``;
+    - TTW: ``r^2`` is harmonic, ``d^2 r^2 / dt^2 = 8 H - 16 omega^2 r^2``,
+      so ``T = n pi / (2 omega)``.
+
+    On a degenerate orbit, where one sector is at rest (its factor is 0),
+    ``T`` is a multiple of the least period.
+    """
+    n, w = spec.gamma.n, spec.omega
+    if spec.family is Family.EUCLIDEAN:
+        return 2 * math.pi * n / w
+    if spec.family is Family.SPHERE:
+        return 2 * math.pi * n / math.sqrt(2 * h + w * w)
+    return n * math.pi / (2 * w)

@@ -394,7 +394,7 @@ def test_integrate_circle_csv(tmp_path, monkeypatch, capsys):
 
 
 def _closure_run(argv, capsys):
-    code = cli.main(["integrate", "--system", "euclidean", *argv, "--out", "c"])
+    code = cli.main(["integrate", *argv, "--out", "c"])
     assert code == 0
     closure = json.loads(Path("c.report.json").read_text())["closure"]
     return closure, capsys.readouterr().out
@@ -402,28 +402,51 @@ def _closure_run(argv, capsys):
 
 def test_integrate_closure_at_a_stationary_start(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    closure, out = _closure_run(["--gamma", "1", "--q0", "0,0", "--p0", "0,0",
-                                 "--t-end", "1", "--closure-eps", "1e-4"], capsys)
+    closure, out = _closure_run(["--system", "euclidean", "--gamma", "1", "--q0", "0,0",
+                                 "--p0", "0,0", "--t-end", "1", "--closure-eps", "1e-4"],
+                                capsys)
     assert "closure: stationary point\n" in out
     assert closure["closed"] is True and closure["period"] is None
 
 
 def test_integrate_closure_undetermined_on_a_short_span(tmp_path, monkeypatch, capsys):
+    """A span shorter than the period ``T = 2 pi n / omega`` names both."""
     monkeypatch.chdir(tmp_path)
-    closure, out = _closure_run(["--gamma", "1", "--q0", "1,0", "--p0", "0,1",
-                                 "--t-end", "1", "--closure-eps", "1e-4"], capsys)
-    assert closure["closed"] is None
-    assert "extend t_end" in closure["reason"]
-    assert f"closure: undetermined ({closure['reason']})\n" in out
+    for gamma, t_end, period in (("1", "1", "6.28318531"), ("141/100", "25", "628.318531")):
+        closure, out = _closure_run(["--system", "euclidean", "--gamma", gamma,
+                                     "--q0", "1,0", "--p0", "0,1", "--t-end", t_end,
+                                     "--closure-eps", "1e-4"], capsys)
+        assert closure["closed"] is None
+        assert closure["reason"] == (f"the span t_end = {t_end} is shorter than the orbit "
+                                     f"period T = {period}; extend t_end")
+        assert f"closure: undetermined ({closure['reason']})\n" in out
+
+
+SPHERE_3_2_ORBIT = ["--system", "sphere", "--gamma", "3/2",
+                    "--q0=1.087609886184841,-1.0012503127786418",
+                    "--p0=-0.6741275767776654,1.0794036805815845",
+                    "--t-end", "20", "--closure-eps", "1e-4"]
+
+
+def test_integrate_closure_between_samples(tmp_path, monkeypatch, capsys):
+    """A fast sphere start that returns between two samples of the default
+    grid reads closed at its period ``2 pi n / sqrt(2 H + omega^2)``."""
+    monkeypatch.chdir(tmp_path)
+    closure, out = _closure_run(SPHERE_3_2_ORBIT, capsys)
+    assert "closure: closed orbit, period 2.76783691\n" in out
+    assert closure["closed"] is True
+    assert closure["period"] == pytest.approx(2.7678369108, abs=1e-9)
+    assert closure["return_distance"] <= 1e-6
 
 
 def test_integrate_closure_open_at_this_span(tmp_path, monkeypatch, capsys):
+    """At a loose tolerance the same orbit drifts off: it reads open."""
     monkeypatch.chdir(tmp_path)
-    closure, out = _closure_run(["--gamma", "141/100", "--q0", "1,0", "--p0", "0,1",
-                                 "--t-end", "25", "--closure-eps", "1e-4"], capsys)
+    closure, out = _closure_run([*SPHERE_3_2_ORBIT, "--rel-tol", "1e-5"], capsys)
     assert closure["closed"] is False
     assert closure["return_distance"] > 1e-4
-    assert f"closure: open at this span (best return {closure['return_distance']:.3e})\n" in out
+    assert (f"closure: open at this span (largest return "
+            f"{closure['return_distance']:.3e})\n") in out
 
 
 def test_integrate_external_frame(tmp_path, monkeypatch):

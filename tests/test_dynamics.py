@@ -28,6 +28,7 @@ from superfact import (
     sample_points,
 )
 
+from superfact.factorization import orbit_period
 from superfact.systems import DELTA_MARGIN, characteristic_period
 
 from _oracles import fd_partial, integrate_adaptive_scipy, spec_for
@@ -509,72 +510,64 @@ def test_closure_equilibrium():
     assert result.return_distance <= 1e-10
 
 
-def _refine_per_coordinate(t, states, z0, idx):
-    """``dynamics._refine_minimum`` with one cubic fit and one evaluation
-    per coordinate: the reference for its one fit of the state block."""
-    lo, hi = max(idx - 3, 0), min(idx + 4, len(t))
-    tt = t[lo:hi]
-    u = (tt - tt[0]) / (tt[-1] - tt[0])
-    polys = [np.polyfit(u, states[lo:hi, k], min(3, len(tt) - 1)) for k in range(4)]
-    uu = np.linspace(0.0, 1.0, 2001)
-    dist2 = ((np.stack([np.polyval(c, uu) for c in polys]) - z0[:, None]) ** 2).sum(axis=0)
-    j = int(np.argmin(dist2))
-    u_star = uu[j]
-    if 0 < j < len(uu) - 1:
-        y1, y2, y3 = dist2[j - 1], dist2[j], dist2[j + 1]
-        if y1 - 2.0 * y2 + y3 > 0:
-            step = 0.5 * (y1 - y3) / (y1 - 2.0 * y2 + y3)
-            u_star = uu[j] + max(-1.0, min(1.0, step)) * (uu[1] - uu[0])
-    z_star = np.array([np.polyval(c, u_star) for c in polys])
-    return float(tt[0] + u_star * (tt[-1] - tt[0])), float(np.linalg.norm(z_star - z0))
+CLOSURE_RATIOS = ("1", "2", "1/2", "3/2", "2/3", "7/5")
 
 
-def test_closure_fit_of_the_state_block_matches_fits_per_coordinate():
-    """One fit of the (points, 4) block gives the bits of four fits, one per
-    coordinate, for random samples of up to seven points near and at the
-    ends of the series, and on a sampled orbit."""
-    rng = np.random.default_rng(23)
-    for _ in range(300):
-        n = int(rng.integers(4, 12))
-        t = np.cumsum(rng.uniform(0.01, 1.0, n))
-        states = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-3, 3, 4)
-        z0 = states[0] + rng.normal(scale=1e-3, size=4)
-        idx = int(rng.integers(0, n))
-        assert dynamics._refine_minimum(t, states, z0, idx) == _refine_per_coordinate(
-            t, states, z0, idx)
-    traj = integrate(spec_for("euclidean", "2"), PhasePoint(0.0, 0.0, 0.5, 1.0), 2 * TWO_PI)
-    d = np.linalg.norm(traj.states - traj.states[0], axis=1)
-    idx = len(d) // 2 + int(np.argmin(d[len(d) // 2:]))
-    assert dynamics._refine_minimum(traj.t, traj.states, traj.states[0], idx) == (
-        _refine_per_coordinate(traj.t, traj.states, traj.states[0], idx))
+def _box_starts(spec):
+    """Ten seeded starts from the family's default box."""
+    starts = sample_points(spec, default_box(spec), 10, seed=5)
+    return [starts.point(i) for i in range(len(starts))]
 
 
-def test_closure_counts_returns_once_past_a_quarter_of_the_excursion():
-    """A series whose first hump reaches 0.3 of its largest excursion, then
-    returns exactly to the start at t = 1 and goes out to the maximum: the
-    orbit has departed at a quarter of the excursion, so that return closes
-    it (a departure level at half would see no return at all)."""
-    t = np.linspace(0.0, 1.5, 151)
-    x = (0.2 + 0.8 * t * t / 2.25) * np.sin(np.pi * t) ** 2
-    zeros = np.zeros_like(t)
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_orbit_period_returns_every_default_box_start(family):
+    """Each start is back within 1e-5 at the predicted period ``T`` and at
+    least 0.01 away at ``T/2`` (the smallest is 0.17 on these starts), so
+    ``T`` is no even multiple of the least period."""
+    for gamma in CLOSURE_RATIOS:
+        spec = spec_for(family, gamma)
+        for start in _box_starts(spec):
+            period = orbit_period(spec, hamiltonian(spec, start))
+            traj = integrate(spec, start, period, IntegratorControls(sample_dt=period / 2))
+            z0, half, z = traj.states
+            assert np.linalg.norm(z - z0) <= 1e-5
+            assert np.linalg.norm(half - z0) > 0.01
+
+
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_closure_reads_closed_at_the_predicted_period(family):
+    """Over 1.5 periods at the default sample interval every start reads
+    closed at ``T``, also where the return falls between two samples."""
+    for gamma in CLOSURE_RATIOS:
+        spec = spec_for(family, gamma)
+        for start in _box_starts(spec):
+            period = orbit_period(spec, hamiltonian(spec, start))
+            result = detect_closure(integrate(spec, start, 1.5 * period))
+            assert result.closed and result.period == period
+
+
+def test_closure_takes_the_largest_return_over_every_multiple():
+    """Samples at 0, T and 2T that return at T but not at 2T read open,
+    with the return at 2T as the distance."""
+    z0 = np.array([1.0, 0.0, 0.0, 1.0])
+    states = np.stack([z0, z0, z0 + [0.1, 0.0, 0.0, 0.0]])
+    energy = np.ones(3)
     stub = Trajectory(
-        t=t, states=np.stack([x, zeros, zeros, zeros], axis=1), energy=zeros, second=zeros,
-        sym_x=zeros, sym_y=zeros, spec=spec_for("euclidean", "1"),
-        initial=PhasePoint(0.0, 0.0, 0.0, 0.0), controls=IntegratorControls(),
+        t=np.array([0.0, TWO_PI, 2 * TWO_PI]), states=states, energy=energy, second=energy,
+        sym_x=energy, sym_y=energy, spec=spec_for("euclidean", "1"),
+        initial=PhasePoint(*z0), controls=IntegratorControls(),
     )
-    d = np.abs(x)
-    hump = d[: len(d) // 2].max() / d.max()
-    assert 0.25 < hump < 0.5
     result = detect_closure(stub)
-    assert result.closed
-    assert result.period == pytest.approx(1.0, abs=1e-5)
-    assert result.return_distance <= 1e-4
+    assert not result.closed
+    assert result.period == TWO_PI
+    assert result.return_distance == pytest.approx(0.1, rel=1e-12)
 
 
 def test_closure_needs_enough_span():
     spec = spec_for("euclidean", "1")
     traj = integrate(spec, PhasePoint(1.0, 0.0, 0.0, 1.0), 2.0)
-    with pytest.raises(InsufficientSpan):
+    with pytest.raises(InsufficientSpan, match=r"t_end = 2 is shorter than the orbit "
+                                               r"period T = 6\.28318531; extend t_end"):
         detect_closure(traj)
 
 
