@@ -625,7 +625,11 @@ def integrate(
         raise ValueError("t_end must be positive")
     controls = controls or IntegratorControls()
     sample_dt = sample_interval(spec, t_end, controls)
-    margin = DELTA_MARGIN / 2 if controls.breach_margin is None else controls.breach_margin
+    margin = (
+        controls.breach_margin
+        if controls.breach_margin is not None
+        else DELTA_MARGIN / 2
+    )
 
     verdict = domain_check(spec, initial, margin=margin)
     if not verdict:
@@ -707,18 +711,15 @@ def detect_closure(traj: Trajectory, eps: float = 1e-4) -> ClosureResult:
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    t, states = traj.t, traj.states
+    t, states, controls = traj.t, traj.states, traj.controls
     z0 = states[0]
     excursion = float(np.linalg.norm(states - z0, axis=1).max())
     if t[-1] > 0 and excursion <= eps:
         return ClosureResult(closed=True, period=None, return_distance=excursion)
     period = orbit_period(traj.spec, float(traj.energy[0]))
     if t[-1] < period:
-        raise InsufficientSpan(
-            f"the span t_end = {t[-1]:.9g} is shorter than the orbit period "
-            f"T = {period:.9g}; extend t_end"
-        )
-    controls = traj.controls
+        raise InsufficientSpan(f"the span t_end = {t[-1]:.9g} is shorter than the orbit "
+                               f"period T = {period:.9g}; extend t_end")
     field = _rhs_function(traj.spec)
     worst = 0.0
     for k in range(1, int(t[-1] // period) + 1):

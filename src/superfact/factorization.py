@@ -468,8 +468,8 @@ def orbit_period(spec: SystemSpec, h: float) -> float:
     returns to its start, for ``gamma = m/n``.
 
     Along the flow each factor turns at its record's rate.  After the time
-    change ``ds = rate dt`` (``ds = dt`` on the plane, ``E / cos^2 y`` on
-    the sphere, ``E / r^2`` for TTW) both phases are linear in ``s``: ``B+``
+    change ``ds = dt`` on the plane, ``ds = E dt / cos^2 y`` on the sphere
+    and ``ds = E dt / r^2`` for TTW, both phases are linear in ``s``: ``B+``
     turns ``m`` times while ``A'`` turns ``n`` times, since ``n * rate(B) +
     m * rate(A') = 0``.  ``A'`` turns once per period of its sector, so
     ``T`` is ``n`` of those periods:

@@ -37,12 +37,14 @@ floor or above the ceiling must also exit 5 on both sides, each run into a
 wall exit 3, and each request above the ceiling be refused on the change
 side before any split of the level search (its manifest message names the
 ceiling, and ``level_search.splits`` is 0).  The script prints every file
-that differs or exists on one side only.  Only ``trace`` outputs may
-differ: a ``trace`` may find another point on the same levels.  For each
-differing ``trace`` file it prints the change side's ``level_residual``,
-which must be at most ``LEVEL_TOL``.  It prints each request that did not
-exit or refuse as expected, and exits 1 if there is any such request, any
-differing exit code or file other than a ``trace`` output, or a residual
+that differs or exists on one side only.  Two kinds of file may differ.  A
+report may differ in its ``closure`` object alone, and the script prints
+each closure verdict (closed, stationary, open or undetermined) that
+changes.  A ``trace`` output may differ otherwise too, since a ``trace`` may
+find another point on the same levels; for it the script prints the change
+side's ``level_residual``, which must be at most ``LEVEL_TOL``.  It prints
+each request that did not exit or refuse as expected, and exits 1 if there
+is any such request, any differing exit code or other file, or a residual
 above ``LEVEL_TOL``; else it exits 0.
 
 A differing file is marked "numbers only" when just its floating-point
@@ -222,6 +224,28 @@ def unrefused(outdir: Path) -> list[str]:
     return out
 
 
+def _verdict(closure: dict | None) -> str:
+    if closure is None:
+        return "none"
+    if closure["closed"] is None:
+        return "undetermined"
+    if closure["closed"]:
+        return "stationary" if closure["period"] is None else "closed"
+    return "open"
+
+
+def closure_verdicts(parent: Path, change: Path) -> tuple[str, str] | None:
+    """The closure verdicts of two reports that differ in their ``closure``
+    object alone, else ``None``."""
+    if not (parent.name.endswith(".report.json") and parent.exists() and change.exists()):
+        return None
+    reports = [json.loads(p.read_text(encoding="utf-8")) for p in (parent, change)]
+    closures = [report.pop("closure", None) for report in reports]
+    if json.dumps(reports[0]) != json.dumps(reports[1]):
+        return None
+    return _verdict(closures[0]), _verdict(closures[1])
+
+
 def level_residual(outdir: Path, prefix: str) -> float:
     """The ``level_residual`` of a ``trace`` report, NaN without one."""
     path = outdir / f"{prefix}.report.json"
@@ -349,14 +373,21 @@ def main(argv=None) -> int:
              for side in SIDES]
     traces = {prefix for prefix, argv in cmds if argv[0] == "trace"}
     kinds = {"numbers only": 0, "structure": 0}
-    others, far = [], []
+    others, far, turned = [], [], []
+    closures = 0
     for name in diff:
         paths = [outdirs[side] / name for side in SIDES]
         kind = "numbers only" if numbers_only(*paths, codes) else "structure"
         kinds[kind] += 1
         detail = f" ({largest_difference(*paths)})" if all(p.exists() for p in paths) else ""
         prefix = name.partition(".")[0]
-        if prefix in traces:
+        verdicts = closure_verdicts(*paths)
+        if verdicts:
+            closures += 1
+            detail += f", closure only ({verdicts[0]} -> {verdicts[1]})"
+            if verdicts[0] != verdicts[1]:
+                turned.append(f"{name}: {verdicts[0]} -> {verdicts[1]}")
+        elif prefix in traces:
             residual = level_residual(outdirs["change"], prefix)
             detail += f", level_residual {residual:.3g}"
             if not residual <= LEVEL_TOL:
@@ -364,6 +395,8 @@ def main(argv=None) -> int:
         else:
             others.append(name)
         print(f"differs: {name} [{kind}]{detail}")
+    for line in turned:
+        print(f"closure verdict differs: {line}")
     moved = sorted(prefix for prefix in codes[0] if codes[0][prefix] != codes[1].get(prefix))
     for prefix in moved:
         print(f"exit code differs: {prefix} ({codes[0][prefix]} -> {codes[1].get(prefix)})")
@@ -379,7 +412,8 @@ def main(argv=None) -> int:
     print(f"{len(cmds)} commands; {len(diff)} of {compared} files differ "
           f"({outdirs['parent']} vs {outdirs['change']}): "
           f"{kinds['numbers only']} numbers only, {kinds['structure']} structure; "
-          f"{len(diff) - len(others)} trace outputs, {len(others)} other files")
+          f"{closures} in their closure only, "
+          f"{len(diff) - len(others) - closures} other trace outputs, {len(others)} other files")
     return 1 if others or moved or bad or refusals or far else 0
 
 
