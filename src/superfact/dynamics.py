@@ -712,6 +712,8 @@ def detect_closure(traj: Trajectory, eps: float = 1e-4) -> ClosureResult:
     if not eps > 0:
         raise ValueError("eps must be positive")
     t, states, controls = traj.t, traj.states, traj.controls
+    if not len(t):
+        raise InsufficientSpan("the trajectory holds no samples")
     z0 = states[0]
     excursion = float(np.linalg.norm(states - z0, axis=1).max())
     if t[-1] > 0 and excursion <= eps:

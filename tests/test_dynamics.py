@@ -589,3 +589,8 @@ def test_closure_argument_validation():
     )
     with pytest.raises(InsufficientSpan):
         detect_closure(stub)
+    with pytest.raises(DomainBreach) as breach:
+        integrate(spec_for("sphere", "1"), PhasePoint(1.56, 0.0, 0.0, 0.0), 1.0)
+    assert len(breach.value.trajectory) == 0
+    with pytest.raises(InsufficientSpan, match="no samples"):
+        detect_closure(breach.value.trajectory)
