@@ -8,20 +8,21 @@ the state reaches a wall's safety margin; the message names the wall.
 
 The vector field is the Hamiltonian's gradient compiled once per system
 into straight-line float code (:func:`~superfact.phase.compiled_gradient`,
-the code that also evaluates each state of the level search), so one
+the code that also evaluates each split point of the level solver), so one
 evaluation is about a microsecond of plain float arithmetic.  DOP853
 runs as straight-line float code too: its step and dense output are
 generated once per process from the tableau written out below
 (:class:`_Tableau`, double for double the one of ``scipy.integrate.DOP853``),
 and the driver around them (:func:`solve_ivp`) takes the steps scipy's
 ``solve_ivp`` would take, with the same step-size control, interpolant and
-event location.  scipy itself is imported only to locate a wall crossing
-with ``scipy.optimize.brentq``, so a run that stays inside the walls never
-loads it.  Every sampled state gets the energy, the sector integral,
-and the real constants ``X``/``Y`` attached so drift can be audited after
-the fact, and the trajectory records its vector-field evaluations and its
-accepted and rejected steps.  Closure (:func:`detect_closure`) is decided
-at the multiples of the period the factorization predicts.
+event location; a wall crossing is located on the interpolant by
+:func:`_brentq`, a port of scipy's ``brentq`` that returns the same double.
+The package imports nothing from scipy.  Every sampled state gets the
+energy, the sector integral, and the real constants ``X``/``Y`` attached
+so drift can be audited after the fact, and the trajectory records its
+vector-field evaluations and its accepted and rejected steps.  Closure
+(:func:`detect_closure`) is decided at the multiples of the period the
+factorization predicts.
 """
 
 from __future__ import annotations
@@ -423,6 +424,55 @@ def _dense_states(t, t_old, h, y_old, coefficients) -> np.ndarray:
     return y + y_old
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """A root of ``f`` on ``[xa, xb]`` by Brent's method (Brent 1973, ch. 4):
+    scipy's ``brentq.c`` operation for operation, with ``xtol = rtol =
+    _EVENT_TOL`` and its cap of 100 iterations, so it returns the double
+    ``scipy.optimize.brentq`` returns.  An exact zero at an end returns
+    that end.  Like scipy, it raises ``ValueError`` when ``f`` has no sign
+    change on the ends (or is NaN there) and ``RuntimeError`` at the cap.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if not (fpre < 0 < fcur or fcur < 0 < fpre):
+        raise ValueError(f"no sign change of f on [{xa!r}, {xb!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_EVENT_TOL + _EVENT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, as C does after a zero divisor too
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"no root of f within 100 iterations on [{xa!r}, {xb!r}]")
+
+
 @dataclass(frozen=True)
 class Solution:
     """What :func:`solve_ivp` returns.
@@ -452,7 +502,7 @@ def solve_ivp(field, y0, t_eval, *, rtol, atol, max_step, events=()) -> Solution
     dense output and event location, so the same steps are taken.  Each
     event function ``g(t, y)`` is terminal and fires where it falls from
     positive to zero or below; the run stops at the first root, located
-    on the interpolant by ``brentq``.  Raises
+    on the interpolant by :func:`_brentq`.  Raises
     :class:`~superfact.errors.StepFailure` when the step falls below ten
     spacings of ``t``.
     """
@@ -502,10 +552,6 @@ def solve_ivp(field, y0, t_eval, *, rtol, atol, max_step, events=()) -> Solution
             active = [k for k, (a, b) in enumerate(zip(g, g_new)) if a >= 0 and b <= 0]
             g = g_new
             if active:
-                # Importing scipy.optimize takes about 0.4 s (2-core Xeon), so
-                # only a run that reaches a wall pays it.
-                from scipy.optimize import brentq
-
                 coefficients = dense(field, h, y_old, y, f_old, f, kept)
                 nfev += 3
                 args = (np.array([t_old]), np.array([h]), np.array([y_old]),
@@ -514,11 +560,8 @@ def solve_ivp(field, y0, t_eval, *, rtol, atol, max_step, events=()) -> Solution
                 def sol(s):
                     return _dense_states(np.array([s]), *args)[0]
 
-                roots = [
-                    brentq(lambda s, k=k: events[k](s, sol(s)), t_old, t,
-                           xtol=_EVENT_TOL, rtol=_EVENT_TOL)
-                    for k in active
-                ]
+                roots = [_brentq(lambda s, k=k: events[k](s, sol(s)), t_old, t)
+                         for k in active]
                 first = min(range(len(active)), key=roots.__getitem__)
                 t = roots[first]
                 fired = (active[first], t, sol(t))

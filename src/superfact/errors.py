@@ -34,8 +34,8 @@ class DomainBreach(SuperfactError):
 
 
 class StepFailure(SuperfactError):
-    """The integrator could not complete a step (size underflow or a
-    non-convergent implicit solve)."""
+    """The integrator could not complete a step: its size fell below ten
+    spacings of ``t``."""
 
 
 class InsufficientSpan(SuperfactError):

@@ -11,15 +11,15 @@ drops repeated subexpressions, and emits straight-line code that returns
 the value and the four partials from one reverse sweep.  The code is
 generated for two targets, each compiled once per observable.  On float64
 arrays, which numpy promotes to complex128 only at a complex constant, it
-serves :func:`gradient_batch` and, through it, every bracket, start screen
-and rank survey; :func:`gradient` at a single point is a batch of one.  The
+serves :func:`gradient_batch` and, through it, every bracket and rank
+survey; :func:`gradient` at a single point is a batch of one.  The
 builders return one observable per spec, and a batch keeps each gradient
 taken on it.  Over 1000 default-box points the gradient of ``X`` costs
 0.14 ms (euclidean 3/2) to 1.5 ms (TTW 17/12), against 0.4 ms to 9.6 ms for
 the forward-mode dual tower it replaced (2-core Xeon, numpy 2.4).  On
 Python floats, which become complex only at a complex constant,
 :func:`compiled_gradient` gives every evaluation at a single state: the
-single-trajectory vector field and each step of the level search.  Array
+single-trajectory vector field and each split point the level solver tries.  Array
 code runs only on batches and float code only at single states; run on the
 same four floats, the two give the same numbers, real parts bit for bit.
 Every derivative is exact to machine rounding; no finite-difference step

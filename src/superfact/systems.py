@@ -273,24 +273,13 @@ def domain_mask(spec: SystemSpec, batch: PhaseBatch, margin: float) -> np.ndarra
     families with square roots, a finite sector integral above
     :data:`DELTA_POS`.  Next to a wall at margin 0 the sector integral can
     overflow; such a point is rejected, whatever the caller's ``errstate``."""
-    if spec.family is Family.EUCLIDEAN:
-        return wall_mask(spec.family, (batch.q1, batch.q2), margin)
-    return _masked_sector(spec, batch, margin)[0]
-
-
-def _masked_sector(spec: SystemSpec, batch: PhaseBatch, margin: float):
-    """``(mask, i2)``: the mask of :func:`domain_mask` and the sector
-    integral it was decided from, at every point inside the walls (NaN at
-    the others).  The plane has no floor; its ``i2`` is still evaluated,
-    for callers that use the values."""
     mask = wall_mask(spec.family, (batch.q1, batch.q2), margin)
-    i2 = np.full(len(batch), np.nan)
-    if mask.any():
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            i2[mask] = eval_batch(second_integral_observable(spec), batch[mask])
-    if spec.family is not Family.EUCLIDEAN:
-        mask &= np.isfinite(i2) & (i2 > DELTA_POS)
-    return mask, i2
+    if spec.family is Family.EUCLIDEAN or not mask.any():
+        return mask
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        i2 = eval_batch(second_integral_observable(spec), batch[mask])
+    mask[mask] = np.isfinite(i2) & (i2 > DELTA_POS)
+    return mask
 
 
 def _require_in_domain(spec: SystemSpec, point: PhasePoint):

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 import superfact
 from superfact import dynamics
@@ -158,39 +161,52 @@ def test_rhs_compiled_source_is_deterministic():
     assert outputs[0].count("def step") == outputs[0].count("def dense") == 1
 
 
-_SCIPY_SCRIPT = """
+# Any import of scipy raises in this interpreter; it prints the exit codes
+# of the commands in argv and the scipy modules loaded after them.
+_NO_SCIPY_SCRIPT = """
 import json, sys
-import superfact, superfact.cli
 
-def loaded():
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is not installed: {name}")
 
-seen = {"import": loaded()}
-codes = [superfact.cli.main(argv.split()) for argv in sys.argv[1:3]]
-seen["inside the walls"] = loaded()
-codes.append(superfact.cli.main(sys.argv[3].split()))
-seen["breach"] = loaded()
-print(json.dumps({"codes": codes, "loaded": seen}))
+sys.meta_path.insert(0, NoScipy())
+import superfact.cli
+codes = [superfact.cli.main(argv.split()) for argv in sys.argv[1:]]
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
+_TTW_WALLS = "integrate --system ttw --gamma {} --alpha {b} --beta {b} --q0 1.0,0.7 --t-end 3"
+# One run into each wall: the sphere's xi and y, TTW theta = pi/2, theta = 0, r = 0.
+_BREACH_RUNS = (
+    "integrate --system sphere --gamma 1 --q0 0,0 --p0 45,0 --t-end 3",
+    "integrate --system sphere --gamma 1 --q0 0,0 --p0 0,45 --t-end 3",
+    _TTW_WALLS.format(1, b=0.05) + " --p0 0,3",
+    _TTW_WALLS.format(2, b=0.05) + " --p0 0,-3",
+    _TTW_WALLS.format(1, b=0.01) + " --p0=-4,0",
+)
 
-def test_scipy_is_imported_only_to_locate_a_wall_crossing(tmp_path):
+
+def test_no_command_imports_scipy(tmp_path):
     src = str(Path(superfact.__file__).resolve().parents[1])
+    commands = [
+        "verify --system ttw --gamma 3/2 --alpha 1.1 --beta 0.7 --samples 50",
+        "integrate --system euclidean --gamma 2 --q0 1,0 --p0 0,1 --t-end 5",
+        "trace --system ttw --gamma 2 --alpha 1.1 --beta 0.7 --energy 12 --second 4 "
+        "--symmetry X=1.5 --plane xy",
+        *_BREACH_RUNS,
+    ]
     run = subprocess.run(
-        [
-            sys.executable, "-c", _SCIPY_SCRIPT,
-            "verify --system ttw --gamma 3/2 --alpha 1.1 --beta 0.7 --samples 50 --out v",
-            "integrate --system euclidean --gamma 2 --q0 1,0 --p0 0,1 --t-end 5 --out o",
-            "integrate --system sphere --gamma 1 --q0 0.3,0.2 --p0 45,0 --t-end 3 --out b",
-        ],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT,
+         *(f"{argv} --out run{i}" for i, argv in enumerate(commands))],
         env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
         capture_output=True, text=True, check=True, timeout=120,
     )
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 3]
-    assert result["loaded"]["import"] == []
-    assert result["loaded"]["inside the walls"] == []
-    assert "scipy.optimize" in result["loaded"]["breach"]
+    assert result["codes"] == [0, 0, 0] + [3] * len(_BREACH_RUNS)
+    assert result["loaded"] == []
 
 
 # ---------- flows with known solutions ----------
@@ -371,6 +387,60 @@ def test_tableau_is_scipys_double_for_double():
         assert ours.shape == scipys.shape, name
         assert np.array_equal(ours, scipys), name
     assert dynamics._dop853_source() == dynamics._dop853_source(DOP853)
+
+
+def _bracketed(q, root, scale):
+    """``f(x) = scale (x - root) q(x)``, ``q`` by Horner from its highest
+    coefficient: of degree at most 7 when ``q`` has at most 7 coefficients,
+    like DOP853's interpolant."""
+
+    def f(x):
+        total = 0.0
+        for c in q:
+            total = total * x + c
+        return scale * (x - root) * total
+
+    return f
+
+
+@st.composite
+def _brackets(draw):
+    """``(q, root, a, b, scale)`` of a :func:`_bracketed` ``f`` that changes
+    sign on ``[a, b]`` or is zero at an end: the root lies in ``[a, b]``,
+    at an end in some draws.  At ``scale = 1e-170`` the extrapolation's
+    divisor underflows to zero."""
+    a = draw(st.floats(-100, 100))
+    b = a + draw(st.floats(1e-9, 10))
+    assume(b > a)
+    root = draw(st.one_of(st.just(a), st.just(b), st.floats(a, b)))
+    q = draw(st.lists(st.floats(-10, 10), min_size=1, max_size=7))
+    scale = draw(st.sampled_from((1.0, 1e-170)))
+    f = _bracketed(q, root, scale)
+    assume(f(a) == 0 or f(b) == 0 or (f(a) < 0) != (f(b) < 0))
+    return q, root, a, b, scale
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(_brackets())
+@example(([-2.0, -1.0], 0.39, 0.0, 1.0, 1.0))  # the bound 3 |sbis| - delta decides
+@example(([-2.0, 7.0, 0.0], -4.72, -5.0, -4.5, 1e-170))  # a divisor underflows to 0
+def test_brentq_is_scipys_double_for_double(bracket):
+    q, root, a, b, scale = bracket
+    f = _bracketed(q, root, scale)
+    try:
+        expected = brentq(f, a, b, xtol=dynamics._EVENT_TOL, rtol=dynamics._EVENT_TOL)
+    except RuntimeError:  # no convergence within 100 iterations
+        with pytest.raises(RuntimeError):
+            dynamics._brentq(f, a, b)
+    else:
+        assert dynamics._brentq(f, a, b).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("f", [lambda x: 1.0 + x, lambda x: -x, lambda x: math.nan])
+def test_brentq_refuses_ends_without_a_sign_change(f):
+    for solver in (brentq, dynamics._brentq):
+        with pytest.raises(ValueError):
+            solver(f, 1.0, 2.0)
 
 
 def _both_steppers(spec, start, t_end, controls=IntegratorControls()):
