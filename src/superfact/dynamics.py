@@ -452,7 +452,7 @@ def _brentq(f, xa: float, xb: float) -> float:
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
-        stry = math.inf  # bisect, as C does after a zero divisor too
+        stry = math.inf  # bisect unless a short step is found below
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:  # interpolate
@@ -461,7 +461,7 @@ def _brentq(f, xa: float, xb: float) -> float:
                     dpre = (fpre - fcur) / (xpre - xcur)
                     dblk = (fblk - fcur) / (xblk - xcur)
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
+            except ZeroDivisionError:  # C's step is inf or NaN: it bisects
                 pass
         if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
             spre, scur = scur, stry

@@ -19,9 +19,10 @@ taken on it.  Over 1000 default-box points the gradient of ``X`` costs
 the forward-mode dual tower it replaced (2-core Xeon, numpy 2.4).  On
 Python floats, which become complex only at a complex constant,
 :func:`compiled_gradient` gives every evaluation at a single state: the
-single-trajectory vector field and each split point the level solver tries.  Array
-code runs only on batches and float code only at single states; run on the
-same four floats, the two give the same numbers, real parts bit for bit.
+single-trajectory vector field and each split point the level solver
+tries.  Array code runs only on batches and float code only at single
+states; run on the same four floats, the two give the same numbers, real
+parts bit for bit.
 Every derivative is exact to machine rounding; no finite-difference step
 enters any of them.
 """
