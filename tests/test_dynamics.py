@@ -178,14 +178,14 @@ loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
-_TTW_WALLS = "integrate --system ttw --gamma {} --alpha {b} --beta {b} --q0 1.0,0.7 --t-end 3"
+_TTW = "integrate --system ttw --gamma {} --alpha {b} --beta {b} --q0 1.0,0.7 --p0={} --t-end 3"
 # One run into each wall: the sphere's xi and y, TTW theta = pi/2, theta = 0, r = 0.
 _BREACH_RUNS = (
     "integrate --system sphere --gamma 1 --q0 0,0 --p0 45,0 --t-end 3",
     "integrate --system sphere --gamma 1 --q0 0,0 --p0 0,45 --t-end 3",
-    _TTW_WALLS.format(1, b=0.05) + " --p0 0,3",
-    _TTW_WALLS.format(2, b=0.05) + " --p0 0,-3",
-    _TTW_WALLS.format(1, b=0.01) + " --p0=-4,0",
+    _TTW.format(1, "0,3", b=0.05),
+    _TTW.format(2, "0,-3", b=0.05),
+    _TTW.format(1, "-4,0", b=0.01),
 )
 
 
