@@ -420,6 +420,8 @@ def _run_integration(
     breach_info = None
     try:
         traj = integrate(spec, initial, t_end, controls)
+    except DomainError as exc:
+        raise _ConfigError(str(exc)) from exc
     except DomainBreach as exc:
         breach_info = {
             "time": exc.time,

@@ -40,11 +40,14 @@ from .factorization import higher_integral_observables, orbit_period
 from .phase import PhaseBatch, PhasePoint, compiled_gradient, eval_batch
 from .systems import (
     DELTA_MARGIN,
+    DELTA_POS,
     WALLS,
+    Family,
     SystemSpec,
     characteristic_period,
     domain_check,
     hamiltonian_observable,
+    second_integral,
     second_integral_observable,
 )
 
@@ -57,20 +60,18 @@ MAX_SAMPLE_INTERVALS = 1_000_000  # a finer grid is refused before any allocatio
 @dataclass(frozen=True)
 class IntegratorControls:
     """DOP853 knobs; ``None`` fields are resolved from the system's
-    characteristic period ``T``: ``max_step = T/10``, ``sample_dt = T/200``,
-    ``breach_margin`` = half the sampling margin.
+    characteristic period ``T``: ``max_step = T/10``, ``sample_dt = T/200``.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float | None = None
     sample_dt: float | None = None
-    breach_margin: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        for name in ("max_step", "sample_dt", "breach_margin"):
+        for name in ("max_step", "sample_dt"):
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive when given")
@@ -661,18 +662,19 @@ def integrate(
     Returns the sampled :class:`Trajectory`.  Raises
     :class:`~superfact.errors.DomainBreach` (with the partial trajectory
     attached, empty when the initial state is already inside the margin) if
-    the state reaches the safety margin of an open domain, and
-    :class:`~superfact.errors.StepFailure` if the stepper gives up.
+    the state reaches the safety margin of an open domain, half the sampling
+    margin :data:`~superfact.systems.DELTA_MARGIN`, and
+    :class:`~superfact.errors.StepFailure` if the stepper gives up.  Before
+    any step, on the sphere and TTW, it raises
+    :class:`~superfact.errors.DomainError` when the sector integral of
+    ``initial`` is not above :data:`~superfact.systems.DELTA_POS`, the floor
+    of the square roots in ``X`` and ``Y``.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     controls = controls or IntegratorControls()
     sample_dt = sample_interval(spec, t_end, controls)
-    margin = (
-        controls.breach_margin
-        if controls.breach_margin is not None
-        else DELTA_MARGIN / 2
-    )
+    margin = DELTA_MARGIN / 2
 
     verdict = domain_check(spec, initial, margin=margin)
     if not verdict:
@@ -682,6 +684,11 @@ def integrate(
             state=initial,
             trajectory=_build_trajectory(spec, initial, controls, [], []),
         )
+    if spec.family is not Family.EUCLIDEAN:
+        sector = second_integral(spec, initial)
+        if not sector > DELTA_POS:
+            raise DomainError(f"initial state refused: the sector integral I2={sector:.6g} "
+                              f"is not above the floor {DELTA_POS:g}")
 
     sol = solve_ivp(
         _rhs_function(spec),

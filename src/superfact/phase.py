@@ -3,8 +3,8 @@
 A phase point is the 4-tuple ``(q1, q2, p1, p2)``; the coordinate meaning is
 fixed by the system that interprets it.  Observables are plain callables of
 the four coordinates written against :mod:`superfact.scalars`, so the same
-definition is evaluated at floats (values), numpy arrays (batches of points
-at once) or traced values (compiled derivatives).
+definition is evaluated at numpy arrays (batches of points at once) or at
+traced values (compiled code).
 
 Derivatives come from one code generator.  It traces an observable once,
 drops repeated subexpressions, and emits straight-line code that returns
@@ -12,17 +12,18 @@ the value and the four partials from one reverse sweep.  The code is
 generated for two targets, each compiled once per observable.  On float64
 arrays, which numpy promotes to complex128 only at a complex constant, it
 serves :func:`gradient_batch` and, through it, every bracket and rank
-survey; :func:`gradient` at a single point is a batch of one.  The
-builders return one observable per spec, and a batch keeps each gradient
-taken on it.  Over 1000 default-box points the gradient of ``X`` costs
-0.14 ms (euclidean 3/2) to 1.5 ms (TTW 17/12), against 0.4 ms to 9.6 ms for
-the forward-mode dual tower it replaced (2-core Xeon, numpy 2.4).  On
-Python floats, which become complex only at a complex constant,
+survey.  The builders return one observable per spec, and a batch keeps
+each gradient taken on it.  Over 1000 default-box points the gradient of
+``X`` costs 0.14 ms (euclidean 3/2) to 1.5 ms (TTW 17/12), against 0.4 ms
+to 9.6 ms for the forward-mode dual tower it replaced (2-core Xeon, numpy
+2.4).  On Python floats, which become complex only at a complex constant,
 :func:`compiled_gradient` gives every evaluation at a single state: the
-single-trajectory vector field and each split point the level solver
-tries.  Array code runs only on batches and float code only at single
+single-trajectory vector field, each split point the level solver tries,
+and an observable called at a :class:`PhasePoint` or its :func:`gradient`
+there.  Array code runs only on batches and float code only at single
 states; run on the same four floats, the two give the same numbers, real
-parts bit for bit.
+parts bit for bit, except where numpy's tangent differs from
+:mod:`math`'s in the last bit.
 Every derivative is exact to machine rounding; no finite-difference step
 enters any of them.
 """
@@ -71,8 +72,11 @@ class Observable:
     """A labelled phase-space function.
 
     ``fn(q1, q2, p1, p2)`` must be written against the scalar tower so that
-    it accepts real, complex, array and traced inputs alike (and dual
-    numbers, which the tests use as an independent reference).
+    it accepts array and traced inputs alike (and dual numbers, which the
+    tests use as an independent reference).  Called at a
+    :class:`PhasePoint`, it returns the value of its compiled float code
+    (:func:`compiled_gradient`) as a complex number, and raises
+    :class:`~superfact.errors.DomainError` at a singular evaluation.
     Evaluation is pure: identical inputs give bit-identical outputs.
     """
 
@@ -80,14 +84,7 @@ class Observable:
     label: str = ""
 
     def __call__(self, point: PhasePoint) -> complex:
-        with np.errstate(divide="raise", invalid="raise"):
-            try:
-                out = self.fn(point.q1, point.q2, point.p1, point.p2)
-            except (ZeroDivisionError, FloatingPointError) as exc:
-                raise DomainError(
-                    f"singular evaluation of {self.label or 'observable'}: {exc}"
-                ) from exc
-        return complex(out)
+        return complex(_at_state(self, point)[0])
 
 
 # ---------- compiled gradients ----------
@@ -328,17 +325,21 @@ def gradient_batch(f: Observable, batch: PhaseBatch):
     return values, grads
 
 
+def _at_state(f: Observable, point: PhasePoint):
+    """:func:`compiled_gradient` of ``f`` at ``point``; a singular
+    denominator, or an argument :mod:`math` has no value for, raises
+    :class:`~superfact.errors.DomainError`."""
+    try:
+        return compiled_gradient(f)(point.q1, point.q2, point.p1, point.p2)
+    except (ZeroDivisionError, ValueError) as exc:
+        raise DomainError(f"singular evaluation of {f.label or 'observable'}: {exc}") from exc
+
+
 def gradient(f: Observable, point: PhasePoint) -> np.ndarray:
-    """The four partials of ``f`` at one point: :func:`gradient_batch` on a
-    batch of that point.  Raises :class:`~superfact.errors.DomainError` at a
-    singular evaluation."""
-    batch = PhaseBatch.from_arrays([point.q1], [point.q2], [point.p1], [point.p2])
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            _, grads = gradient_batch(f, batch)
-        except (ZeroDivisionError, FloatingPointError) as exc:
-            raise DomainError(f"singular evaluation: {exc}") from exc
-    return grads[:, 0].copy()
+    """The four partials of ``f`` at one point, from :func:`compiled_gradient`.
+    Raises :class:`~superfact.errors.DomainError` at a singular evaluation."""
+    value, partials = _at_state(f, point)
+    return np.array(partials, dtype=np.result_type(value, *partials))
 
 
 def bracket_batch_with_scale(f: Observable, g: Observable, batch: PhaseBatch):
@@ -361,7 +362,7 @@ def bracket_batch(f: Observable, g: Observable, batch: PhaseBatch) -> np.ndarray
 # ---------- functional independence ----------
 
 
-def gradient_ranks(grads: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def gradient_ranks(grads: np.ndarray) -> np.ndarray:
     """Numerical ranks of real gradient matrices stacked as ``(n, k, 4)``.
 
     Each gradient row is scaled to unit norm before the SVD: functional
@@ -369,7 +370,7 @@ def gradient_ranks(grads: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     scaling an observable of large magnitude (a high-order product, say)
     would numerically swamp an O(1) one.  Rows are divided by their largest
     entry first, so a finite row beyond ``1e154`` does not overflow its
-    norm.  Rank is then the number of singular values above ``tol``
+    norm.  Rank is then the number of singular values above :data:`RANK_TOL`
     relative to the largest one; an all-zero matrix has rank 0.
     """
     peak = np.max(np.abs(grads), axis=-1, keepdims=True)
@@ -378,4 +379,4 @@ def gradient_ranks(grads: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     unit = np.divide(grads, norms, out=grads.copy(), where=norms > 0.0)
     svals = np.linalg.svd(unit, compute_uv=False)  # (n, k)
     lead = svals[:, :1]
-    return np.where(lead[:, 0] > 0.0, np.sum(svals > tol * lead, axis=1), 0)
+    return np.where(lead[:, 0] > 0.0, np.sum(svals > RANK_TOL * lead, axis=1), 0)

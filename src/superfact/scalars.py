@@ -1,8 +1,8 @@
 """Scalar tower shared by every observable.
 
 Phase-space functions are written once against these helpers and then
-evaluate unchanged over floats, complex numbers and numpy arrays (batches
-of points).
+evaluate unchanged over numpy arrays (batches of points); anything that is
+neither dual nor traced goes to numpy's functions.
 
 A function can also be run once on :class:`Traced` values, which compute
 nothing and instead record each operation on a :class:`Tape`;
@@ -17,7 +17,6 @@ is the independent reference that the tests hold the compiled code to.
 
 from __future__ import annotations
 
-import cmath
 import numbers
 
 import numpy as np
@@ -30,14 +29,8 @@ __all__ = ["DualComplex", "Tape", "Traced", "sin", "cos", "tan", "sqrt", "ipow"]
 def _check_divisor(v):
     # Guarded domains keep evaluation away from the singular sets, so an
     # exact zero denominator is a contract violation rather than bad luck.
-    if isinstance(v, DualComplex):
-        _check_divisor(v.val)
-    elif isinstance(v, Traced):
-        return  # checked when the compiled code runs
-    elif isinstance(v, np.ndarray):
-        if (v == 0).any():
-            raise DomainError("singular denominator in observable evaluation")
-    elif v == 0:
+    # A dual divisor is checked where its parts are divided.
+    if np.any(v == 0):
         raise DomainError("singular denominator in observable evaluation")
 
 
@@ -236,50 +229,38 @@ class Traced:
 
 
 def sin(x):
-    if isinstance(x, np.ndarray):
-        return np.sin(x)
     if isinstance(x, DualComplex):
         return DualComplex(sin(x.val), cos(x.val) * x.eps)
     if isinstance(x, Traced):
         return x.tape.record("sin", x)
-    return cmath.sin(x)
+    return np.sin(x)
 
 
 def cos(x):
-    if isinstance(x, np.ndarray):
-        return np.cos(x)
     if isinstance(x, DualComplex):
         return DualComplex(cos(x.val), -(sin(x.val)) * x.eps)
     if isinstance(x, Traced):
         return x.tape.record("cos", x)
-    return cmath.cos(x)
+    return np.cos(x)
 
 
 def tan(x):
-    if isinstance(x, np.ndarray):
-        return np.tan(x)
     if isinstance(x, DualComplex):
         t = tan(x.val)
         return DualComplex(t, (1 + t * t) * x.eps)
     if isinstance(x, Traced):
         return x.tape.record("tan", x)
-    return cmath.tan(x)
+    return np.tan(x)
 
 
 def _require_positive(v):
     # All square roots in scope act on sector integrals that are positive on
     # the guarded domain; the principal branch never sees a cut.
-    if isinstance(v, np.ndarray):
-        if (v.real <= 0).any():
-            raise DomainError("square root of a non-positive sector value")
-    elif complex(v).real <= 0:
+    if np.any(np.real(v) <= 0):
         raise DomainError("square root of a non-positive sector value")
 
 
 def sqrt(x):
-    if isinstance(x, np.ndarray):
-        _require_positive(x)
-        return np.sqrt(x)
     if isinstance(x, DualComplex):
         s = sqrt(x.val)
         return DualComplex(s, x.eps / (2 * s))
@@ -287,7 +268,7 @@ def sqrt(x):
         # The positivity contract is checked when the compiled code runs.
         return x.tape.record("sqrt", x)
     _require_positive(x)
-    return cmath.sqrt(x)
+    return np.sqrt(x)
 
 
 def ipow(x, n):

@@ -472,15 +472,15 @@ def characteristic_period(spec: SystemSpec) -> float:
 _OPEN_RANGE = {Family.EUCLIDEAN: (-1.5, 1.5), Family.TTW: (0.3, 2.2)}
 
 
-def default_box(spec: SystemSpec, margin: float | None = None) -> DomainBox:
+def default_box(spec: SystemSpec) -> DomainBox:
     """A generic sampling box inside the family's walls: a coordinate walled
-    on both sides spans its chart less the margin, any other one a fixed
-    range; momenta span ``(-1.5, 1.5)``."""
-    m = DELTA_MARGIN if margin is None else float(margin)
+    on both sides spans its chart less :data:`DELTA_MARGIN`, any other one a
+    fixed range; momenta span ``(-1.5, 1.5)``."""
+    m = DELTA_MARGIN
     qs = []
     for k in (0, 1):
         ends = {w.upper: w.bound for w in WALLS[spec.family] if w.index == k}
         walled = len(ends) == 2
         qs.append((ends[False] + m, ends[True] - m) if walled else _OPEN_RANGE[spec.family])
     mom = (-1.5, 1.5)
-    return DomainBox((*qs, mom, mom), margin=m)
+    return DomainBox((*qs, mom, mom))

@@ -627,7 +627,6 @@ def independence_report(
     spec: SystemSpec,
     points: PhaseBatch,
     which: str = "with_X",
-    tol: float = RANK_TOL,
 ) -> dict:
     """Survey the rank of the gradient matrix of a function triple.
 
@@ -646,7 +645,7 @@ def independence_report(
             grads = np.stack([gradient_batch(f, points)[1].real.T for f in fs], axis=1)
         finite = np.isfinite(grads).all(axis=(1, 2))
         non_finite = n - int(finite.sum())
-        ranks = gradient_ranks(grads[finite], tol)
+        ranks = gradient_ranks(grads[finite])
         for r in ranks:
             key = str(int(r))
             ranks_count[key] = ranks_count.get(key, 0) + 1
@@ -657,5 +656,5 @@ def independence_report(
         "ranks": dict(sorted(ranks_count.items())),
         "fraction_full": full / n if n else 0.0,
         "non_finite": non_finite,
-        "tolerance": tol,
+        "tolerance": RANK_TOL,
     }

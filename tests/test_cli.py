@@ -557,6 +557,28 @@ def test_integrate_immediate_breach_header_only_csv(tmp_path, monkeypatch):
     assert report["breach"]["time"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "p0,t_end,sector",
+    [("0,0", "0.01", "0"), ("0,0", "1", "0"), ("0,0.0001", "1", "1e-08")],
+)
+def test_integrate_refuses_a_start_at_or_below_the_sector_floor(
+    tmp_path, monkeypatch, capsys, p0, t_end, sector
+):
+    """With no angular barrier the TTW sector integral is ``p_theta**2``:
+    0 at ``p_theta = 0`` and exactly the floor ``DELTA_POS`` at ``1e-4``.
+    Such a start is refused before any step, over a span that stays inside
+    the walls and over one that would run into ``r = 0``."""
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        ["integrate", "--system", "ttw", "--gamma", "1", "--alpha", "0", "--beta", "0",
+         "--q0", "1,0.7", "--p0", p0, "--t-end", t_end, "--out", "flat"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"the sector integral I2={sector} is not above the floor 1e-08" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _nan_after_the_initial_step(monkeypatch):
     """Patch the vector field so that DOP853's step size collapses."""
     compiled = dynamics._rhs_function

@@ -18,6 +18,7 @@ import superfact
 from superfact import dynamics
 from superfact import (
     DomainBreach,
+    DomainError,
     InsufficientSpan,
     IntegratorControls,
     PhasePoint,
@@ -306,8 +307,14 @@ def test_controls_validation():
         IntegratorControls(abs_tol=-1e-9)
     with pytest.raises(ValueError):
         IntegratorControls(sample_dt=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorControls(breach_margin=0.0)
+
+
+def test_integrate_refuses_a_sphere_start_below_the_sector_floor():
+    """The sphere's sector integral is at least ``omega**2 / (2 gamma**2)``,
+    below the floor at a slow enough oscillator."""
+    spec = spec_for("sphere", "1", omega=1e-5)
+    with pytest.raises(DomainError, match=r"sector integral I2=5e-11 is not above"):
+        integrate(spec, PhasePoint(0.0, 0.2, 0.0, 0.3), 1.0)
 
 
 def test_integrate_requires_positive_horizon():
@@ -348,14 +355,18 @@ def test_midrun_breach_adaptive():
     assert breach.state.q1 == pytest.approx(wall, abs=1e-6)
 
 
+# Specs on which the starts below run into a wall within t = 3: the TTW
+# barriers are weak enough for a start to reach r = 0.
+BREACH_SPECS = {"sphere": spec_for("sphere", "1"), "ttw": spec_for("ttw", "1", alpha=0.01, beta=0.01)}
+
+
 @pytest.mark.parametrize(
     "family,start,wall",
-    [("sphere", (0.0, 0.0, 2.0, 0.0), "xi = pi/2"), ("ttw", (1.0, 0.7, -4.0, 0.0), "r = 0")],
+    [("sphere", (0.0, 0.0, 45.0, 0.0), "xi = pi/2"), ("ttw", (1.0, 0.7, -4.0, 0.0), "r = 0")],
 )
 def test_both_integrators_name_the_same_wall(family, start, wall):
-    controls = IntegratorControls(breach_margin=0.5)
     with pytest.raises(DomainBreach) as exc_info:
-        integrate(spec_for(family, "1"), PhasePoint(*start), 3.0, controls)
+        integrate(BREACH_SPECS[family], PhasePoint(*start), 3.0)
     assert str(exc_info.value).endswith(f": wall {wall}")
 
 
@@ -450,7 +461,7 @@ def _both_steppers(spec, start, t_end, controls=IntegratorControls()):
     period = characteristic_period(spec)
     max_step = controls.max_step if controls.max_step is not None else period / 10
     ts = dynamics._sample_times(t_end, dynamics.sample_interval(spec, t_end, controls))
-    margin = controls.breach_margin if controls.breach_margin is not None else DELTA_MARGIN / 2
+    margin = DELTA_MARGIN / 2
     y0 = np.array(start, dtype=float)
     try:
         traj, breach = integrate(spec, PhasePoint(*y0), t_end, controls), None
@@ -484,12 +495,12 @@ def test_stepper_takes_scipys_steps_from_default_box_starts(family, gamma):
     "family,start,t_end,controls",
     [
         ("sphere", (0.0, 0.0, 45.0, 0.0), 1.0, IntegratorControls()),
-        ("sphere", (0.0, 0.0, 2.0, 0.0), 3.0, IntegratorControls(breach_margin=0.5)),
-        ("ttw", (1.0, 0.7, -4.0, 0.0), 3.0, IntegratorControls(breach_margin=0.5)),
+        ("sphere", (0.0, 0.0, 0.0, 45.0), 3.0, IntegratorControls(rel_tol=1e-6)),
+        ("ttw", (1.0, 0.7, -4.0, 0.0), 3.0, IntegratorControls()),
     ],
 )
 def test_stepper_breaches_where_scipy_does(family, start, t_end, controls):
-    assert _both_steppers(spec_for(family, "1"), start, t_end, controls) is not None
+    assert _both_steppers(BREACH_SPECS[family], start, t_end, controls) is not None
 
 
 def test_non_finite_field_rejects_the_step_and_recovers(monkeypatch):
@@ -520,7 +531,7 @@ def test_non_finite_field_rejects_the_step_and_recovers(monkeypatch):
     "family,start,controls",
     [
         ("ttw", (1.2, 0.8, -0.4, 0.6), IntegratorControls()),
-        ("sphere", (0.0, 0.0, 2.0, 0.0), IntegratorControls(breach_margin=0.5)),
+        ("sphere", (0.0, 0.0, 0.0, 45.0), IntegratorControls()),
         ("sphere", (0.3, 0.2, 1.5, -0.8), IntegratorControls(rel_tol=1e-3, max_step=10.0)),
     ],
 )

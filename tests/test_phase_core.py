@@ -15,8 +15,10 @@ from superfact import (
     eval_batch,
     gradient,
     gradient_batch,
+    hamiltonian,
     run_suite,
     sample_points,
+    second_integral,
 )
 from superfact import scalars as sc
 from superfact.factorization import (
@@ -432,8 +434,9 @@ def test_compiled_gradient_matches_dual_gradient(family, gamma):
         grad = compiled_gradient(obs)
         for i in range(len(batch)):
             point = batch.point(i)
-            want = gradient(obs, point).real
-            _, partials = grad(point.q1, point.q2, point.p1, point.p2)
+            z = [point.q1, point.q2, point.p1, point.p2]
+            want = np.array(_partials_scalar(obs.fn, z)).real
+            _, partials = grad(*z)
             got = np.array(partials)
             scale = np.max(np.abs(want))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
@@ -495,10 +498,11 @@ def _same_bits(got, want):
 def test_float_code_gives_the_bits_of_the_array_code_and_the_tower(family, gamma):
     """At a single state of Python floats the float code gives the bits of
     the array code run on the same floats, value and partials, and the
-    value of the scalar tower (complex arithmetic through :mod:`cmath`), for
-    ``H``, ``I2``, ``X`` and ``Y``; ``X`` and ``Y`` take complex constants.
-    These are the two paths the level search evaluated states with before
-    it ran the float code."""
+    value of the scalar tower (numpy's functions on scalars), for ``H``,
+    ``I2``, ``X`` and ``Y``; ``X`` and ``Y`` take complex constants.  The
+    sphere's shift factor takes a tangent, which is :mod:`math`'s in the
+    float code and numpy's in the other two; the two differ in the last bit
+    at some arguments, none of them among these points."""
     spec = spec_for(family, gamma)
     batch = sample_points(spec, default_box(spec), 200, seed=5)
     _, _, x_real, y_real = higher_integral_observables(spec)
@@ -510,3 +514,39 @@ def test_float_code_gives_the_bits_of_the_array_code_and_the_tower(family, gamma
             array_value, array_partials = array_code(*z)
             assert _same_bits([value, *partials], [array_value, *array_partials]), (obs.label, i)
             assert _same_bits(value, obs.fn(*z)), (obs.label, i)
+
+
+@pytest.mark.parametrize("gamma", ["3/2", "7/5"])
+@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+def test_single_state_wrappers_give_the_bits_of_the_float_code(family, gamma):
+    """``Observable.__call__``, :func:`gradient`, ``hamiltonian`` and
+    ``second_integral`` are :func:`compiled_gradient` at one state."""
+    spec = spec_for(family, gamma)
+    batch = sample_points(spec, default_box(spec), 50, seed=3)
+    h, i2 = hamiltonian_observable(spec), second_integral_observable(spec)
+    _, _, x_real, y_real = higher_integral_observables(spec)
+    for i in range(len(batch)):
+        point = batch.point(i)
+        z = point.as_array().tolist()
+        for obs in (h, i2, x_real, y_real):
+            value, partials = compiled_gradient(obs)(*z)
+            assert _same_bits(obs(point), value), (obs.label, i)
+            assert _same_bits(gradient(obs, point), partials), (obs.label, i)
+        assert hamiltonian(spec, point) == compiled_gradient(h)(*z)[0]
+        assert second_integral(spec, point) == compiled_gradient(i2)(*z)[0]
+
+
+@pytest.mark.parametrize(
+    "fn,point",
+    [
+        (lambda q1, q2, p1, p2: p1 / q1, (0.0, 0.5, 1.0, 1.0)),
+        (lambda q1, q2, p1, p2: sc.sqrt(q1 - p1), (1.0, 0.5, 1.0, 1.0)),
+        (lambda q1, q2, p1, p2: sc.sqrt(q1 - p1), (1.0, 0.5, 2.0, 1.0)),
+    ],
+    ids=["zero divisor", "zero root", "negative root"],
+)
+def test_single_state_wrappers_raise_domain_error(fn, point):
+    obs = Observable(fn, "singular")
+    for evaluate in (obs, lambda p: gradient(obs, p)):
+        with pytest.raises(DomainError):
+            evaluate(PhasePoint(*point))

@@ -177,9 +177,13 @@ def test_ndarray_defers_to_dual():
 
 
 def test_scalar_functions_on_plain_values():
-    # The helpers fall through to cmath/numpy on non-dual input.
-    assert sc.sin(0.5) == cmath.sin(0.5)
-    assert np.allclose(sc.cos(np.array([0.1, 0.2])), np.cos([0.1, 0.2]))
+    # The helpers fall through to numpy on any input that is neither dual
+    # nor traced: floats, complex numbers and arrays.
+    for x in (0.5, complex(0.5, 0.2), np.array([0.1, 0.2 + 0.1j])):
+        for helper, reference in ((sc.sin, np.sin), (sc.cos, np.cos), (sc.tan, np.tan),
+                                  (sc.sqrt, np.sqrt)):
+            got = helper(x)
+            assert np.array_equal(got, reference(x)) and np.shape(got) == np.shape(x)
     assert sc.sqrt(9.0) == 3.0
 
 
