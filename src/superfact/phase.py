@@ -21,9 +21,11 @@ to 9.6 ms for the forward-mode dual tower it replaced (2-core Xeon, numpy
 single-trajectory vector field, each split point the level solver tries,
 and an observable called at a :class:`PhasePoint` or its :func:`gradient`
 there.  Array code runs only on batches and float code only at single
-states; run on the same four floats, the two give the same numbers, real
-parts bit for bit, except where numpy's tangent differs from
-:mod:`math`'s in the last bit.
+states.  Given the same four Python floats, the two give the same numbers,
+real parts bit for bit, except where numpy's tangent differs from
+:mod:`math`'s in the last bit; on float64 arrays numpy also rounds complex
+products and quotients differently from Python, so a batch value of ``X``
+can differ from the single-state one in the last bit.
 Every derivative is exact to machine rounding; no finite-difference step
 enters any of them.
 """

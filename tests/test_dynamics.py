@@ -357,7 +357,10 @@ def test_midrun_breach_adaptive():
 
 # Specs on which the starts below run into a wall within t = 3: the TTW
 # barriers are weak enough for a start to reach r = 0.
-BREACH_SPECS = {"sphere": spec_for("sphere", "1"), "ttw": spec_for("ttw", "1", alpha=0.01, beta=0.01)}
+BREACH_SPECS = {
+    "sphere": spec_for("sphere", "1"),
+    "ttw": spec_for("ttw", "1", alpha=0.01, beta=0.01),
+}
 
 
 @pytest.mark.parametrize(
