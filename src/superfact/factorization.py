@@ -24,6 +24,14 @@ which is the combination this module returns.  The frequency-like factor
 full phase-space function (a square root of the sector integral), never as
 a frozen number, so its derivatives chain through every bracket.
 
+``X+-``, ``X`` and ``Y`` are declared as compositions
+(:meth:`~superfact.phase.Observable.compose`) of the factors' observables,
+and so are the TTW pure shifts ``A+ = a1+ * a2-`` and ``A- = a1- * a2+``.
+Each is written once, its single-state code traces the whole function, and
+its batch gradient is the chain rule through the gradients its parts keep
+on the batch (:func:`~superfact.phase.gradient_batch`), so no factor is
+traced or swept again inside a product.
+
 Each pair is written once, as a :class:`FactorPair` record
 (:func:`factor_pairs`) holding its whole algebra: its two factors (the
 minus one is the plus one with the sign of ``i`` flipped), its
@@ -121,6 +129,10 @@ def _conjugate(make, unit: complex, name: str):
     """``(name+, name-)`` as observables: ``make(unit)`` is the plus
     factor, ``unit`` its imaginary unit, and ``make(-unit)`` the minus."""
     return Observable(make(unit), f"{name}+"), Observable(make(-unit), f"{name}-")
+
+
+def _product(u, v):
+    return u * v
 
 
 def _euclidean_pairs(spec: SystemSpec) -> tuple[FactorPair, ...]:
@@ -226,12 +238,11 @@ def _ttw_pairs(spec: SystemSpec) -> tuple[FactorPair, ...]:
 
         return make
 
-    a1, a2 = mixed(-1.0), mixed(1.0)
-
-    def pure(unit):
-        # A+ = a1+ * a2-, A- = a1- * a2+.
-        f1, f2 = a1(unit), a2(-unit)
-        return lambda q1, q2, p1, p2: f1(q1, q2, p1, p2) * f2(q1, q2, p1, p2)
+    a1p, a1m = _conjugate(mixed(-1.0), -1j, "a1")
+    a2p, a2m = _conjugate(mixed(1.0), -1j, "a2")
+    # The pure pair: A+ = a1+ * a2-, A- = a1- * a2+.
+    ap = Observable.compose(_product, (a1p, a2m), "A+")
+    am = Observable.compose(_product, (a1m, a2p), "A-")
 
     def radial(q1, q2, p1, p2):
         return eps_fn(q1, q2, p1, p2) / (q1 * q1)
@@ -267,15 +278,15 @@ def _ttw_pairs(spec: SystemSpec) -> tuple[FactorPair, ...]:
                    Coefficient(-4j * g * g, (rate,)),
                    sector=i2, sector_rate=Coefficient(-4j, (eps,)),
                    mutual=Coefficient(-4j, (eps, gap))),
-        FactorPair("a1", "shift1", *_conjugate(a1, -1j, "a1"),
+        FactorPair("a1", "shift1", a1p, a1m,
                    Observable(lam_a1, "lam_a1"), h,
                    Coefficient(-2j, (Observable(rate_a1, "w+gE/r^2"),))),
-        FactorPair("a2", "shift2", *_conjugate(a2, -1j, "a2"),
+        FactorPair("a2", "shift2", a2p, a2m,
                    Observable(lam_a2, "lam_a2"), h,
                    Coefficient(-2j, (Observable(rate_a2, "w-gE/r^2"),))),
         # The pure pair has no additive constant: its product is
         # H^2 - 4 omega^2 gamma^2 Htheta.
-        FactorPair("A", "pure_shift", *_conjugate(pure, -1j, "A"), None,
+        FactorPair("A", "pure_shift", ap, am, None,
                    Observable(pure_target, "H^2-4w^2g^2Htheta"),
                    Coefficient(-4j * g, (rate,)),
                    mutual=Coefficient(-8j * g, (rate, h))),
@@ -333,32 +344,29 @@ def ttw_shift_observables(spec: SystemSpec) -> MappingProxyType:
 
 @functools.lru_cache(maxsize=64)
 def higher_integral_observables(spec: SystemSpec):
-    """``(X+, X-, X, Y)`` as observables; ``X`` and ``Y`` are real at real
-    points (their tiny imaginary residue is an arithmetic identity, not an
-    approximation, because the minus factors mirror the plus ones exactly)."""
+    """``(X+, X-, X, Y)`` as compositions (:meth:`Observable.compose`):
+    ``X+- = ipow(B+-, n) * ipow(A'+-, m)``, with ``A'`` the record's shift
+    factor (the pure shift of the opposite sign for TTW), then ``X = (X+ +
+    X-) * 0.5`` and ``Y = (X+ - X-) * (-0.5j)``.  A batch gradient of each
+    is taken by the chain rule through its parts' kept gradients.  ``X``
+    and ``Y`` are real at real points (their tiny imaginary residue is an
+    arithmetic identity, not an approximation, because the minus factors
+    mirror the plus ones exactly)."""
     m, n = spec.gamma.m, spec.gamma.n
     pairs = factor_pairs(spec)
     ladder_pair, shift_pair = pairs["B"], pairs["A"]
-    bpf, bmf = ladder_pair.plus.fn, ladder_pair.minus.fn
-    apf, amf = shift_pair.plus.fn, shift_pair.minus.fn
+    shifts = (shift_pair.plus, shift_pair.minus)
     if spec.family is Family.TTW:
         # Phase cancellation pairs the plus ladder with the minus pure shift.
-        apf, amf = amf, apf
+        shifts = shifts[::-1]
 
-    def xp(q1, q2, p1, p2):
-        return sc.ipow(bpf(q1, q2, p1, p2), n) * sc.ipow(apf(q1, q2, p1, p2), m)
+    def power_product(b, a):
+        return sc.ipow(b, n) * sc.ipow(a, m)
 
-    def xm(q1, q2, p1, p2):
-        return sc.ipow(bmf(q1, q2, p1, p2), n) * sc.ipow(amf(q1, q2, p1, p2), m)
-
-    x_plus = Observable(xp, "X+")
-    x_minus = Observable(xm, "X-")
-    x_real = Observable(
-        lambda q1, q2, p1, p2: (xp(q1, q2, p1, p2) + xm(q1, q2, p1, p2)) * 0.5, "X"
-    )
-    y_real = Observable(
-        lambda q1, q2, p1, p2: (xp(q1, q2, p1, p2) - xm(q1, q2, p1, p2)) * (-0.5j), "Y"
-    )
+    x_plus = Observable.compose(power_product, (ladder_pair.plus, shifts[0]), "X+")
+    x_minus = Observable.compose(power_product, (ladder_pair.minus, shifts[1]), "X-")
+    x_real = Observable.compose(lambda u, v: (u + v) * 0.5, (x_plus, x_minus), "X")
+    y_real = Observable.compose(lambda u, v: (u - v) * (-0.5j), (x_plus, x_minus), "Y")
     return x_plus, x_minus, x_real, y_real
 
 

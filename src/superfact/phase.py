@@ -6,26 +6,36 @@ the four coordinates written against :mod:`superfact.scalars`, so the same
 definition is evaluated at numpy arrays (batches of points at once) or at
 traced values (compiled code).
 
-Derivatives come from one code generator.  It traces an observable once,
+Derivatives come from one code generator.  It traces a function once,
 drops repeated subexpressions, and emits straight-line code that returns
-the value and the four partials from one reverse sweep.  The code is
-generated for two targets, each compiled once per observable.  On float64
-arrays, which numpy promotes to complex128 only at a complex constant, it
-serves :func:`gradient_batch` and, through it, every bracket and rank
-survey.  The builders return one observable per spec, and a batch keeps
-each gradient taken on it.  Over 1000 default-box points the gradient of
-``X`` costs 0.14 ms (euclidean 3/2) to 1.5 ms (TTW 17/12), against 0.4 ms
-to 9.6 ms for the forward-mode dual tower it replaced (2-core Xeon, numpy
-2.4).  On Python floats, which become complex only at a complex constant,
-:func:`compiled_gradient` gives every evaluation at a single state: the
-single-trajectory vector field, each split point the level solver tries,
-and an observable called at a :class:`PhasePoint` or its :func:`gradient`
-there.  Array code runs only on batches and float code only at single
-states.  Given the same four Python floats, the two give the same numbers,
-real parts bit for bit, except where numpy's tangent differs from
-:mod:`math`'s in the last bit; on float64 arrays numpy also rounds complex
-products and quotients differently from Python, so a batch value of ``X``
-can differ from the single-state one in the last bit.
+the value and the partials in its inputs from one reverse sweep.  The code
+is generated for two targets, each compiled once per observable.  On
+float64 arrays, which numpy promotes to complex128 only at a complex
+constant, it serves :func:`gradient_batch` and, through it, every bracket
+and rank survey.  The builders return one observable per spec, and a batch
+keeps each value and gradient taken on it.
+
+An observable can be declared as a composition (:meth:`Observable.compose`):
+part observables and an outer function of their values.  Its batch
+gradient follows the chain rule, ``sum_k d outer / d u_k * grad part_k``:
+the array code of the outer function runs on the parts' kept values, and
+each part's gradient is taken once per batch.  ``X+-``, ``X`` and ``Y``,
+products of powers of the factors, are compositions, so over 1000
+default-box points the four cost 0.23 ms (euclidean 3/2) to 0.41 ms (TTW
+17/12) once the factors' gradients are kept, against 0.58 ms to 4.5 ms for
+monolithic code that traced and swept every factor inside each of them
+again (2-core Xeon, numpy 2.4).  On Python floats, which become complex
+only at a complex constant, :func:`compiled_gradient` gives every
+evaluation at a single state: the single-trajectory vector field, each
+split point the level solver tries, and an observable called at a
+:class:`PhasePoint` or its :func:`gradient` there; a composition's float
+code is that of its whole ``fn``.  Array code runs only on batches and
+float code only at single states.  Given the same four Python floats, the
+two give the same numbers, real parts bit for bit, except where numpy's
+tangent differs from :mod:`math`'s in the last bit; on float64 arrays
+numpy also rounds complex products and quotients differently from Python,
+so a batch value of ``X`` can differ from the single-state one in the last
+bit.
 Every derivative is exact to machine rounding; no finite-difference step
 enters any of them.
 """
@@ -80,10 +90,29 @@ class Observable:
     (:func:`compiled_gradient`) as a complex number, and raises
     :class:`~superfact.errors.DomainError` at a singular evaluation.
     Evaluation is pure: identical inputs give bit-identical outputs.
+
+    An observable built by :meth:`compose` also keeps its ``parts`` and
+    the ``outer`` function of their values that its ``fn`` applies.
     """
 
     fn: Callable
     label: str = ""
+    parts: tuple["Observable", ...] = field(default=(), compare=False)
+    outer: Callable | None = field(default=None, compare=False)
+
+    @classmethod
+    def compose(cls, outer: Callable, parts, label: str) -> "Observable":
+        """The observable ``outer(*values of parts)``.  ``outer`` is written
+        against the scalar tower, as an ``fn`` is, and takes one value per
+        part; the derived ``fn`` evaluates the parts in order and applies
+        it, so it traces to the operations the same function written out
+        would record."""
+        parts = tuple(parts)
+
+        def fn(q1, q2, p1, p2):
+            return outer(*(part.fn(q1, q2, p1, p2) for part in parts))
+
+        return cls(fn, label, parts, outer)
 
     def __call__(self, point: PhasePoint) -> complex:
         return complex(_at_state(self, point)[0])
@@ -154,25 +183,29 @@ _ARRAYS = _Target(
 )
 
 
-def _generate(f: Observable, target: _Target) -> Callable:
-    """Straight-line code for ``f`` and its four partials on ``target``.
+def _generate(fn: Callable, arity: int, label: str, target: _Target) -> Callable:
+    """Straight-line code for ``fn`` of ``arity`` inputs and its partials
+    on ``target``.
 
-    ``f.fn`` runs once on :class:`~superfact.scalars.Traced` inputs.  The
-    recorded operations become one Python function of the four coordinates
-    that evaluates ``f`` and its partials from one reverse sweep
+    ``fn`` runs once on :class:`~superfact.scalars.Traced` inputs.  The
+    recorded operations become one Python function of the ``arity``
+    inputs (the four coordinates of an observable, or the part values of
+    a composition) that evaluates ``fn`` and its partials from one reverse
+    sweep
     (Griewank-Walther, *Evaluating Derivatives*, ch. 3-4); operations that
     do not reach the value are dropped.  Every operation is holomorphic,
     so the same adjoints give complex partials of complex observables.
     Constants are bound by name in the function's namespace, so the
     generated text, kept as the function's ``source``, never depends on
-    how a constant prints.  Raises ``TypeError`` naming the observable
-    when it branches on a coordinate.
+    how a constant prints.  Raises ``TypeError`` naming ``label`` when
+    ``fn`` branches on an input.
     """
-    tape = Tape(4)
+    label = label or "observable"
+    tape = Tape(arity)
     try:
-        result = tape.operand(f.fn(*tape.inputs))
+        result = tape.operand(fn(*tape.inputs))
     except TypeError as exc:
-        raise TypeError(f"cannot compile {f.label or 'observable'}: {exc}") from exc
+        raise TypeError(f"cannot compile {label}: {exc}") from exc
 
     # Reverse sweep.  A name is live once its adjoint is assigned; the
     # reverse order reaches every consumer of a value before the value.
@@ -201,12 +234,13 @@ def _generate(f: Observable, target: _Target) -> Callable:
         if name in live
     ]
     partials = ", ".join(f"d{x.name}" if x.name in live else "0.0" for x in tape.inputs)
-    body = forward + adjoint + [f"return {result}, ({partials})"]
-    source = "def gradient(x0, x1, x2, x3):\n" + "".join(f"    {line}\n" for line in body)
+    body = forward + adjoint + [f"return {result}, ({partials},)"]
+    inputs = ", ".join(x.name for x in tape.inputs)
+    source = f"def gradient({inputs}):\n" + "".join(f"    {line}\n" for line in body)
 
     namespace = dict(target.functions)
     namespace.update((f"c{i}", c) for i, c in enumerate(tape.constants))
-    exec(compile(source, f"<gradient of {f.label or 'observable'}>", "exec"), namespace)
+    exec(compile(source, f"<gradient of {label}>", "exec"), namespace)
     fn = namespace["gradient"]
     fn.source = source
     return fn
@@ -227,9 +261,9 @@ def compiled_gradient(f: Observable) -> Callable:
     (a sine at infinity, say); a complex argument of a sine, cosine, tangent
     or square root, which no observable in scope has, raises ``TypeError``.
     Compiling raises ``TypeError`` naming the observable when it branches
-    on a coordinate.
+    on a coordinate.  A composition's code is that of its derived ``fn``.
     """
-    return _generate(f, _FLOATS)
+    return _generate(f.fn, 4, f.label, _FLOATS)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -238,11 +272,22 @@ def _batch_code(f: Observable) -> Callable:
 
     The observable builders return the same :class:`Observable` for the
     same spec, so a spec's code is compiled once per process.  One round
-    of the benchmark's ``certify`` workload (23 specs) compiles 266
-    distinct observables and one ``trace`` round (15 specs) 45; a second
-    round of either compiles none, so the bound keeps a whole workload.
+    of the benchmark's ``certify`` workload (23 specs) compiles 160
+    distinct observables here and the outer functions of 106 compositions
+    (:func:`_outer_code`), and one ``trace`` round (15 specs) compiles the
+    float code of 45; a second round of either compiles none, so the bound
+    keeps a whole workload.  :func:`gradient_batch` runs this code for
+    every observable but a composition, whose chain-rule values have the
+    bits of this code of its whole ``fn``.
     """
-    return _generate(f, _ARRAYS)
+    return _generate(f.fn, 4, f.label, _ARRAYS)
+
+
+@functools.lru_cache(maxsize=1024)
+def _outer_code(f: Observable) -> Callable:
+    """The outer function of the composition ``f`` and its partials in the
+    values of its parts, as array code compiled once per observable."""
+    return _generate(f.outer, len(f.parts), f"{f.label} of its parts", _ARRAYS)
 
 
 # ---------- batched evaluation ----------
@@ -256,7 +301,8 @@ class PhaseBatch:
     q2: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
-    # Values and gradients by observable; see gradient_batch.
+    # Values and gradients by observable; see eval_batch and gradient_batch.
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _gradients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -278,10 +324,12 @@ class PhaseBatch:
 
     def __getitem__(self, index) -> "PhaseBatch":
         """The points picked by a slice or a boolean mask, as a batch.  It
-        keeps the gradients already taken on this batch."""
+        keeps the values and gradients already taken on this batch."""
         out = PhaseBatch(*(c[index] for c in self.arrays()))
-        for f, (values, grads) in self._gradients.items():
-            out._gradients[f] = (_read_only(values[index]), _read_only(grads[:, index]))
+        for f, values in self._values.items():
+            out._values[f] = _read_only(values[index])
+        for f, grads in self._gradients.items():
+            out._gradients[f] = _read_only(grads[:, index])
         return out
 
     def point(self, i: int) -> PhasePoint:
@@ -295,35 +343,55 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def eval_batch(f: Observable, batch: PhaseBatch) -> np.ndarray:
     """Evaluate ``f`` at every point of the batch (no derivatives), in the
-    dtype of :func:`gradient_batch`'s values.  A value that function kept
-    on the batch is read, not computed again."""
-    kept = batch._gradients.get(f)
-    if kept is not None:
-        return kept[0]
-    return np.broadcast_to(f.fn(*batch.arrays()), (len(batch),))
+    dtype of :func:`gradient_batch`'s values, read-only.  The value is kept
+    on the batch, and a value kept there (by either function) is read, not
+    computed again.  A composition applies its outer function to its
+    parts' values, which gives the bits of its ``fn``."""
+    values = batch._values.get(f)
+    if values is None:
+        if f.parts:
+            value = f.outer(*(eval_batch(part, batch) for part in f.parts))
+        else:
+            value = f.fn(*batch.arrays())
+        values = batch._values[f] = np.broadcast_to(value, (len(batch),))
+    return values
 
 
 def gradient_batch(f: Observable, batch: PhaseBatch):
     """Values and all four partials of ``f`` over a batch.
 
-    Runs the array code of :func:`_batch_code` once per observable and
-    batch: the result is kept on the batch, read-only, finite or not, and
-    later calls (and slices of the batch) reuse it.  Raises
-    :class:`~superfact.errors.DomainError` at an exact-zero divisor or a
-    non-positive square-root argument anywhere in the batch.  Returns
-    ``(values (n,), grads (4, n))``: float64, or complex128 where a complex
-    constant enters (the ladder and shift factors and their products).
+    Runs array code once per observable and batch: the result is kept on
+    the batch, read-only, finite or not, and later calls (and slices of
+    the batch) reuse it.  For most observables the code is
+    :func:`_batch_code`.  A composition is differentiated by the chain
+    rule: :func:`_outer_code` runs on its parts' kept values and gives
+    ``d outer / d u_k``, and the gradient is ``sum_k d outer / d u_k *
+    grad part_k``, over the parts' kept gradients.  Its values have the
+    bits of its ``fn``; its partials are those of the same sums taken in
+    another order.  Raises :class:`~superfact.errors.DomainError` at an
+    exact-zero divisor or a non-positive square-root argument anywhere in
+    the batch.  Returns ``(values (n,), grads (4, n))``: float64, or
+    complex128 where a complex constant enters (the ladder and shift
+    factors and their products).
     """
-    kept = batch._gradients.get(f)
-    if kept is not None:
-        return kept
+    grads = batch._gradients.get(f)
+    if grads is not None:
+        return batch._values[f], grads
     n = len(batch)
-    value, partials = _batch_code(f)(*batch.arrays())
-    values = np.broadcast_to(value, (n,))
-    grads = np.empty((4, n), dtype=np.result_type(value, *partials))
-    for k, partial in enumerate(partials):
-        grads[k] = partial
-    batch._gradients[f] = (values, _read_only(grads))
+    if f.parts:
+        kept = [gradient_batch(part, batch) for part in f.parts]
+        value, partials = _outer_code(f)(*(values for values, _ in kept))
+        grads = None
+        for partial, (_, part_grads) in zip(partials, kept):
+            term = partial * part_grads
+            grads = term if grads is None else grads + term
+    else:
+        value, partials = _batch_code(f)(*batch.arrays())
+        grads = np.empty((4, n), dtype=np.result_type(value, *partials))
+        for k, partial in enumerate(partials):
+            grads[k] = partial
+    values = batch._values.setdefault(f, np.broadcast_to(value, (n,)))
+    batch._gradients[f] = _read_only(grads)
     return values, grads
 
 

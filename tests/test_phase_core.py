@@ -20,6 +20,7 @@ from superfact import (
     sample_points,
     second_integral,
 )
+from superfact import phase
 from superfact import scalars as sc
 from superfact.factorization import (
     factor_pairs,
@@ -191,8 +192,11 @@ def _suite_observables(spec):
     return obs + [epsilon_observable(spec), *ttw_shift_observables(spec).values()]
 
 
-@pytest.mark.parametrize("gamma", ["1", "3/2", "7/5", "17/12"])
-@pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
+_GRID = [(family, gamma) for family in ("euclidean", "sphere", "ttw")
+         for gamma in ("1", "3/2", "7/5", "17/12")]
+
+
+@pytest.mark.parametrize("family,gamma", [*_GRID, ("euclidean", "41/29"), ("sphere", "41/29")])
 def test_gradient_batch_matches_pointwise_duals(family, gamma):
     spec = spec_for(family, gamma)
     batch = sample_points(spec, default_box(spec), 200, seed=5)
@@ -228,24 +232,26 @@ def test_batch_dtypes_follow_numpy_promotion(family):
 @pytest.mark.parametrize("gamma", ["1", "3/2", "17/12", "141/100"])
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
 def test_float_batches_match_complex_batches(family, gamma):
-    """Every observable the suite differentiates agrees with its array code
-    run on the same points held as complex128.  The two differ by rounding:
-    complex division ``a/(b+0j)`` rounds twice, and so does complex ``tan``.
-    A factor agrees within 1e-14 of the norm of its row (value and
-    partials); a product of ``n + m`` factors carries ``n + m`` of those
-    differences, so ``X+-``, ``X`` and ``Y`` get ``(n + m) * 1e-14``."""
+    """Every observable the suite differentiates agrees with
+    :func:`gradient_batch` run on the same points held as complex128, the
+    compositions by the chain rule on both sides.  The two differ by
+    rounding: complex division ``a/(b+0j)`` rounds twice, and so does
+    complex ``tan``.  A factor agrees within 1e-14 of the norm of its row
+    (value and partials); a product of ``n + m`` factors carries ``n + m``
+    of those differences, so ``X+-``, ``X`` and ``Y`` get ``(n + m) *
+    1e-14``."""
     spec = spec_for(family, gamma)
     batch = sample_points(spec, default_box(spec), 200, seed=5)
     with np.errstate(all="ignore"):
         run_suite(spec, None, batch)
     order = spec.gamma.m + spec.gamma.n
     products = {f.label for f in higher_integral_observables(spec)}
-    wide = [c.astype(np.complex128) for c in batch.arrays()]
-    for obs, (vals, grads) in batch._gradients.items():
-        got = np.vstack([vals, grads])
+    # PhaseBatch.from_arrays refuses complex columns; the fields take them.
+    wide = PhaseBatch(*(c.astype(np.complex128) for c in batch.arrays()))
+    for obs, grads in batch._gradients.items():
+        got = np.vstack([batch._values[obs], grads])
         with np.errstate(all="ignore"):
-            value, partials = _batch_code(obs)(*wide)
-            want = np.array(np.broadcast_arrays(value, *partials), dtype=np.complex128)
+            want = np.vstack(gradient_batch(obs, wide)).astype(np.complex128)
         np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want), err_msg=obs.label)
         rows = np.isfinite(want).all(axis=0)
         peak = np.max(np.abs(want[:, rows]), axis=0)
@@ -253,6 +259,36 @@ def test_float_batches_match_complex_batches(family, gamma):
         gap = np.max(np.abs(got[:, rows] - want[:, rows]), axis=0)
         tol = 1e-14 * (order if obs.label in products else 1)
         assert np.all(gap <= tol * norm), (obs.label, np.max(gap / norm))
+
+
+def _compositions(spec):
+    """``X+-``, ``X``, ``Y`` and the TTW pure shifts, the observables
+    written as compositions."""
+    out = list(higher_integral_observables(spec))
+    if spec.family is Family.TTW:
+        pure = factor_pairs(spec)["A"]
+        out += [pure.plus, pure.minus]
+    return out
+
+
+@pytest.mark.parametrize("family,gamma", [*_GRID, ("euclidean", "41/29"), ("sphere", "41/29")])
+def test_compositions_give_the_bits_of_the_tower_and_the_monolithic_code(family, gamma):
+    """A composition's batch values, from its outer code on its parts' kept
+    values, are the bits of its ``fn`` on the tower, of the array code of
+    that whole ``fn`` and of :func:`eval_batch` on a fresh batch.  (Its
+    chain-rule partials meet the dual oracle in
+    ``test_gradient_batch_matches_pointwise_duals``.)"""
+    spec = spec_for(family, gamma)
+    batch = sample_points(spec, default_box(spec), 200, seed=5)
+    for f in _compositions(spec):
+        assert f.parts and f.outer is not None, f.label
+        with np.errstate(all="ignore"):
+            values, _ = gradient_batch(f, batch)
+            tower = f.fn(*batch.arrays())
+            monolithic, _ = _batch_code(f)(*batch.arrays())
+            evaluated = eval_batch(f, PhaseBatch.from_arrays(*batch.arrays()))
+        for other in (tower, monolithic, evaluated):
+            assert values.tobytes() == other.tobytes(), f.label
 
 
 def test_gradient_batch_keeps_the_domain_contracts():
@@ -493,27 +529,52 @@ def _same_bits(got, want):
     return np.array_equal(got, want, equal_nan=True) and got.real.tobytes() == want.real.tobytes()
 
 
+def _tangents_taken(arguments):
+    """A float target that takes numpy's tangent, as the array code and the
+    tower do on Python floats, and records each argument in ``arguments``."""
+
+    def tan(x):
+        arguments.append(x)
+        return np.tan(x)
+
+    return phase._Target({**phase._FLOATS.functions, "tan": tan}, phase._FLOATS.divide)
+
+
 @pytest.mark.parametrize("gamma", ["7/5", "17/12"])
 @pytest.mark.parametrize("family", ["euclidean", "sphere", "ttw"])
 def test_float_code_gives_the_bits_of_the_array_code_and_the_tower(family, gamma):
-    """At a single state of Python floats the float code gives the bits of
-    the array code run on the same floats, value and partials, and the
-    value of the scalar tower (numpy's functions on scalars), for ``H``,
-    ``I2``, ``X`` and ``Y``; ``X`` and ``Y`` take complex constants.  The
-    sphere's shift factor takes a tangent, which is :mod:`math`'s in the
-    float code and numpy's in the other two; the two differ in the last bit
-    at some arguments, none of them among these points."""
+    """At a single state of Python floats, float code generated with
+    numpy's tangent gives the bits of the array code run on the same
+    floats, value and partials, and the value of the scalar tower (numpy's
+    functions on scalars), for ``H``, ``I2``, ``X`` and ``Y``; ``X`` and
+    ``Y`` take complex constants.  The library's float code takes
+    :mod:`math`'s tangent; it gives the same bits but at a state where
+    some tangent it takes differs from numpy's in the last bit.  Only the
+    sphere's shift factor takes a tangent, and at seeds 3 and 5 some of
+    its 2000 states are such states."""
     spec = spec_for(family, gamma)
-    batch = sample_points(spec, default_box(spec), 200, seed=5)
     _, _, x_real, y_real = higher_integral_observables(spec)
-    for obs in (hamiltonian_observable(spec), second_integral_observable(spec), x_real, y_real):
-        code, array_code = compiled_gradient(obs), _batch_code(obs)
-        for i in range(len(batch)):
-            z = batch.point(i).as_array().tolist()
-            value, partials = code(*z)
-            array_value, array_partials = array_code(*z)
-            assert _same_bits([value, *partials], [array_value, *array_partials]), (obs.label, i)
-            assert _same_bits(value, obs.fn(*z)), (obs.label, i)
+    arguments = []
+    target = _tangents_taken(arguments)
+    for seed in (3, 5):
+        batch = sample_points(spec, default_box(spec), 2000 if family == "sphere" else 200, seed)
+        apart = 0
+        for obs in (hamiltonian_observable(spec), second_integral_observable(spec),
+                    x_real, y_real):
+            code, array_code = compiled_gradient(obs), _batch_code(obs)
+            numpy_code = phase._generate(obs.fn, 4, obs.label, target)
+            for i in range(len(batch)):
+                z = batch.point(i).as_array().tolist()
+                arguments.clear()
+                value, partials = numpy_code(*z)
+                array_value, array_partials = array_code(*z)
+                assert _same_bits([value, *partials], [array_value, *array_partials]), (obs.label, i)
+                assert _same_bits(value, obs.fn(*z)), (obs.label, i)
+                own_value, own_partials = code(*z)
+                if not _same_bits([own_value, *own_partials], [value, *partials]):
+                    assert any(math.tan(a) != np.tan(a) for a in arguments), (obs.label, i)
+                    apart += 1
+        assert (apart > 0) == (family == "sphere"), seed
 
 
 @pytest.mark.parametrize("gamma", ["3/2", "7/5"])

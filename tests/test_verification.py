@@ -16,6 +16,7 @@ from superfact import phase, verification
 from superfact import (
     DELTA_POS,
     DomainBox,
+    Family,
     IdentitySpec,
     PhaseBatch,
     REPORT_SCHEMA,
@@ -30,7 +31,9 @@ from superfact import (
     domain_check,
     euclid_y_sector_observable,
     eval_batch,
+    factor_pairs,
     hamiltonian_observable,
+    higher_integral_observables,
     independence_report,
     ladder_observables,
     run_identity,
@@ -282,36 +285,48 @@ def test_report_json_is_deterministic_and_valid():
     assert d1["spec"]["gamma"] == {"m": 3, "n": 2}
 
 
-def _count_gradient_runs(monkeypatch) -> collections.Counter:
-    """Count, by observable, the runs of each compiled gradient."""
-    calls = collections.Counter()
-    compile_once = phase._batch_code
+def _count_gradient_runs(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
+    """Count, by observable, the runs of each compiled array code: an
+    observable's own code, and the outer code of a composition."""
+    counts = collections.Counter(), collections.Counter()
+    for calls, name in zip(counts, ("_batch_code", "_outer_code")):
+        compile_once = getattr(phase, name)
 
-    def counted(f):
-        code = compile_once(f)
+        def counted(f, calls=calls, compile_once=compile_once):
+            code = compile_once(f)
 
-        def run(*columns):
-            calls[f] += 1
-            return code(*columns)
+            def run(*columns):
+                calls[f] += 1
+                return code(*columns)
 
-        return run
+            return run
 
-    monkeypatch.setattr(phase, "_batch_code", counted)
-    return calls
+        monkeypatch.setattr(phase, name, counted)
+    return counts
 
 
 @pytest.mark.parametrize("family,gamma", [("euclidean", "3/2"), ("sphere", "7/5"), ("ttw", "17/12")])
 def test_verify_takes_each_gradient_once_per_batch(family, gamma, monkeypatch):
-    calls = _count_gradient_runs(monkeypatch)
+    """One suite runs each part's code once and differentiates ``X+-``,
+    ``X``, ``Y`` and the TTW pure shifts by the chain rule alone: their
+    outer code once each, and no array code of their own."""
+    calls, outer_calls = _count_gradient_runs(monkeypatch)
     spec = spec_for(family, gamma)
     points = sample_points(spec, None, 300, seed=4)
     report = run_suite(spec, None, points)
     assert report.passed
-    suite_calls = dict(calls)
+    suite_calls = dict(calls), dict(outer_calls)
     for which in ("with_X", "with_Y"):
         assert independence_report(spec, points[:200], which)["fraction_full"] >= 0.99
-    assert calls == suite_calls
-    assert max(calls.values()) == 1
+    assert (calls, outer_calls) == suite_calls
+    compositions = set(higher_integral_observables(spec))
+    if spec.family is Family.TTW:
+        pure = factor_pairs(spec)["A"]
+        compositions |= {pure.plus, pure.minus}
+    assert set(outer_calls) == compositions
+    assert not compositions & set(calls)
+    assert {p for f in compositions for p in f.parts} - compositions <= set(calls)
+    assert max(calls.values()) == max(outer_calls.values()) == 1
     assert hamiltonian_observable(spec) in calls
 
 
@@ -336,16 +351,16 @@ def test_each_bracket_is_taken_once(family, monkeypatch):
 
 
 def test_overflowing_gradients_run_once_per_suite(monkeypatch):
-    calls = _count_gradient_runs(monkeypatch)
+    calls, outer_calls = _count_gradient_runs(monkeypatch)
     spec = spec_for("ttw", "141/100")
     points = sample_points(spec, None, 300, seed=7)
     report = run_suite(spec, None, points)
     assert report.result("sym.H_Xp").errors
-    suite_calls = dict(calls)
+    suite_calls = dict(calls), dict(outer_calls)
     for which in ("with_X", "with_Y"):
         assert independence_report(spec, points[:200], which)["non_finite"] > 0
-    assert calls == suite_calls
-    assert max(calls.values()) == 1
+    assert (calls, outer_calls) == suite_calls
+    assert max(calls.values()) == max(outer_calls.values()) == 1
 
 
 _VERIFY_SCRIPT = """
